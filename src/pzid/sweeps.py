@@ -8,14 +8,14 @@ Smith-chart path, and termination scans for hidden internal instabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.optimize
 
 from .errors import NumericError, UsageError
-from .netsim import (analytic_poles, frequency_response, set_element_value,
-                     with_termination)
+from .netsim import (Netlist, analytic_poles, frequency_response,
+                     set_element_value, with_termination)
 from .ratfit import FitConfig, fit_common_denominator
 from .staban import StabilityConfig, auto_identify
 
@@ -276,10 +276,10 @@ def monte_carlo_cloud(net, probe, grid, sigma, trials, seed, cfg):
         # one draw per element in declaration order keeps runs reproducible
         factors = [1.0 + sig.get(e.kind, 0.0) * rng.uniform(-1.0, 1.0)
                    for e in net.elements]
-        patched = net
-        for e, f in zip(net.elements, factors):
-            if e.kind in ("R", "L", "C", "G") and f != 1.0 and e.value != 0.0:
-                patched = set_element_value(patched, e.name, e.value * f)
+        patched = Netlist(tuple(
+            replace(e, value=e.value * f)
+            if e.kind in ("R", "L", "C", "G") and f != 1.0 and e.value != 0.0 else e
+            for e, f in zip(net.elements, factors)), net.ports)
         try:
             poles, _ = _fit_poles(patched, probe, grid, cfg)
         except NumericError:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from fixtures import parallel_rlc, random_oracle_net, series_rlc_loop, oracle_grid
+from pzid import netsim
+from pzid.cli import dispatch
 from pzid.errors import UsageError
 from pzid.freqresp import FrequencyGrid
-from pzid.netsim import (Netlist, NetlistParseError, TerminationPort,
-                         analytic_poles, capacitor, current_probe,
+from pzid.netsim import (Netlist, NetlistParseError, SingularSystemError,
+                         TerminationPort, analytic_poles, capacitor, current_probe,
                          frequency_response, ground_node, modal_probe,
                          parse_netlist, parse_probe, parse_value,
                          pencil_eigenvalues, resistor, set_element_value,
@@ -57,6 +59,71 @@ class TestFrequencyResponse:
     def test_unknown_probe_node(self):
         with pytest.raises(UsageError, match="unknown node"):
             frequency_response(parallel_rlc(), current_probe("nope"), GRID)
+
+
+def per_point_response(net, probe, grid):
+    """Reference: one lone solve per grid point."""
+    pencil = netsim._Pencil(net, probe)
+    return np.array([pencil.c @ np.linalg.solve(pencil.G + 1j * w * pencil.C, pencil.b)
+                     for w in grid.omega])
+
+
+def probes_of(net):
+    branch = next(e.name for e in net.elements if e.kind in ("R", "L", "C"))
+    nodes = net.nodes[:2]
+    return (current_probe(net.nodes[-1]), voltage_probe(branch),
+            modal_probe(nodes, [0.0, 180.0][:len(nodes)]))
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("seed", [3, 11, 29, 401])
+    def test_bit_identical_to_per_point_solves(self, seed):
+        net, ap = random_oracle_net(seed)
+        grid = oracle_grid(ap, n=301)
+        for probe in probes_of(net):
+            got = frequency_response(net, probe, grid).values[0]
+            assert np.array_equal(got, per_point_response(net, probe, grid)), probe
+
+    @pytest.mark.parametrize("per_block", [7, 0])
+    def test_blocked_bit_identical(self, monkeypatch, per_block):
+        # 7 points per block: 42 full blocks and a ragged last one of 6;
+        # a budget below one matrix still solves one point per block
+        net, ap = random_oracle_net(11)
+        grid = oracle_grid(ap, n=300)
+        for probe in probes_of(net):
+            dim = netsim._Pencil(net, probe).G.shape[0]
+            monkeypatch.setattr(netsim, "_BLOCK_BYTES", per_block * 16 * dim * dim + 1)
+            got = frequency_response(net, probe, grid).values[0]
+            assert np.array_equal(got, per_point_response(net, probe, grid)), probe
+
+
+# n2 is reached only through capacitors, so G + j*0*C is singular at DC
+CAP_ONLY_NETLIST = """\
+R r1 n1 0 50
+C c1 n1 n2 1p
+C c2 n2 0 1p
+"""
+
+
+class TestSingularSystem:
+    GRID = FrequencyGrid(np.linspace(0.0, 5e9, 40))
+
+    @pytest.mark.parametrize("budget", [None, 1])
+    def test_dc_point_named(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(netsim, "_BLOCK_BYTES", budget)
+        net = parse_netlist(CAP_ONLY_NETLIST)
+        with pytest.raises(SingularSystemError, match=r"singular MNA system at 0\.0 Hz"):
+            frequency_response(net, current_probe("n1"), self.GRID)
+
+    def test_synth_exit_code_3(self, tmp_path, capsys):
+        path = tmp_path / "cap.cir"
+        path.write_text(CAP_ONLY_NETLIST)
+        code = dispatch(["synth", "--netlist", str(path), "--probe", "inode:n1",
+                         "--fstart", "0", "--fstop", "5e9", "--points", "40",
+                         "--out", str(tmp_path / "out.csv")])
+        assert code == 3
+        assert "0.0 Hz" in capsys.readouterr().err
 
 
 class TestAnalyticPoles:

@@ -131,6 +131,26 @@ class TestMonteCarlo:
                                   3, seed=3, cfg=SweepConfig(order=2))
         assert len({p for _, p in cloud.points}) == 2
 
+    def test_trials_match_oracle_of_same_draw(self):
+        # rebuild each trial's circuit from the documented draw: one uniform
+        # per element, in declaration order, scaled by its kind's sigma
+        net = double_resonator("B", r_stab=300.0)
+        sigma = {"R": 0.04, "L": 0.02, "C": 0.03}
+        cloud = monte_carlo_cloud(net, current_probe("B"), DOUBLE_RESONATOR_GRID,
+                                  sigma, 6, seed=5, cfg=CFG)
+        assert cloud.n_failed == 0
+        rng = np.random.default_rng(5)
+        for trial in range(6):
+            patched = net
+            for e in net.elements:
+                f = 1.0 + sigma.get(e.kind, 0.0) * rng.uniform(-1.0, 1.0)
+                patched = set_element_value(patched, e.name, e.value * f)
+            truth = analytic_poles(patched)
+            got = np.array([p for t, p in cloud.points if t == trial])
+            assert got.size == truth.size == 4
+            for p in truth:
+                assert np.min(np.abs(got - p)) / abs(p) < 1e-6
+
 
 class TestSpiralPath:
     def test_endpoints_and_radius(self):
