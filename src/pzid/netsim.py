@@ -470,11 +470,14 @@ def frequency_response(net, probe, grid, port_name=None):
     omega = grid.omega
     dim = pencil.G.shape[0]
     step = max(1, _BLOCK_BYTES // (16 * dim * dim))
+    # A right-hand side with as many dimensions as the stack is read as a
+    # matrix by both NumPy 1.x and 2.x; a 1-D one is rejected by NumPy 1.x.
+    rhs = pencil.b[None, :, None]
     out = np.empty(len(grid), dtype=complex)
     for lo in range(0, len(grid), step):
         A = pencil.G + (1j * omega[lo:lo + step])[:, None, None] * pencil.C
         try:
-            x = np.linalg.solve(A, pencil.b)
+            x = np.linalg.solve(A, rhs)[..., 0]
         except np.linalg.LinAlgError:
             _raise_first_singular(A, pencil.b, grid.freqs_hz[lo:lo + step])
             raise

@@ -276,10 +276,8 @@ def monte_carlo_cloud(net, probe, grid, sigma, trials, seed, cfg):
         # one draw per element in declaration order keeps runs reproducible
         factors = [1.0 + sig.get(e.kind, 0.0) * rng.uniform(-1.0, 1.0)
                    for e in net.elements]
-        patched = Netlist(tuple(
-            replace(e, value=e.value * f)
-            if e.kind in ("R", "L", "C", "G") and f != 1.0 and e.value != 0.0 else e
-            for e, f in zip(net.elements, factors)), net.ports)
+        patched = Netlist(tuple(replace(e, value=e.value * f)
+                                for e, f in zip(net.elements, factors)), net.ports)
         try:
             poles, _ = _fit_poles(patched, probe, grid, cfg)
         except NumericError:

@@ -96,6 +96,25 @@ class TestStackedSolve:
             got = frequency_response(net, probe, grid).values[0]
             assert np.array_equal(got, per_point_response(net, probe, grid)), probe
 
+    def test_rhs_shape_read_alike_by_numpy_1_and_2(self, monkeypatch):
+        # NumPy 1.x reads b as vectors when b.ndim == A.ndim - 1, NumPy 2.x
+        # when b.ndim == 1; a shape where the rules disagree fails on 1.x
+        solve = np.linalg.solve
+        shapes = []
+
+        def spy(a, b):
+            shapes.append((a.ndim, b.ndim))
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        frequency_response(parallel_rlc(), current_probe("n1"), GRID)
+        with pytest.raises(SingularSystemError):
+            frequency_response(parse_netlist(CAP_ONLY_NETLIST), current_probe("n1"),
+                               TestSingularSystem.GRID)
+        assert shapes
+        for a_ndim, b_ndim in shapes:
+            assert (b_ndim == a_ndim - 1) == (b_ndim == 1), (a_ndim, b_ndim)
+
 
 # n2 is reached only through capacitors, so G + j*0*C is singular at DC
 CAP_ONLY_NETLIST = """\
