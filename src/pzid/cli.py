@@ -158,7 +158,7 @@ def _cmd_rho(args):
 def _cmd_locus(args):
     net = _load_netlist(args.netlist)
     probe = netsim.parse_probe(args.probe)
-    cfg = sweeps.SweepConfig(order=args.order, iters=args.iters)
+    cfg = ratfit.FitConfig(order=args.order, iters=args.iters)
     traj = sweeps.trace_pole_locus(net, probe, _grid(args), args.param,
                                    _parse_values(args.values), cfg)
     lines = [_config_comment(args),
@@ -178,7 +178,7 @@ def _cmd_locus(args):
 def _cmd_threshold(args):
     net = _load_netlist(args.netlist)
     probe = netsim.parse_probe(args.probe)
-    cfg = sweeps.SweepConfig(order=args.order, iters=args.iters)
+    cfg = ratfit.FitConfig(order=args.order, iters=args.iters)
     value = sweeps.stabilization_threshold(net, probe, _grid(args), args.param,
                                            args.lo, args.hi, args.tol, cfg)
     print(repr(float(value)))
@@ -188,7 +188,7 @@ def _cmd_threshold(args):
 def _cmd_mc(args):
     net = _load_netlist(args.netlist)
     probe = netsim.parse_probe(args.probe)
-    cfg = sweeps.SweepConfig(order=args.order, iters=args.iters)
+    cfg = ratfit.FitConfig(order=args.order, iters=args.iters)
     cloud = sweeps.monte_carlo_cloud(net, probe, _grid(args), args.sigma,
                                      args.trials, args.seed, cfg)
     lines = [_config_comment(args)]

@@ -99,11 +99,8 @@ def parse_excitation(text):
         return text
     if text.startswith("vbranch:") and len(text) > len("vbranch:"):
         return text
-    m = _MODAL_RE.match(text)
-    if m:
-        nodes, phases = modal_terms(text)
-        if len(nodes) != len(phases):
-            raise ValueError("modal excitation has mismatched node/phase lists")
+    if _MODAL_RE.match(text):
+        modal_terms(text)
         return text
     raise ValueError(f"unrecognized excitation descriptor {text!r}")
 
@@ -223,15 +220,22 @@ def _split_csv_line(line):
 
 
 def _parse_directive(body, lineno, label):
+    """``name=value,...`` entries; an entry without ``=`` continues the
+    previous value, so a modal excitation keeps its comma-separated terms."""
     out = {}
+    name = None
     for item in body.split(","):
         item = item.strip()
         if not item:
             continue
-        if "=" not in item:
+        if "=" in item:
+            name, _, val = item.partition("=")
+            name = name.strip()
+            out[name] = val.strip()
+        elif name is None:
             raise ResponseParseError(f"malformed {label} directive entry {item!r}", lineno)
-        name, _, val = item.partition("=")
-        out[name.strip()] = val.strip()
+        else:
+            out[name] += "," + item
     return out
 
 
@@ -313,7 +317,13 @@ def _is_float(tok):
 
 
 def emit_csv(rset):
-    """Serialize to the CSV schema; ``parse_csv`` round-trips bit-identically."""
+    """Serialize to the CSV schema; ``parse_csv`` round-trips bit-identically.
+
+    Port names head CSV columns, so a name containing ``,`` is rejected.
+    """
+    for p in rset.ports:
+        if "," in p.name:
+            raise ValueError(f"port name {p.name!r} contains ',' and cannot head a CSV column")
     lines = []
     if any(k != "transfer" for k in rset.kinds):
         pairs = ",".join(f"{p.name}={k}" for p, k in zip(rset.ports, rset.kinds))

@@ -482,7 +482,9 @@ def frequency_response(net, probe, grid, port_name=None):
             _raise_first_singular(A, pencil.b, grid.freqs_hz[lo:lo + step])
             raise
         out[lo:lo + step] = x @ pencil.c
-    name = port_name or probe.descriptor()
+    # the default name is the descriptor with ';' between modal terms, so
+    # that it can head a CSV column
+    name = port_name or probe.descriptor().replace(",", ";")
     label = PortLabel(name, excitation=probe.descriptor())
     return FrequencyResponseSet(grid, (label,), (out,), (probe.response_kind,))
 

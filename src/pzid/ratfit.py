@@ -50,16 +50,13 @@ class FitConfig:
 
     ``iters`` bounds the Sanathanan-Koerner reweighting or vector-fitting
     pole-relocation loop.  ``relaxed`` selects the relaxed nontriviality
-    constraint for pole relocation; the classic fixed-unity constraint is
-    the fallback.  ``phase_tol_deg`` is a reporting target only, never an
-    optimization goal (chasing tight phase goals just fits the noise).
+    constraint for pole relocation; ``relaxed=False`` selects the classic
+    fixed-unity constraint instead.
     """
 
     order: int
     method: str = "vf"
     iters: int = 12
-    weight: str = "uniform"
-    phase_tol_deg: float = 1.0
     relaxed: bool = True
 
     def __post_init__(self):
@@ -69,8 +66,6 @@ class FitConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if not 1 <= self.iters <= 100:
             raise ValueError("iters must be in 1..100")
-        if self.weight not in ("uniform", "inverse-magnitude"):
-            raise ValueError(f"unknown weight {self.weight!r}")
 
 
 @dataclass(frozen=True)
@@ -207,56 +202,55 @@ class PartialFractionModel:
 
     def pole_pairs(self):
         """Real poles as singleton groups, then conjugate pairs."""
-        pairs = []
-        i = 0
-        while i < self.poles.size:
-            if self.poles[i].imag == 0.0:
-                pairs.append(PolePair((i,), self.poles[i]))
-                i += 1
-            else:
-                pairs.append(PolePair((i, i + 1), self.poles[i]))
-                i += 2
-        return tuple(pairs)
+        reals, reps = _pair_layout(self.poles)
+        return tuple([PolePair((i,), self.poles[i]) for i in reals]
+                     + [PolePair((i, i + 1), self.poles[i]) for i in reps])
+
+
+def _canonical_order(poles):
+    """Index order of the canonical storage, and the number of real poles.
+
+    Real poles come first, ascending; then one conjugate pair after another,
+    the Im > 0 member first, pairs ascending by (Im, Re).  The k-th
+    occurrence of a complex pole pairs with the k-th occurrence of its
+    exact conjugate; a pole left without one raises ``ValueError``.
+    """
+    vals = poles.tolist()
+    reals, pairs, waiting = [], [], {}
+    for i, p in enumerate(vals):
+        if p.imag == 0.0:
+            reals.append(i)
+            continue
+        mates = waiting.get(p.conjugate())
+        if mates:
+            j = mates.pop(0)
+            pairs.append((i, j) if p.imag > 0 else (j, i))
+        else:
+            waiting.setdefault(p, []).append(i)
+    for p, left in waiting.items():
+        if left:
+            raise ValueError(f"pole {p} has no exact conjugate mate")
+    reals.sort(key=lambda i: vals[i].real)
+    pairs.sort(key=lambda ij: (vals[ij[0]].imag, vals[ij[0]].real))
+    return reals + [i for pair in pairs for i in pair], len(reals)
 
 
 def _canonical_pf(poles, residues):
     """Validate conjugate closure and reorder into canonical form."""
-    n = poles.size
-    used = np.zeros(n, dtype=bool)
-    reals, pairs = [], []
-    for i in range(n):
-        if used[i]:
-            continue
-        p = poles[i]
-        if p.imag == 0.0:
-            if np.any(residues[:, i].imag != 0.0):
-                raise ValueError(f"real pole {p} has a complex residue")
-            reals.append(i)
-            used[i] = True
-            continue
-        mates = np.nonzero(~used & (poles == np.conj(p)))[0]
-        mates = mates[mates != i]
-        if mates.size == 0:
-            raise ValueError(f"pole {p} has no exact conjugate mate")
-        j = int(mates[0])
-        if not np.array_equal(residues[:, j], np.conj(residues[:, i])):
-            raise ValueError(f"residues at conjugate poles {p}, {np.conj(p)} are not conjugate")
-        used[i] = used[j] = True
-        pairs.append(i if p.imag > 0 else j)
-    reals.sort(key=lambda i: poles[i].real)
-    pairs.sort(key=lambda i: (poles[i].imag, poles[i].real))
-    order = list(reals)
-    for i in pairs:
-        order.append(i)
-        order.append(int(np.nonzero(poles == np.conj(poles[i]))[0][0]))
-    new_p = poles[order].copy()
-    new_r = residues[:, order].copy()
+    order, n_real = _canonical_order(poles)
+    new_p = poles[order]
+    new_r = residues[:, order]
+    bad = np.flatnonzero(np.any(new_r[:, :n_real].imag != 0.0, axis=0))
+    if bad.size:
+        raise ValueError(f"real pole {new_p[bad[0]]} has a complex residue")
+    reps, mates = new_r[:, n_real::2], new_r[:, n_real + 1::2]
+    bad = np.flatnonzero(np.any(mates != np.conj(reps), axis=0))
+    if bad.size:
+        p = new_p[n_real + 2 * bad[0]]
+        raise ValueError(f"residues at conjugate poles {p}, {np.conj(p)} are not conjugate")
     # rebuild exact conjugates from the representatives
-    k = len(reals)
-    while k < n:
-        new_p[k + 1] = np.conj(new_p[k])
-        new_r[:, k + 1] = np.conj(new_r[:, k])
-        k += 2
+    new_p[n_real + 1::2] = np.conj(new_p[n_real::2])
+    new_r[:, n_real + 1::2] = np.conj(reps)
     return new_p, new_r
 
 
@@ -337,17 +331,6 @@ def fit_error(model, resp):
                      iters_used=0, converged=True)
 
 
-def _base_weights(values, mode):
-    if mode == "uniform":
-        return [np.ones(v.size) for v in values]
-    out = []
-    for v in values:
-        mag = np.abs(v)
-        floor = 1e-12 * (np.max(mag) if np.max(mag) > 0 else 1.0)
-        out.append(1.0 / np.maximum(mag, floor))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # polynomial-ratio fitting (Levy / Sanathanan-Koerner)
 
@@ -373,7 +356,6 @@ def fit_polynomial_ratio(resp, cfg):
     s_scale = float(omega[-1])
     sp = 1j * omega / s_scale
     powers = sp[:, None] ** np.arange(n + 1)
-    base_w = _base_weights([h], cfg.weight)[0]
 
     b_prev = np.ones(m)
     best = None
@@ -382,7 +364,7 @@ def fit_polynomial_ratio(resp, cfg):
     iters_used = 0
     for it in range(cfg.iters):
         iters_used = it + 1
-        w = base_w / b_prev
+        w = 1.0 / b_prev
         rows = np.hstack([powers, -h[:, None] * powers]) * w[:, None]
         mat = np.vstack([rows.real, rows.imag])
         col_scale = np.linalg.norm(mat, axis=0)
@@ -497,44 +479,62 @@ def _coeffs_to_residues(poles, x):
     return r
 
 
-def _canonical_from_eigs(lam):
-    """Group eigenvalues of a real matrix into reals + exact conjugate pairs."""
-    reals = sorted(float(v.real) for v in lam[lam.imag == 0.0])
-    reps = sorted((complex(v) for v in lam[lam.imag > 0.0]), key=lambda p: (p.imag, p.real))
-    out = [complex(v, 0.0) for v in reals]
-    for p in reps:
-        out.append(p)
-        out.append(np.conj(p))
-    return np.asarray(out, dtype=complex)
+def _real_realization(poles, residues=None):
+    """Real block-diagonal realization (A, b, c) of sum_k r_k / (s - p_k).
+
+    A real pole is a 1x1 block with b = 1 and c = r; a conjugate pair is the
+    2x2 block [[Re p, Im p], [-Im p, Re p]] with b = (2, 0) and
+    c = (Re r, Im r), both read off the Im > 0 member.  Without residues,
+    c is zero.
+    """
+    reals, reps = _pair_layout(poles)
+    n = poles.size
+    r = np.zeros(n) if residues is None else residues
+    amat = np.zeros((n, n))
+    bvec = np.zeros(n)
+    cvec = np.zeros(n)
+    col = 0
+    for i in reals:
+        amat[col, col] = poles[i].real
+        bvec[col] = 1.0
+        cvec[col] = r[i].real
+        col += 1
+    for i in reps:
+        sig, beta = poles[i].real, poles[i].imag
+        amat[col:col + 2, col:col + 2] = [[sig, beta], [-beta, sig]]
+        bvec[col] = 2.0
+        cvec[col] = r[i].real
+        cvec[col + 1] = r[i].imag
+        col += 2
+    return amat, bvec, cvec
 
 
-def _relocate_poles(poles, s, f_mat, base_w, relaxed):
+def _relocate_poles(poles, s, f_mat, relaxed):
     """One pole-relocation step; returns the new pole set (never flipped)."""
     n = poles.size
-    nc, m = f_mat.shape
+    m = f_mat.shape[1]
     phi = _pf_basis(poles, s)
     phi1 = np.hstack([phi, np.ones((m, 1))])
     blocks = []
     rhs_blocks = []
-    for kport in range(nc):
-        w = base_w[kport]
+    for f in f_mat:
         if relaxed:
-            a = np.hstack([phi1, -f_mat[kport][:, None] * phi1]) * w[:, None]
+            a = np.hstack([phi1, -f[:, None] * phi1])
             a_ri = np.vstack([a.real, a.imag])
             r = np.linalg.qr(a_ri, mode="r")
             blocks.append(r[n + 1:, n + 1:])
             rhs_blocks.append(np.zeros(n + 1))
         else:
-            a = np.hstack([phi1, -f_mat[kport][:, None] * phi]) * w[:, None]
+            a = np.hstack([phi1, -f[:, None] * phi])
             a_ri = np.vstack([a.real, a.imag])
-            b_ri = np.concatenate([(w * f_mat[kport]).real, (w * f_mat[kport]).imag])
+            b_ri = np.concatenate([f.real, f.imag])
             q, r = np.linalg.qr(a_ri, mode="reduced")
             blocks.append(r[n + 1:, n + 1:])
             rhs_blocks.append(q[:, n + 1:].T @ b_ri)
     aa = np.vstack(blocks)
     bb = np.concatenate(rhs_blocks)
     if relaxed:
-        scale = float(np.linalg.norm([np.linalg.norm(w * f) for w, f in zip(base_w, f_mat)])) / m
+        scale = float(np.linalg.norm([np.linalg.norm(f) for f in f_mat])) / m
         relax_row = np.empty(n + 1)
         relax_row[:n] = np.sum(phi.real, axis=0)
         relax_row[n] = m
@@ -542,7 +542,10 @@ def _relocate_poles(poles, s, f_mat, base_w, relaxed):
         bb = np.concatenate([bb, [scale * m]])
     col_scale = np.linalg.norm(aa, axis=0)
     col_scale[col_scale == 0.0] = 1.0
-    x, *_ = np.linalg.lstsq(aa / col_scale, bb, rcond=None)
+    try:
+        x, *_ = np.linalg.lstsq(aa / col_scale, bb, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"relocation least squares failed: {exc}") from None
     x = x / col_scale
     if relaxed:
         c_sigma, d_sigma = x[:n], float(x[n])
@@ -553,28 +556,16 @@ def _relocate_poles(poles, s, f_mat, base_w, relaxed):
 
     # zeros of sigma: eigenvalues of the pole matrix minus the rank-one
     # update, in real block form for conjugate pairs
-    reals, reps = _pair_layout(poles)
-    hmat = np.zeros((n, n))
-    bvec = np.zeros(n)
-    col = 0
-    for i in reals:
-        hmat[col, col] = poles[i].real
-        bvec[col] = 1.0
-        col += 1
-    for i in reps:
-        sig, beta = poles[i].real, poles[i].imag
-        hmat[col, col] = sig
-        hmat[col, col + 1] = beta
-        hmat[col + 1, col] = -beta
-        hmat[col + 1, col + 1] = sig
-        bvec[col] = 2.0
-        col += 2
+    hmat, bvec, _ = _real_realization(poles)
     hmat -= np.outer(bvec, c_sigma) / d_sigma
     try:
         lam = np.linalg.eigvals(hmat)
-    except np.linalg.LinAlgError as exc:
+        order, n_real = _canonical_order(lam)
+    except ValueError as exc:  # LinAlgError, or a non-finite eigenvalue
         raise NumericError(f"defective relocation eigenproblem: {exc}") from None
-    return _canonical_from_eigs(lam)
+    new_poles = lam[order].astype(complex)
+    new_poles[n_real + 1::2] = np.conj(new_poles[n_real::2])
+    return new_poles
 
 
 def fit_common_denominator(resps, cfg):
@@ -596,7 +587,6 @@ def fit_common_denominator(resps, cfg):
     w_scale = float(omega[-1])
     s = 1j * omega / w_scale
     f_mat = resps.to_matrix()
-    base_w = _base_weights(list(f_mat), cfg.weight)
 
     converged = False
     iters_used = 0
@@ -607,9 +597,8 @@ def fit_common_denominator(resps, cfg):
         poles = _initial_poles(n, float(omega[0]) / w_scale, float(omega[-1]) / w_scale)
         for it in range(cfg.iters):
             iters_used = it + 1
-            new_poles = _relocate_poles(poles, s, f_mat, base_w, cfg.relaxed)
-            move = np.max(np.abs(np.sort_complex(new_poles) - np.sort_complex(poles))) \
-                if new_poles.size == poles.size else np.inf
+            new_poles = _relocate_poles(poles, s, f_mat, cfg.relaxed)
+            move = np.max(np.abs(np.sort_complex(new_poles) - np.sort_complex(poles)))
             poles = new_poles
             if move < 1e-10 * max(1.0, float(np.max(np.abs(poles)))):
                 converged = True
@@ -620,12 +609,13 @@ def fit_common_denominator(resps, cfg):
     phi1 = np.hstack([phi, np.ones((m, 1))])
     residues = np.empty((f_mat.shape[0], n), dtype=complex)
     direct = np.empty(f_mat.shape[0])
-    for kport in range(f_mat.shape[0]):
-        w = base_w[kport]
-        a = phi1 * w[:, None]
-        a_ri = np.vstack([a.real, a.imag])
-        b_ri = np.concatenate([(w * f_mat[kport]).real, (w * f_mat[kport]).imag])
-        x, *_ = np.linalg.lstsq(a_ri, b_ri, rcond=None)
+    a_ri = np.vstack([phi1.real, phi1.imag])
+    for kport, f in enumerate(f_mat):
+        b_ri = np.concatenate([f.real, f.imag])
+        try:
+            x, *_ = np.linalg.lstsq(a_ri, b_ri, rcond=None)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"residue least squares failed: {exc}") from None
         residues[kport] = _coeffs_to_residues(poles, x[:n])
         direct[kport] = x[n]
 
@@ -685,25 +675,11 @@ def poles_and_zeros(model, port=None):
         return poles.copy(), np.zeros(0, dtype=complex)
     if abs(d) > 1e-12 * float(np.max(np.abs(r)) if r.size else 0.0):
         # zeros = eig(A - B D^-1 C) on the real block-diagonal realization
-        reals, reps = _pair_layout(poles)
-        nn = poles.size
-        amat = np.zeros((nn, nn))
-        bvec = np.zeros(nn)
-        cvec = np.zeros(nn)
-        col = 0
-        for i in reals:
-            amat[col, col] = poles[i].real
-            bvec[col] = 1.0
-            cvec[col] = r[i].real
-            col += 1
-        for i in reps:
-            sig, beta = poles[i].real, poles[i].imag
-            amat[col:col + 2, col:col + 2] = [[sig, beta], [-beta, sig]]
-            bvec[col] = 2.0
-            cvec[col] = r[i].real
-            cvec[col + 1] = r[i].imag
-            col += 2
-        zeros = np.linalg.eigvals(amat - np.outer(bvec, cvec) / d)
+        amat, bvec, cvec = _real_realization(poles, r)
+        try:
+            zeros = np.linalg.eigvals(amat - np.outer(bvec, cvec) / d)
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"zero eigenproblem failed: {exc}") from None
     else:
         # expanded numerator sum_k r_k prod_{j != k} (s - p_j)
         num = np.zeros(poles.size, dtype=complex)

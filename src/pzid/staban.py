@@ -96,7 +96,8 @@ class StabilityConfig:
 
     ``margin_tol_rel`` scales with the analyzed band (times max grid omega).
     The +2 order persistence window and the 2 % location tolerance are used
-    both for order selection and for sub-band consistency checks.
+    both for order selection and for sub-band consistency checks.  Each
+    order of the scan is fitted with the default ``FitConfig`` at that order.
     """
 
     rms_target: float = 1e-6
@@ -105,13 +106,6 @@ class StabilityConfig:
     margin_tol_rel: float = 1e-6
     persist_rel_tol: float = 0.02
     subband_fractions: tuple[float, ...] = (1.0, 0.5, 0.25)
-    iters: int = 12
-    weight: str = "uniform"
-    relaxed: bool = True
-
-    def fit_config(self, order):
-        return FitConfig(order=order, method="vf", iters=self.iters,
-                         weight=self.weight, relaxed=self.relaxed)
 
 
 @dataclass(frozen=True)
@@ -261,7 +255,7 @@ def _scan_orders(resps, orders, cfg):
 
     def fit_at(n):
         if n not in fits:
-            fits[n] = fit_common_denominator(resps, cfg.fit_config(n))
+            fits[n] = fit_common_denominator(resps, FitConfig(order=n))
         return fits[n]
 
     scan = []

@@ -34,18 +34,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Fit settings shared by the sweep drivers (fixed order per fit)."""
-
-    order: int
-    iters: int = 12
-    weight: str = "uniform"
-    relaxed: bool = True
-
-    def fit_config(self):
-        return FitConfig(order=self.order, method="vf", iters=self.iters,
-                         weight=self.weight, relaxed=self.relaxed)
+# The sweep drivers fit at one fixed order per call and take a plain
+# vector-fitting ``FitConfig``; ``SweepConfig`` is the same class.
+SweepConfig = FitConfig
 
 
 @dataclass(frozen=True)
@@ -97,7 +88,7 @@ def _fit_poles(net, probe, grid, cfg):
     sweep decisions (crossings, thresholds, margins) stay meaningful.
     """
     resp = frequency_response(net, probe, grid)
-    model, report = fit_common_denominator(resp, cfg.fit_config())
+    model, report = fit_common_denominator(resp, cfg)
     poles = model.poles
     keep = np.abs(poles) <= 3.0 * float(np.max(grid.omega))
     return poles[keep], report

@@ -97,6 +97,21 @@ class TestStability:
         assert a.replace(str(r1), "X") == b.replace(str(r2), "X")
 
 
+class TestModalProbeFiles:
+    def test_synth_then_stability(self, tmp_path):
+        net = tmp_path / "combiner.cir"
+        net.write_text("L la c a 1n\nL lb c b 1n\nC ca a 0 1p\nC cb b 0 1p\n"
+                       "R ra a 0 200\nR rb b 0 200\nR rcm c 0 50\nC ccm c 0 0.5p\n")
+        resp = tmp_path / "modal.csv"
+        assert dispatch(["synth", "--netlist", str(net), "--probe", "modal:a@0,b@180",
+                         "--fstart", "0.5e9", "--fstop", "12e9", "--points", "200",
+                         "--out", str(resp)]) == 0
+        report = tmp_path / "r.json"
+        assert dispatch(["stability", "--in", str(resp), "--orders", "2:6",
+                         "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["stable"] is True
+
+
 class TestSweepCommands:
     def test_spiral_endpoint(self, tmp_path):
         out = tmp_path / "spiral.csv"
@@ -183,6 +198,17 @@ class TestExitCodes:
         code = dispatch(["fit", "--in", str(resp), "--order", "3",
                          "--method", "poly", "--out", str(tmp_path / "m.json")])
         assert code == 3
+
+    def test_lapack_failure_is_numeric_not_usage(self, tmp_path, capsys):
+        # a constant 1e200 response breaks the relocation least squares
+        resp = tmp_path / "huge.csv"
+        rows = "\n".join(f"{float(f)!r},1e200,0.0" for f in np.linspace(1e8, 1e9, 200))
+        resp.write_text("freq_hz,p1_re,p1_im\n" + rows + "\n")
+        with np.errstate(all="ignore"):
+            code = dispatch(["stability", "--in", str(resp), "--orders", "2:6",
+                             "--report", str(tmp_path / "r.json")])
+        assert code == 3
+        assert "numeric failure" in capsys.readouterr().err
 
     def test_bad_values_spec(self, tmp_path, net_file, capsys):
         assert dispatch(["locus", "--netlist", net_file, "--probe", "inode:n1",

@@ -92,6 +92,17 @@ class TestCsvRoundTrip:
             assert again == rset
             assert parse_csv(emit_csv(again)) == again
 
+    def test_modal_excitation(self):
+        rset = make_set([1e9, 2e9, 3e9, 4e9], p1=[1, 2j, 3, 4])
+        rset = FrequencyResponseSet(rset.grid, (PortLabel("modal:a@0;b@180",
+                                                          "modal:a@0,b@180"),),
+                                    rset.values, rset.kinds)
+        assert parse_csv(emit_csv(rset)) == rset
+
+    def test_comma_in_port_name_rejected(self):
+        with pytest.raises(ValueError, match="','"):
+            emit_csv(make_set([1e9, 2e9, 3e9, 4e9], **{"a,b": [1, 2, 3, 4]}))
+
 
 class TestTouchstone:
     def test_ri_one_port(self):
@@ -168,6 +179,12 @@ class TestMergeAndValidation:
     def test_rejects_nan_samples(self):
         with pytest.raises(ValueError, match="non-finite"):
             make_set([1e9, 2e9, 3e9, 4e9], p1=[1, np.nan, 3, 4])
+
+    @pytest.mark.parametrize("excitation", ["inode:", "vbranch:", "bogus:x",
+                                            "modal:a", "modal:a@nan"])
+    def test_malformed_excitation_rejected(self, excitation):
+        with pytest.raises(ValueError):
+            PortLabel("m", excitation)
 
     def test_modal_label_validation(self):
         assert PortLabel("m", "modal:a@0,b@180").excitation == "modal:a@0,b@180"

@@ -5,8 +5,8 @@ from fixtures import random_pf_model, sample_model, wideband_model
 from pzid.errors import NumericError, UsageError
 from pzid.freqresp import FrequencyGrid, FrequencyResponseSet, PortLabel
 from pzid.ratfit import (FitConfig, PartialFractionModel, PolynomialRatioModel,
-                         RankDeficiencyError, evaluate_model,
-                         fit_common_denominator, fit_error,
+                         RankDeficiencyError, _canonical_order, _canonical_pf,
+                         evaluate_model, fit_common_denominator, fit_error,
                          fit_polynomial_ratio, load_model, poles_and_zeros,
                          save_model)
 
@@ -114,6 +114,12 @@ class TestCommonDenominatorFit:
         f = np.linspace(1e8, 1e9, 6)
         with pytest.raises(UsageError, match="point budget"):
             fit_common_denominator(single_port(f, np.ones(6)), FitConfig(order=6))
+
+    def test_lapack_failure_is_numeric_error(self):
+        f = np.linspace(1e8, 1e9, 200)
+        with np.errstate(all="ignore"), pytest.raises(NumericError):
+            fit_common_denominator(single_port(f, np.full(200, 1e200 + 0j)),
+                                   FitConfig(order=2))
 
     def test_classic_constraint_also_recovers(self):
         model, f_lo, f_hi = random_pf_model(21)
@@ -290,3 +296,100 @@ class TestRoundTripRecoveryProperty:
                                                            method="poly", iters=30))
             ppoles, _ = poles_and_zeros(poly)
             assert worst_pole_error(ppoles, model.poles) < 1e-6
+
+
+def reference_canonical_pf(poles, residues):
+    """Pairwise walk that stored models in canonical order before the
+    single sort-based pass; the canonical order must not move."""
+    n = poles.size
+    used = np.zeros(n, dtype=bool)
+    reals, pairs = [], []
+    for i in range(n):
+        if used[i]:
+            continue
+        p = poles[i]
+        if p.imag == 0.0:
+            reals.append(i)
+            used[i] = True
+            continue
+        mates = np.nonzero(~used & (poles == np.conj(p)))[0]
+        mates = mates[mates != i]
+        j = int(mates[0])
+        used[i] = used[j] = True
+        pairs.append(i if p.imag > 0 else j)
+    reals.sort(key=lambda i: poles[i].real)
+    pairs.sort(key=lambda i: (poles[i].imag, poles[i].real))
+    order = list(reals)
+    for i in pairs:
+        order.append(i)
+        order.append(int(np.nonzero(poles == np.conj(poles[i]))[0][0]))
+    new_p = poles[order].copy()
+    new_r = residues[:, order].copy()
+    k = len(reals)
+    while k < n:
+        new_p[k + 1] = np.conj(new_p[k])
+        new_r[:, k + 1] = np.conj(new_r[:, k])
+        k += 2
+    return new_p, new_r
+
+
+def reference_canonical_eigs(lam):
+    """Canonical order the pole relocation gave its eigenvalues."""
+    reals = sorted(float(v.real) for v in lam[lam.imag == 0.0])
+    reps = sorted((complex(v) for v in lam[lam.imag > 0.0]), key=lambda p: (p.imag, p.real))
+    out = [complex(v, 0.0) for v in reals]
+    for p in reps:
+        out.append(p)
+        out.append(np.conj(p))
+    return np.asarray(out, dtype=complex)
+
+
+class TestCanonicalOrder:
+    def assert_matches_reference(self, poles, residues):
+        got_p, got_r = _canonical_pf(poles, residues)
+        ref_p, ref_r = reference_canonical_pf(poles, residues)
+        assert np.array_equal(got_p, ref_p) and np.array_equal(got_r, ref_r)
+
+    def test_shuffled_models_match_reference(self):
+        rng = np.random.default_rng(7)
+        for seed in range(20):
+            model, _, _ = random_pf_model(200 + seed)
+            n_real = int(rng.integers(0, 3))
+            poles = np.concatenate([model.poles, -rng.uniform(1e9, 1e10, n_real)])
+            residues = np.hstack([model.residues, rng.standard_normal((1, n_real)) + 0j])
+            perm = rng.permutation(poles.size)
+            self.assert_matches_reference(poles[perm], residues[:, perm])
+
+    def test_repeated_pair_pairs_kth_with_kth(self):
+        p = complex(-1.0, 10.0)
+        r1, r2 = complex(1.0, 2.0), complex(3.0, -4.0)
+        for layout in ([0, 1, 2, 3], [2, 0, 1, 3], [0, 2, 3, 1], [2, 3, 0, 1]):
+            # occurrences of p and of conj(p) each keep their relative order
+            slots = {0: (p, r1), 1: (p, r2), 2: (np.conj(p), np.conj(r1)),
+                     3: (np.conj(p), np.conj(r2))}
+            poles = np.array([slots[k][0] for k in layout])
+            residues = np.array([[slots[k][1] for k in layout]])
+            self.assert_matches_reference(poles, residues)
+            model = PartialFractionModel(poles, residues, np.array([0.0]))
+            assert list(model.residues[0]) == [r1, np.conj(r1), r2, np.conj(r2)]
+
+    def test_eigenvalue_order_matches_relocation_reference(self):
+        rng = np.random.default_rng(3)
+        for n in range(1, 12):
+            mat = rng.standard_normal((n, n))
+            for lam in (np.linalg.eigvals(mat), np.linalg.eigvals(mat + mat.T)):
+                order, n_real = _canonical_order(lam)
+                got = lam[order].astype(complex)
+                got[n_real + 1::2] = np.conj(got[n_real::2])
+                assert np.array_equal(got, reference_canonical_eigs(lam))
+
+    def test_pole_without_mate_rejected(self):
+        with pytest.raises(ValueError, match="has no exact conjugate mate"):
+            PartialFractionModel(np.array([complex(-1, 10), complex(-1, 10),
+                                           complex(-1, -10)]),
+                                 np.array([[1 + 0j, 1 + 0j, 1 + 0j]]), np.array([0.0]))
+
+    def test_nonconjugate_residues_rejected(self):
+        with pytest.raises(ValueError, match="are not conjugate"):
+            PartialFractionModel(np.array([complex(-1, -10), complex(-1, 10)]),
+                                 np.array([[1 + 1j, 1 + 1j]]), np.array([0.0]))
