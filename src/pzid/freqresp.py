@@ -319,11 +319,14 @@ def _is_float(tok):
 def emit_csv(rset):
     """Serialize to the CSV schema; ``parse_csv`` round-trips bit-identically.
 
-    Port names head CSV columns, so a name containing ``,`` is rejected.
+    Port names head CSV columns and key the ``name=value`` directives, so a
+    name containing ``,`` or ``=`` is rejected.
     """
     for p in rset.ports:
         if "," in p.name:
             raise ValueError(f"port name {p.name!r} contains ',' and cannot head a CSV column")
+        if "=" in p.name:
+            raise ValueError(f"port name {p.name!r} contains '=' and cannot key a directive")
     lines = []
     if any(k != "transfer" for k in rset.kinds):
         pairs = ",".join(f"{p.name}={k}" for p, k in zip(rset.ports, rset.kinds))

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import NumericError, UsageError
 
@@ -323,7 +324,7 @@ def fit_error(model, resp):
         scale = float(np.max(np.abs(h)))
         if scale == 0.0:
             scale = 1.0
-        rel_sq.append(np.abs(h_fit - h) ** 2 / scale**2)
+        rel_sq.append((np.abs(h_fit - h) / scale) ** 2)
         phase.append(_wrapped_phase_deg(h_fit, h))
     rms = float(np.sqrt(np.mean(np.concatenate(rel_sq))))
     return FitReport(rms_rel_error=rms,
@@ -509,28 +510,61 @@ def _real_realization(poles, residues=None):
     return amat, bvec, cvec
 
 
+# Block size of the relocation QR.  Relocation matrices have at most a few
+# dozen columns; 4 and 8 run within noise of each other.
+_QR_NB = 8
+
+
+def _qr_r(a):
+    """R factor of the Householder QR of a real Fortran-ordered matrix.
+
+    ``a`` may be overwritten.  NumPy's QR calls LAPACK's dgeqrf, which
+    falls back to its unblocked level-2 kernel (dgeqr2) below 128 columns;
+    the recursive compact-WY dgeqrt is level-3 at every width and gives the
+    same R, diagonal signs included.
+    """
+    qr, _, info = lapack.dgeqrt(min(_QR_NB, *a.shape), a, overwrite_a=True)
+    if info != 0:
+        raise NumericError(f"relocation QR failed (LAPACK dgeqrt info {info})")
+    return np.triu(qr[:min(a.shape)])
+
+
 def _relocate_poles(poles, s, f_mat, relaxed):
-    """One pole-relocation step; returns the new pole set (never flipped)."""
+    """One pole-relocation step; returns the new pole set (never flipped).
+
+    Each port's real-stacked system [Phi, 1, -f Phi, -f] (2m x 2(n+1)) is
+    built in one preallocated buffer and reduced by ``_qr_r``; the trailing
+    rows of R give that port's block of the sigma equations.  Relaxed
+    relocation keeps the (n+1) x (n+1) block of the sigma columns, with the
+    direct term d_sigma as the last unknown.  Classic relocation fixes
+    d_sigma = 1, so the last column is the right-hand side -f: R's rows
+    n+1..2n then hold the n x n block and, in that column, -Q2^T f.
+    """
     n = poles.size
     m = f_mat.shape[1]
+    k = 2 * (n + 1)
     phi = _pf_basis(poles, s)
-    phi1 = np.hstack([phi, np.ones((m, 1))])
+    phi1_ri = np.zeros((2 * m, n + 1), order="F")
+    phi1_ri[:m, :n] = phi.real
+    phi1_ri[m:, :n] = phi.imag
+    phi1_ri[:m, n] = 1.0
+    buf = np.empty((2 * m, k), order="F")
     blocks = []
     rhs_blocks = []
     for f in f_mat:
+        buf[:, :n + 1] = phi1_ri
+        fphi = -f[:, None] * phi
+        buf[:m, n + 1:k - 1] = fphi.real
+        buf[m:, n + 1:k - 1] = fphi.imag
+        buf[:m, k - 1] = -f.real
+        buf[m:, k - 1] = -f.imag
+        r = _qr_r(buf)
         if relaxed:
-            a = np.hstack([phi1, -f[:, None] * phi1])
-            a_ri = np.vstack([a.real, a.imag])
-            r = np.linalg.qr(a_ri, mode="r")
             blocks.append(r[n + 1:, n + 1:])
             rhs_blocks.append(np.zeros(n + 1))
         else:
-            a = np.hstack([phi1, -f[:, None] * phi])
-            a_ri = np.vstack([a.real, a.imag])
-            b_ri = np.concatenate([f.real, f.imag])
-            q, r = np.linalg.qr(a_ri, mode="reduced")
-            blocks.append(r[n + 1:, n + 1:])
-            rhs_blocks.append(q[:, n + 1:].T @ b_ri)
+            blocks.append(r[n + 1:k - 1, n + 1:k - 1])
+            rhs_blocks.append(-r[n + 1:k - 1, k - 1])
     aa = np.vstack(blocks)
     bb = np.concatenate(rhs_blocks)
     if relaxed:

@@ -210,6 +210,17 @@ class TestExitCodes:
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    def test_fit_error_overflow_is_not_an_instability(self, tmp_path, capsys):
+        # squaring the 1e300 peak before dividing overflowed in fit_error
+        resp = tmp_path / "huge.csv"
+        rows = "\n".join(f"{float(f)!r},1e300,0.0" for f in np.linspace(1e8, 1e9, 200))
+        resp.write_text("freq_hz,p1_re,p1_im\n" + rows + "\n")
+        with np.errstate(all="ignore"):
+            code = dispatch(["stability", "--in", str(resp), "--orders", "0:0",
+                             "--report", str(tmp_path / "r.json")])
+        assert code in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_bad_values_spec(self, tmp_path, net_file, capsys):
         assert dispatch(["locus", "--netlist", net_file, "--probe", "inode:n1",
                          "--param", "r1", "--values", "nonsense",

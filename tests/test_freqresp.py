@@ -103,6 +103,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="','"):
             emit_csv(make_set([1e9, 2e9, 3e9, 4e9], **{"a,b": [1, 2, 3, 4]}))
 
+    def test_equals_in_port_name_rejected(self):
+        # "# kind: a=b=impedance" would not parse back
+        rset = make_set([1e9, 2e9, 3e9, 4e9], **{"a=b": [1, 2, 3, 4]})
+        rset = FrequencyResponseSet(rset.grid, rset.ports, rset.values, ("impedance",))
+        with pytest.raises(ValueError, match="'='"):
+            emit_csv(rset)
+
 
 class TestTouchstone:
     def test_ri_one_port(self):

@@ -4,11 +4,12 @@ import pytest
 from fixtures import random_pf_model, sample_model, wideband_model
 from pzid.errors import NumericError, UsageError
 from pzid.freqresp import FrequencyGrid, FrequencyResponseSet, PortLabel
-from pzid.ratfit import (FitConfig, PartialFractionModel, PolynomialRatioModel,
-                         RankDeficiencyError, _canonical_order, _canonical_pf,
-                         evaluate_model, fit_common_denominator, fit_error,
-                         fit_polynomial_ratio, load_model, poles_and_zeros,
-                         save_model)
+from pzid.ratfit import (_QR_NB, FitConfig, PartialFractionModel,
+                         PolynomialRatioModel, RankDeficiencyError, _canonical_order,
+                         _canonical_pf, _initial_poles, _pf_basis, _qr_r,
+                         _real_realization, _relocate_poles, evaluate_model,
+                         fit_common_denominator, fit_error, fit_polynomial_ratio,
+                         load_model, poles_and_zeros, save_model)
 
 
 def single_port(freqs_hz, samples, name="p1"):
@@ -393,3 +394,122 @@ class TestCanonicalOrder:
         with pytest.raises(ValueError, match="are not conjugate"):
             PartialFractionModel(np.array([complex(-1, -10), complex(-1, 10)]),
                                  np.array([[1 + 1j, 1 + 1j]]), np.array([0.0]))
+
+
+def reference_relocate_poles(poles, s, f_mat, relaxed):
+    """Relocation step as it was on NumPy's (dgeqrf-based) QR, with Q formed
+    for the classic right-hand side."""
+    n = poles.size
+    m = f_mat.shape[1]
+    phi = _pf_basis(poles, s)
+    phi1 = np.hstack([phi, np.ones((m, 1))])
+    blocks = []
+    rhs_blocks = []
+    for f in f_mat:
+        if relaxed:
+            a = np.hstack([phi1, -f[:, None] * phi1])
+            a_ri = np.vstack([a.real, a.imag])
+            r = np.linalg.qr(a_ri, mode="r")
+            blocks.append(r[n + 1:, n + 1:])
+            rhs_blocks.append(np.zeros(n + 1))
+        else:
+            a = np.hstack([phi1, -f[:, None] * phi])
+            a_ri = np.vstack([a.real, a.imag])
+            b_ri = np.concatenate([f.real, f.imag])
+            q, r = np.linalg.qr(a_ri, mode="reduced")
+            blocks.append(r[n + 1:, n + 1:])
+            rhs_blocks.append(q[:, n + 1:].T @ b_ri)
+    aa = np.vstack(blocks)
+    bb = np.concatenate(rhs_blocks)
+    if relaxed:
+        scale = float(np.linalg.norm([np.linalg.norm(f) for f in f_mat])) / m
+        relax_row = np.empty(n + 1)
+        relax_row[:n] = np.sum(phi.real, axis=0)
+        relax_row[n] = m
+        aa = np.vstack([aa, scale * relax_row])
+        bb = np.concatenate([bb, [scale * m]])
+    col_scale = np.linalg.norm(aa, axis=0)
+    col_scale[col_scale == 0.0] = 1.0
+    x, *_ = np.linalg.lstsq(aa / col_scale, bb, rcond=None)
+    x = x / col_scale
+    if relaxed:
+        c_sigma, d_sigma = x[:n], float(x[n])
+        if abs(d_sigma) < 1e-8:
+            d_sigma = 1e-8 if d_sigma >= 0 else -1e-8
+    else:
+        c_sigma, d_sigma = x, 1.0
+    hmat, bvec, _ = _real_realization(poles)
+    hmat -= np.outer(bvec, c_sigma) / d_sigma
+    lam = np.linalg.eigvals(hmat)
+    order, n_real = _canonical_order(lam)
+    new_poles = lam[order].astype(complex)
+    new_poles[n_real + 1::2] = np.conj(new_poles[n_real::2])
+    return new_poles
+
+
+def normalized_samples(seed, n_ports, real_pole):
+    """Relocation inputs in the fitter's units: s = jw / w_max and one row
+    of f per port, each port with its own conjugate-symmetric residues.
+    ``real_pole`` adds a real pole to the data, giving it an odd order.
+    Returns (order, s, f_mat, w_lo)."""
+    model, f_lo, f_hi = random_pf_model(seed)
+    w = 2 * np.pi * np.linspace(f_lo, f_hi, 400)
+    w_scale = float(w[-1])
+    s = 1j * w / w_scale
+    poles = model.poles / w_scale
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n_ports):
+        res = model.residues[0] / w_scale * np.repeat(
+            np.exp(1j * rng.uniform(0, 2 * np.pi, poles.size // 2)), 2)
+        res[1::2] = np.conj(res[::2])
+        h = np.sum(res / (s[:, None] - poles), axis=1) + rng.uniform(-1, 1)
+        if real_pole:
+            h += rng.uniform(0.1, 1.0) / (s + rng.uniform(0.2, 0.8))
+        rows.append(h)
+    return model.order + real_pole, s, np.array(rows), float(w[0]) / w_scale
+
+
+class TestRelocationQr:
+    @pytest.mark.parametrize("shape", [(40, 4), (40, _QR_NB), (200, 2 * _QR_NB + 3),
+                                       (6, 9)])
+    def test_r_matches_numpy_qr(self, shape):
+        a = np.random.default_rng(shape[1]).standard_normal(shape)
+        ref = np.linalg.qr(a, mode="r")
+        got = _qr_r(np.asfortranarray(a))
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_appended_column_is_projected_rhs(self):
+        rng = np.random.default_rng(5)
+        n = 7
+        a = rng.standard_normal((300, 2 * n + 1))
+        b = rng.standard_normal(300)
+        q, _ = np.linalg.qr(a, mode="reduced")
+        r = _qr_r(np.asfortranarray(np.column_stack([a, b])))
+        ref = q[:, n + 1:].T @ b
+        assert np.max(np.abs(r[n + 1:2 * n + 1, 2 * n + 1] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("relaxed", [True, False])
+    @pytest.mark.parametrize("n_ports", [1, 3])
+    def test_relocation_matches_numpy_qr_reference(self, relaxed, n_ports):
+        # data orders 2..11.  From order 14 up, the first step off the
+        # initial poles is so ill-conditioned that two backward-stable QRs
+        # agree only to 1e-11..1e-8; the steps after it agree to ~1e-13.
+        for seed in (300, 301, 303, 305):
+            for real_pole in (False, True):
+                n, s, f_mat, w_lo = normalized_samples(seed, n_ports, real_pole)
+                poles = _initial_poles(n, w_lo, 1.0)
+                for _ in range(3):
+                    ref = reference_relocate_poles(poles, s, f_mat, relaxed)
+                    got = _relocate_poles(poles, s, f_mat, relaxed)
+                    assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
+                    poles = ref
+
+    def test_lapack_failure_is_numeric_error(self, monkeypatch):
+        model, f_lo, f_hi = random_pf_model(300)
+        monkeypatch.setattr("pzid.ratfit.lapack.dgeqrt",
+                            lambda nb, a, overwrite_a=0: (a, None, -2))
+        with pytest.raises(NumericError, match="info -2"):
+            fit_common_denominator(sample_model(model, f_lo, f_hi),
+                                   FitConfig(order=model.order))
