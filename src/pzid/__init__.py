@@ -8,14 +8,14 @@ whose generalized-eigenvalue pencil serves as an analytic oracle.
 
 from .errors import NumericError, PzidError, UsageError
 from .freqresp import (FrequencyGrid, FrequencyResponseSet, PortLabel,
-                       ResponseParseError, emit_csv, merge_sets, parse_csv,
-                       parse_touchstone, slice_band)
-from .netsim import (Element, Netlist, PencilEigenvalues, ProbeSpec,
-                     TerminationPort, analytic_poles, capacitor, current_probe,
-                     frequency_response, frequency_responses, ground_node,
-                     inductor, modal_probe, parse_netlist, parse_probe,
+                       ProbeSpec, ResponseParseError, current_probe, emit_csv,
+                       merge_sets, modal_probe, parse_csv, parse_probe,
+                       parse_touchstone, slice_band, voltage_probe)
+from .netsim import (Element, Netlist, PencilEigenvalues, TerminationPort,
+                     analytic_poles, capacitor, frequency_response,
+                     frequency_responses, ground_node, inductor, parse_netlist,
                      parse_value, pencil_eigenvalues, resistor,
-                     set_element_value, vccs, voltage_probe, with_termination)
+                     set_element_value, vccs, with_termination)
 from .polemap import PoleMapStyle, render_pole_map
 from .ratfit import (FitConfig, FitReport, PartialFractionModel, PolePair,
                      PolynomialRatioModel, RankDeficiencyError, evaluate_model,

@@ -6,8 +6,6 @@ H(-jw) = conj(H(jw)) is assumed by every fitter downstream, never stored.
 
 from __future__ import annotations
 
-import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +21,11 @@ __all__ = [
     "parse_touchstone",
     "slice_band",
     "merge_sets",
+    "ProbeSpec",
+    "current_probe",
+    "voltage_probe",
+    "modal_probe",
+    "parse_probe",
 ]
 
 RESPONSE_KINDS = ("impedance", "admittance", "transfer")
@@ -86,46 +89,93 @@ class FrequencyGrid:
         return float(self.freqs_hz[-1])
 
 
-_MODAL_RE = re.compile(r"^modal:(.+)$")
+@dataclass(frozen=True)
+class ProbeSpec:
+    """Small-signal probe: current at a node, voltage in a branch, or modal.
 
-
-def parse_excitation(text):
-    """Validate an excitation descriptor string.
-
-    Accepted forms: ``inode:<node>``, ``vbranch:<element>`` and
-    ``modal:<n1>@<deg1>,<n2>@<deg2>,...``.  Returns the normalized string.
+    A modal probe injects unit currents with the listed phases at each
+    listed node and reads the voltage at the first listed node.  The
+    descriptor ``inode:<node>``, ``vbranch:<element>`` or
+    ``modal:<n1>@<deg1>,<n2>@<deg2>,...`` is the one text form of a probe:
+    :func:`parse_probe` reads every descriptor back to an equal spec.
     """
-    if text.startswith("inode:") and len(text) > len("inode:"):
-        return text
-    if text.startswith("vbranch:") and len(text) > len("vbranch:"):
-        return text
-    if _MODAL_RE.match(text):
-        modal_terms(text)
-        return text
-    raise ValueError(f"unrecognized excitation descriptor {text!r}")
+
+    kind: str
+    node: str | None = None
+    branch: str | None = None
+    nodes: tuple[str, ...] = ()
+    phases_deg: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        if self.kind == "inode":
+            if not self.node:
+                raise ValueError("current probe needs a node")
+        elif self.kind == "vbranch":
+            if not self.branch:
+                raise ValueError("voltage probe needs a branch element name")
+        elif self.kind == "modal":
+            if not self.nodes:
+                raise ValueError("modal probe needs at least one node")
+            if len(self.nodes) != len(self.phases_deg):
+                raise ValueError("modal node and phase lists differ in length")
+            for n in self.nodes:
+                if not n or "," in n or "@" in n:
+                    raise ValueError(f"modal node {n!r} is empty or contains ',' or '@'")
+            for p in self.phases_deg:
+                if not 0.0 <= p < 360.0:
+                    raise ValueError(f"modal phase {p} outside [0, 360)")
+        else:
+            raise ValueError(f"unknown probe kind {self.kind!r}")
+
+    def descriptor(self):
+        if self.kind == "inode":
+            return f"inode:{self.node}"
+        if self.kind == "vbranch":
+            return f"vbranch:{self.branch}"
+        # shortest round-trip repr, so the recorded phase is the exact one
+        terms = ",".join(f"{n}@{repr(float(p)).removesuffix('.0')}"
+                         for n, p in zip(self.nodes, self.phases_deg))
+        return f"modal:{terms}"
+
+    @property
+    def response_kind(self):
+        return {"inode": "impedance", "vbranch": "admittance", "modal": "transfer"}[self.kind]
 
 
-def modal_terms(text):
-    """Split ``modal:n1@deg1,n2@deg2`` into node and phase-degree lists."""
-    m = _MODAL_RE.match(text)
-    if not m:
-        raise ValueError(f"not a modal descriptor: {text!r}")
-    nodes, phases = [], []
-    for term in m.group(1).split(","):
-        if "@" not in term:
-            raise ValueError(f"modal term {term!r} missing @phase")
-        node, _, deg = term.partition("@")
-        if not node:
-            raise ValueError(f"modal term {term!r} missing node")
-        try:
-            phi = float(deg)
-        except ValueError:
-            raise ValueError(f"bad modal phase {deg!r}") from None
-        if not math.isfinite(phi):
-            raise ValueError(f"bad modal phase {deg!r}")
-        nodes.append(node)
-        phases.append(phi)
-    return nodes, phases
+def current_probe(node):
+    return ProbeSpec("inode", node=node)
+
+
+def voltage_probe(branch):
+    return ProbeSpec("vbranch", branch=branch)
+
+
+def modal_probe(nodes, phases_deg):
+    """Modal probe; each phase in degrees is wrapped into [0, 360)."""
+    # a tiny negative phase wraps to exactly 360.0, which is 0
+    phases = tuple(float(p) % 360.0 % 360.0 for p in phases_deg)
+    return ProbeSpec("modal", nodes=tuple(nodes), phases_deg=phases)
+
+
+def parse_probe(text):
+    """Parse ``inode:<n>``, ``vbranch:<e>`` or ``modal:<n1>@<d1>,...``."""
+    if text.startswith("inode:"):
+        return current_probe(text[len("inode:"):])
+    if text.startswith("vbranch:"):
+        return voltage_probe(text[len("vbranch:"):])
+    if text.startswith("modal:"):
+        nodes, phases = [], []
+        for term in text[len("modal:"):].split(","):
+            node, at, deg = term.partition("@")
+            if not at:
+                raise ValueError(f"modal term {term!r} missing @phase")
+            try:
+                phases.append(float(deg))
+            except ValueError:
+                raise ValueError(f"bad modal phase {deg!r}") from None
+            nodes.append(node)
+        return modal_probe(nodes, phases)
+    raise ValueError(f"unrecognized probe descriptor {text!r}")
 
 
 @dataclass(frozen=True)
@@ -139,7 +189,7 @@ class PortLabel:
         if not self.name:
             raise ValueError("port name must be nonempty")
         if self.excitation is not None:
-            object.__setattr__(self, "excitation", parse_excitation(self.excitation))
+            object.__setattr__(self, "excitation", parse_probe(self.excitation).descriptor())
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NumericError, UsageError
-from .freqresp import FrequencyResponseSet, PortLabel, modal_terms
+from .freqresp import (FrequencyResponseSet, PortLabel, ProbeSpec, current_probe,
+                       modal_probe, parse_probe, voltage_probe)
 
 __all__ = [
     "Element",
@@ -140,79 +141,6 @@ class TerminationPort:
             raise ValueError(f"port {self.name!r}: z0 must be positive and finite")
         if self.gamma is not None and abs(self.gamma) > 1.0 + 1e-12:
             raise ValueError(f"port {self.name!r}: |gamma| must be <= 1")
-
-
-@dataclass(frozen=True)
-class ProbeSpec:
-    """Small-signal probe: current at a node, voltage in a branch, or modal.
-
-    A modal probe injects unit currents with the listed phases at each
-    listed node and reads the voltage at the first listed node.
-    """
-
-    kind: str
-    node: str | None = None
-    branch: str | None = None
-    nodes: tuple[str, ...] = ()
-    phases_deg: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if self.kind == "inode":
-            if not self.node:
-                raise ValueError("current probe needs a node")
-        elif self.kind == "vbranch":
-            if not self.branch:
-                raise ValueError("voltage probe needs a branch element name")
-        elif self.kind == "modal":
-            if not self.nodes:
-                raise ValueError("modal probe needs at least one node")
-            if len(self.nodes) != len(self.phases_deg):
-                raise ValueError("modal node and phase lists differ in length")
-            for p in self.phases_deg:
-                if not 0.0 <= p < 360.0:
-                    raise ValueError(f"modal phase {p} outside [0, 360)")
-        else:
-            raise ValueError(f"unknown probe kind {self.kind!r}")
-
-    def descriptor(self):
-        if self.kind == "inode":
-            return f"inode:{self.node}"
-        if self.kind == "vbranch":
-            return f"vbranch:{self.branch}"
-        terms = ",".join(f"{n}@{_fmt_phase(p)}" for n, p in zip(self.nodes, self.phases_deg))
-        return f"modal:{terms}"
-
-    @property
-    def response_kind(self):
-        return {"inode": "impedance", "vbranch": "admittance", "modal": "transfer"}[self.kind]
-
-
-def _fmt_phase(p):
-    return f"{p:g}"
-
-
-def current_probe(node):
-    return ProbeSpec("inode", node=node)
-
-
-def voltage_probe(branch):
-    return ProbeSpec("vbranch", branch=branch)
-
-
-def modal_probe(nodes, phases_deg):
-    return ProbeSpec("modal", nodes=tuple(nodes), phases_deg=tuple(float(p) for p in phases_deg))
-
-
-def parse_probe(text):
-    """Parse ``inode:<n>``, ``vbranch:<e>`` or ``modal:<n1>@<d1>,...``."""
-    if text.startswith("inode:"):
-        return current_probe(text[len("inode:"):])
-    if text.startswith("vbranch:"):
-        return voltage_probe(text[len("vbranch:"):])
-    if text.startswith("modal:"):
-        nodes, phases = modal_terms(text)
-        return modal_probe(nodes, [p % 360.0 for p in phases])
-    raise ValueError(f"unrecognized probe descriptor {text!r}")
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ import scipy.optimize
 
 from .errors import UsageError
 from .freqresp import slice_band
-from .ratfit import (FitConfig, PartialFractionModel, fit_common_denominator,
-                     poles_and_zeros)
+from .ratfit import (FitConfig, PartialFractionModel, PolePair,
+                     fit_common_denominator, poles_and_zeros)
 
 __all__ = [
     "ClassifiedPole",
@@ -171,50 +171,53 @@ def detect_quasi_cancellations(poles, zeros, threshold, omega_floor=None):
 _RHO_GUARD = 1e-300
 
 
-def _pair_contribution(model, port_idx, pair, s):
-    r = model.residues[port_idx, list(pair.indices)]
-    p = model.poles[list(pair.indices)]
-    if np.any(np.abs(s - p) < _RHO_GUARD):
-        return complex(np.inf, 0.0)
-    return complex(np.sum(r / (s - p)))
-
-
-def rho_factor(model, port, pair):
-    """Residue factor: a conjugate pair's share of the response at resonance.
-
-    rho = |H_pair(j w_r)| / |H_rest(j w_r)| with w_r the pair's resonant
-    frequency (0 for a real pole) and H_rest the remaining terms plus the
-    direct term, summed directly to avoid cancellation.  Returns +inf when
-    the pair is essentially the whole response.
-    """
-    k = model.port_index(port)
-    pairs = model.pole_pairs()
-    if isinstance(pair, int):
-        pair = pairs[pair]
-    s = 1j * pair.resonant_omega
-    num = abs(_pair_contribution(model, k, pair, s))
-    if not np.isfinite(num):
-        return float("inf")  # pair resonates exactly on the axis
-    rest = complex(model.direct[k])
-    for other in pairs:
-        if other.indices != pair.indices:
-            rest += _pair_contribution(model, k, other, s)
-    den = abs(rest)
-    if not np.isfinite(den):
-        return 0.0  # some other pair dominates this frequency completely
-    if den < _RHO_GUARD:
-        return float("inf")
-    return num / den
+def _mag(z):
+    # hypot is what Python's complex abs computes; NumPy's vectorized
+    # complex abs can differ from it in the last bit
+    return np.hypot(z.real, z.imag)
 
 
 def rho_matrix(model):
-    """Residue factors for every (port, pair) of a partial-fraction model."""
+    """Residue factors for every (port, pair) of a partial-fraction model.
+
+    rho = |H_pair(j w_r)| / |H_rest(j w_r)| with w_r the pair's resonant
+    frequency (0 for a real pole) and H_rest the remaining terms plus the
+    direct term, summed directly, pair by pair, to avoid cancellation.  An
+    entry is +inf when the pair is essentially the whole response and 0.0
+    when another pair resonating at the same frequency dominates it.
+    """
     pairs = model.pole_pairs()
-    vals = np.empty((model.n_ports, len(pairs)))
-    for n in range(model.n_ports):
-        for k, pair in enumerate(pairs):
-            vals[n, k] = rho_factor(model, n, pair)
+    n = len(pairs)
+    s = 1j * np.array([p.resonant_omega for p in pairs], dtype=float)
+    # terms[port, i, j]: pair j's terms summed at pair i's resonance
+    terms = np.empty((model.n_ports, n, n), dtype=complex)
+    with np.errstate(all="ignore"):
+        for j, pair in enumerate(pairs):
+            idx = list(pair.indices)
+            gap = s[:, None] - model.poles[idx]
+            terms[:, :, j] = np.sum(model.residues[:, None, idx] / gap, axis=-1)
+            terms[:, np.any(_mag(gap) < _RHO_GUARD, axis=1), j] = complex(np.inf, 0.0)
+        num = _mag(np.diagonal(terms, axis1=1, axis2=2))
+        terms[:, np.arange(n), np.arange(n)] = 0.0
+        rest = np.repeat(model.direct.astype(complex)[:, None], n, axis=1)
+        for j in range(n):
+            rest += terms[:, :, j]
+        den = _mag(rest)
+        vals = num / den
+    vals[den < _RHO_GUARD] = np.inf
+    vals[~np.isfinite(den)] = 0.0  # some other pair dominates this frequency completely
+    vals[~np.isfinite(num)] = np.inf  # pair resonates exactly on the axis
     return RhoMatrix(vals, tuple(p.pole for p in pairs), model.port_names)
+
+
+def rho_factor(model, port, pair):
+    """Residue factor of one pair, given by index or ``PolePair``, on one port.
+
+    One entry of :func:`rho_matrix`.
+    """
+    if isinstance(pair, PolePair):
+        pair = [p.indices for p in model.pole_pairs()].index(pair.indices)
+    return float(rho_matrix(model).values[model.port_index(port), pair])
 
 
 def rank_ports(verdict, pair_index):
@@ -229,10 +232,6 @@ def rank_ports(verdict, pair_index):
 
 # ---------------------------------------------------------------------------
 # order selection and over-modeling pruning
-
-def _rel_dist(a, b, floor):
-    return abs(a - b) / max(abs(b), floor)
-
 
 def _poles_persist(poles_a, poles_b, tol, floor):
     """True if every pole in a has a mate in b within relative tolerance."""

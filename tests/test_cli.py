@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pzid.cli import dispatch
+from pzid.freqresp import parse_csv
 
 NETLIST = """\
 # unstable parallel tank behind a port
@@ -110,6 +111,47 @@ class TestModalProbeFiles:
         assert dispatch(["stability", "--in", str(resp), "--orders", "2:6",
                          "--report", str(report)]) == 0
         assert json.loads(report.read_text())["stable"] is True
+
+
+COMBINER_NETLIST = ("L la c a 1n\nL lb c b 1n\nC ca a 0 1p\nC cb b 0 1p\n"
+                    "R ra a 0 200\nR rb b 0 200\nR rcm c 0 50\nC ccm c 0 0.5p\n")
+
+
+class TestProbeDescriptors:
+    def synth(self, tmp_path, probe, name):
+        net = tmp_path / "combiner.cir"
+        net.write_text(COMBINER_NETLIST)
+        out = tmp_path / name
+        code = dispatch(["synth", "--netlist", str(net), "--probe", probe,
+                         "--fstart", "0.5e9", "--fstop", "12e9", "--points", "200",
+                         "--out", str(out)])
+        return code, out
+
+    def test_recorded_excitation_resynthesizes_exactly(self, tmp_path):
+        code, first = self.synth(tmp_path, "modal:a@0,b@123.4567891", "first.csv")
+        assert code == 0
+        resp = parse_csv(first.read_text())
+        recorded = resp.ports[0].excitation
+        assert recorded == "modal:a@0,b@123.4567891"
+        code, second = self.synth(tmp_path, recorded, "second.csv")
+        assert code == 0
+        assert np.array_equal(parse_csv(second.read_text()).values[0], resp.values[0])
+
+    @pytest.mark.parametrize("probe", ["inode:", "vbranch:"])
+    def test_cli_and_csv_reject_alike(self, tmp_path, capsys, probe):
+        code, _ = self.synth(tmp_path, probe, "never.csv")
+        assert code == 2
+        cli_err = capsys.readouterr().err
+        resp = tmp_path / "labelled.csv"
+        rows = "\n".join(f"{f}e9,1.0,0.0" for f in range(1, 5))
+        resp.write_text(f"# excitation: p1={probe}\nfreq_hz,p1_re,p1_im\n{rows}\n")
+        with pytest.raises(ValueError) as exc:
+            parse_csv(resp.read_text())
+        assert dispatch(["stability", "--in", str(resp), "--orders", "2:2",
+                         "--report", str(tmp_path / "r.json")]) == 2
+        csv_err = capsys.readouterr().err
+        assert cli_err.partition("error: ")[2] == csv_err.partition("error: ")[2]
+        assert cli_err.partition("error: ")[2].strip() == str(exc.value)
 
 
 class TestSweepCommands:

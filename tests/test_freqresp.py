@@ -1,9 +1,15 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pzid.freqresp import (FrequencyGrid, FrequencyResponseSet, PortLabel,
-                           ResponseParseError, emit_csv, merge_sets, parse_csv,
-                           parse_touchstone, slice_band)
+                           ProbeSpec, ResponseParseError, current_probe,
+                           emit_csv, merge_sets, modal_probe, parse_csv,
+                           parse_probe, parse_touchstone, slice_band,
+                           voltage_probe)
 
 
 def make_set(freqs, **ports):
@@ -199,3 +205,69 @@ class TestMergeAndValidation:
             PortLabel("m", "modal:a@0,b@")
         with pytest.raises(ValueError):
             PortLabel("m", "bogus:a")
+
+
+# Node names may hold any character; modal node names exclude the ',' and
+# '@' that separate modal terms.
+NAMES = st.text(alphabet="ab1_:;.,@ ", min_size=1, max_size=6)
+MODAL_NAMES = st.text(alphabet="ab1_:;. ", min_size=1, max_size=6)
+PHASES = st.floats(min_value=0.0, max_value=360.0, exclude_max=True)
+MODAL_SPECS = st.lists(st.tuples(MODAL_NAMES, PHASES), min_size=1, max_size=4).map(
+    lambda terms: ProbeSpec("modal", nodes=tuple(n for n, _ in terms),
+                            phases_deg=tuple(p for _, p in terms)))
+SPECS = st.one_of(st.builds(current_probe, NAMES), st.builds(voltage_probe, NAMES),
+                  MODAL_SPECS)
+PHASE_TEXTS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e4, 1e4).map(lambda p: f"{p:g}"),
+    st.integers(-2000, 2000).map(str),
+    st.sampled_from(["", "nan", "inf", "-0", "+90", "1e-20", "x"]))
+DESCRIPTOR_TEXTS = st.one_of(
+    st.tuples(st.sampled_from(["inode:", "vbranch:", "bogus:", ""]),
+              st.text(alphabet="ab1:;.,@", max_size=6)).map("".join),
+    st.lists(st.tuples(st.text(alphabet="ab1:;.", max_size=3), PHASE_TEXTS),
+             min_size=1, max_size=4).map(
+        lambda terms: "modal:" + ",".join(f"{n}@{p}" for n, p in terms)))
+
+
+class TestProbeGrammar:
+    @settings(max_examples=300, derandomize=True)
+    @given(SPECS)
+    def test_every_accepted_spec_round_trips(self, spec):
+        assert parse_probe(spec.descriptor()) == spec
+
+    @settings(max_examples=300, derandomize=True)
+    @given(DESCRIPTOR_TEXTS)
+    def test_descriptor_is_a_fixed_point(self, text):
+        try:
+            canonical = parse_probe(text).descriptor()
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                PortLabel("p", text)
+            return
+        assert parse_probe(canonical).descriptor() == canonical
+        assert PortLabel("p", text).excitation == canonical
+
+    @pytest.mark.parametrize("deg, wrapped", [(-90.0, "270"), (720.0, "0"),
+                                              (-1e-20, "0"), (-0.0, "0")])
+    def test_phase_wraps_into_range(self, deg, wrapped):
+        text = f"modal:a@{deg!r}"
+        expect = f"modal:a@{wrapped}"
+        assert modal_probe(["a"], [deg]).descriptor() == expect
+        assert parse_probe(text).descriptor() == expect
+        assert PortLabel("p", text).excitation == expect
+
+    def test_phase_recorded_exactly(self):
+        spec = modal_probe(["a", "b"], [0.0, 123.4567891])
+        assert spec.descriptor() == "modal:a@0,b@123.4567891"
+        assert modal_probe(["a"], [180]).descriptor() == "modal:a@180"
+
+    @pytest.mark.parametrize("node", ["a,b", "a@b", ""])
+    def test_unparseable_modal_node_rejected(self, node):
+        with pytest.raises(ValueError, match="modal node"):
+            modal_probe([node], [0.0])
+
+    @pytest.mark.parametrize("phase", [360.0, -1.0, float("nan")])
+    def test_spec_keeps_strict_phase_range(self, phase):
+        with pytest.raises(ValueError, match="outside"):
+            ProbeSpec("modal", nodes=("a",), phases_deg=(phase,))

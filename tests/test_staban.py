@@ -10,7 +10,7 @@ from pzid.freqresp import FrequencyGrid
 from pzid.netsim import (analytic_poles, current_probe, frequency_responses,
                          modal_probe)
 from pzid.ratfit import FitConfig, PartialFractionModel, fit_common_denominator
-from pzid.staban import (StabilityConfig, auto_identify, classify_poles,
+from pzid.staban import (_RHO_GUARD, StabilityConfig, auto_identify, classify_poles,
                          detect_quasi_cancellations, rank_ports, rho_factor,
                          rho_matrix, serialize_verdict,
                          subband_consistency_check)
@@ -286,3 +286,81 @@ class TestSerialization:
         assert doc["order_scan"][0]["order"] == 2
         assert "rho" in doc and "cancellations" in doc and "audit" in doc
         assert all("rad_s" in p for p in doc["poles"])
+
+
+def reference_rho_matrix(model):
+    """The per-entry loop that the vectorized rho_matrix replaced."""
+    def contribution(k, pair, s):
+        r = model.residues[k, list(pair.indices)]
+        p = model.poles[list(pair.indices)]
+        if np.any(np.abs(s - p) < _RHO_GUARD):
+            return complex(np.inf, 0.0)
+        return complex(np.sum(r / (s - p)))
+
+    def factor(k, pair):
+        s = 1j * pair.resonant_omega
+        num = abs(contribution(k, pair, s))
+        if not np.isfinite(num):
+            return float("inf")
+        rest = complex(model.direct[k])
+        for other in pairs:
+            if other.indices != pair.indices:
+                rest += contribution(k, other, s)
+        den = abs(rest)
+        if not np.isfinite(den):
+            return 0.0
+        if den < _RHO_GUARD:
+            return float("inf")
+        return num / den
+
+    pairs = model.pole_pairs()
+    vals = np.empty((model.n_ports, len(pairs)))
+    for k in range(model.n_ports):
+        for j, pair in enumerate(pairs):
+            vals[k, j] = factor(k, pair)
+    return vals
+
+
+def random_rho_model(rng):
+    """Multi-port model mixing real poles (one at 0), on-axis and RHP/LHP
+    pairs, shared resonances and zero residues."""
+    n_ports = int(rng.integers(1, 5))
+    poles, res = [], []
+    for _ in range(int(rng.integers(0, 13))):
+        kind = int(rng.integers(0, 5))
+        w = 10 ** rng.uniform(-2.0, 10.0)
+        r = (rng.normal(size=n_ports) + 1j * rng.normal(size=n_ports)) * 10 ** rng.uniform(-3, 3)
+        if rng.uniform() < 0.15:
+            r[:] = 0.0
+        if kind == 0:
+            poles.append(complex(rng.choice([0.0, -w, w])))
+            res.append(r.real)
+        else:
+            sigma = 0.0 if kind == 1 else 0.1 * w * rng.normal()
+            poles += [complex(sigma, w), complex(sigma, -w)]
+            res += [r, r.conj()]
+    residues = np.array(res).T if poles else np.zeros((n_ports, 0))
+    return PartialFractionModel(np.array(poles, dtype=complex), residues,
+                                rng.normal(size=n_ports) * (rng.uniform() < 0.8))
+
+
+class TestVectorizedRho:
+    def test_matches_per_entry_loop(self):
+        rng = np.random.default_rng(20)
+        models = [random_rho_model(rng) for _ in range(400)]
+        models += [random_pf_model(seed)[0] for seed in range(40)]
+        n_inf = n_zero = 0
+        with np.errstate(all="ignore"):
+            for model in models:
+                ref = reference_rho_matrix(model)
+                assert np.array_equal(rho_matrix(model).values, ref)
+                n_inf += int(np.count_nonzero(np.isinf(ref)))
+                n_zero += int(np.count_nonzero(ref == 0.0))
+        assert n_inf > 100 and n_zero > 100  # the guard branches were exercised
+
+    def test_factor_takes_pair_or_index(self):
+        model = random_pf_model(3)[0]
+        pairs = model.pole_pairs()
+        for k, pair in enumerate(pairs):
+            assert rho_factor(model, 0, pair) == rho_factor(model, 0, k)
+            assert rho_factor(model, "p1", k) == rho_matrix(model).values[0, k]
