@@ -89,6 +89,19 @@ class FrequencyGrid:
         return float(self.freqs_hz[-1])
 
 
+def _check_name(what, name, forbidden):
+    """Reject a probe name that the descriptor or the CSV ``# excitation:``
+    directive cannot carry: one holding a separator, a line break or other
+    unprintable character, or leading or trailing whitespace (directive
+    entries are stripped)."""
+    bad = [c for c in forbidden if c in name]
+    if bad:
+        raise ValueError(f"{what} {name!r} contains {bad[0]!r}")
+    if name != name.strip() or not name.isprintable():
+        raise ValueError(f"{what} {name!r} has surrounding whitespace or an "
+                         f"unprintable character")
+
+
 @dataclass(frozen=True)
 class ProbeSpec:
     """Small-signal probe: current at a node, voltage in a branch, or modal.
@@ -98,6 +111,9 @@ class ProbeSpec:
     descriptor ``inode:<node>``, ``vbranch:<element>`` or
     ``modal:<n1>@<deg1>,<n2>@<deg2>,...`` is the one text form of a probe:
     :func:`parse_probe` reads every descriptor back to an equal spec.
+    Names must survive that text form and the CSV ``# excitation:``
+    directive, so they may not contain ``,`` or ``=`` (nor ``@`` in a
+    modal node), surrounding whitespace or unprintable characters.
     """
 
     kind: str
@@ -110,17 +126,20 @@ class ProbeSpec:
         if self.kind == "inode":
             if not self.node:
                 raise ValueError("current probe needs a node")
+            _check_name("current probe node", self.node, ",=")
         elif self.kind == "vbranch":
             if not self.branch:
                 raise ValueError("voltage probe needs a branch element name")
+            _check_name("voltage probe branch", self.branch, ",=")
         elif self.kind == "modal":
             if not self.nodes:
                 raise ValueError("modal probe needs at least one node")
             if len(self.nodes) != len(self.phases_deg):
                 raise ValueError("modal node and phase lists differ in length")
             for n in self.nodes:
-                if not n or "," in n or "@" in n:
-                    raise ValueError(f"modal node {n!r} is empty or contains ',' or '@'")
+                if not n:
+                    raise ValueError("modal node is empty")
+                _check_name("modal node", n, ",=@")
             for p in self.phases_deg:
                 if not 0.0 <= p < 360.0:
                     raise ValueError(f"modal phase {p} outside [0, 360)")
@@ -348,8 +367,10 @@ def parse_csv(text):
         raise ResponseParseError(f"fewer than {MIN_POINTS} points")
     data = np.asarray(rows)
     values = [data[:, 2 * i] + 1j * data[:, 2 * i + 1] for i in range(len(port_names))]
-    for extra in set(kinds_map) - set(port_names):
-        raise ResponseParseError(f"kind directive for unknown port {extra!r}")
+    for label, named in (("kind", kinds_map), ("excitation", excit_map)):
+        unknown = sorted(set(named) - set(port_names))
+        if unknown:
+            raise ResponseParseError(f"{label} directive for unknown port {unknown[0]!r}")
     kinds = tuple(kinds_map.get(n, "transfer") for n in port_names)
     for k in kinds:
         if k not in RESPONSE_KINDS:

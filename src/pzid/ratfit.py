@@ -50,9 +50,12 @@ class FitConfig:
     """Knobs shared by both fitting engines.
 
     ``iters`` bounds the Sanathanan-Koerner reweighting or vector-fitting
-    pole-relocation loop.  ``relaxed`` selects the relaxed nontriviality
-    constraint for pole relocation; ``relaxed=False`` selects the classic
-    fixed-unity constraint instead.
+    pole-relocation loop.  The loop may stop earlier: reweighting once the
+    coefficients stop moving, relocation once the poles stop moving or the
+    scaling function has settled (||c_sigma|| / |d_sigma| <= ``_SIGMA_TOL``).
+    :class:`FitReport` records which stop ended the loop.  ``relaxed``
+    selects the relaxed nontriviality constraint for pole relocation;
+    ``relaxed=False`` selects the classic fixed-unity constraint instead.
     """
 
     order: int
@@ -69,16 +72,40 @@ class FitConfig:
             raise ValueError("iters must be in 1..100")
 
 
+_FIT_STOPS = ("pole-move", "sigma-settled", "iteration-cap", "no-poles",
+              "coeff-move", "rank-deficient")
+
+
 @dataclass(frozen=True)
 class FitReport:
+    """Accuracy of a fitted model and how its fitting loop ended.
+
+    ``stop`` names what ended the loop.  Vector fitting: ``pole-move`` (no
+    band-normalized pole moved by 1e-10 of max(1, largest magnitude)),
+    ``sigma-settled`` (the scaling function's residues vanished against its
+    direct term, ||c_sigma|| / |d_sigma| <= ``_SIGMA_TOL``),
+    ``iteration-cap`` or ``no-poles`` (order 0, nothing to relocate).
+    Polynomial ratio: ``coeff-move`` (coefficients moved by less than
+    1e-14), ``rank-deficient`` (the null space became ambiguous after a
+    clean iterate) or ``iteration-cap``.  ``stop`` is None for a report of
+    :func:`fit_error` alone and for a model file saved without it.
+
+    ``converged`` is True when the loop stopped because its iterate
+    settled: on ``pole-move`` or ``sigma-settled``, on ``coeff-move``, and
+    for ``no-poles``.
+    """
+
     rms_rel_error: float
     max_phase_err_deg: float
     iters_used: int
     converged: bool
+    stop: str | None = None
 
     def __post_init__(self):
         if self.rms_rel_error < 0 or self.max_phase_err_deg < 0:
             raise ValueError("error metrics must be nonnegative")
+        if self.stop is not None and self.stop not in _FIT_STOPS:
+            raise ValueError(f"unknown fit stop {self.stop!r}")
 
 
 def _readonly(arr):
@@ -134,10 +161,6 @@ class PolePair:
 
     indices: tuple[int, ...]
     pole: complex  # representative, Im >= 0
-
-    @property
-    def is_real(self):
-        return len(self.indices) == 1
 
     @property
     def resonant_omega(self):
@@ -361,7 +384,7 @@ def fit_polynomial_ratio(resp, cfg):
     b_prev = np.ones(m)
     best = None
     x_prev = None
-    converged = False
+    stop = "iteration-cap"
     iters_used = 0
     for it in range(cfg.iters):
         iters_used = it + 1
@@ -383,6 +406,7 @@ def fit_polynomial_ratio(resp, cfg):
         deficient = (svals[-2] < 1e-12 * svals[0]
                      and svals[-2] < max(30.0 * svals[-1], noise_floor))
         if deficient and best is not None:
+            stop = "rank-deficient"
             break
         x = vh[-1] / col_scale
         x = x / np.linalg.norm(x)
@@ -399,7 +423,7 @@ def fit_polynomial_ratio(resp, cfg):
         if not deficient and (best is None or rms < best[0]):
             best = (rms, a_c, b_c, iters_used)
         if not deficient and x_prev is not None and np.linalg.norm(x - x_prev) < 1e-14:
-            converged = True
+            stop = "coeff-move"
             break
         x_prev = x
         mag = np.abs(den)
@@ -411,7 +435,8 @@ def fit_polynomial_ratio(resp, cfg):
     _, a_c, b_c, _ = best
     model = PolynomialRatioModel(a_c, b_c, s_scale)
     err = fit_error(model, resp)
-    report = FitReport(err.rms_rel_error, err.max_phase_err_deg, iters_used, converged)
+    report = FitReport(err.rms_rel_error, err.max_phase_err_deg, iters_used,
+                       stop == "coeff-move", stop)
     return model, report
 
 
@@ -529,8 +554,20 @@ def _qr_r(a):
     return np.triu(qr[:min(a.shape)])
 
 
+# Relocation has reached its fixed point when the scaling function
+# sigma(s) = sum c_k / (s - p_k) + d_sigma has collapsed onto its direct
+# term (Gustavsen, IEEE Trans. Power Delivery 2006): its zeros, the next
+# poles, then equal its poles.  The loop stops once ||c_sigma|| / |d_sigma|
+# is at most this.  At 1e-3 the stop already made 11 of the benchmark's
+# identify jobs fail; at 1e-5 no verdict changed.
+_SIGMA_TOL = 1e-5
+
+
 def _relocate_poles(poles, s, f_mat, relaxed):
-    """One pole-relocation step; returns the new pole set (never flipped).
+    """One pole-relocation step.
+
+    Returns the new pole set (never flipped) and ||c_sigma|| / |d_sigma|,
+    how far the scaling function still is from its direct term.
 
     Each port's real-stacked system [Phi, 1, -f Phi, -f] (2m x 2(n+1)) is
     built in one preallocated buffer and reduced by ``_qr_r``; the trailing
@@ -539,6 +576,8 @@ def _relocate_poles(poles, s, f_mat, relaxed):
     direct term d_sigma as the last unknown.  Classic relocation fixes
     d_sigma = 1, so the last column is the right-hand side -f: R's rows
     n+1..2n then hold the n x n block and, in that column, -Q2^T f.
+    A response too large for the column scaling raises ``NumericError``
+    before the least-squares solve.
     """
     n = poles.size
     m = f_mat.shape[1]
@@ -567,14 +606,19 @@ def _relocate_poles(poles, s, f_mat, relaxed):
             rhs_blocks.append(-r[n + 1:k - 1, k - 1])
     aa = np.vstack(blocks)
     bb = np.concatenate(rhs_blocks)
-    if relaxed:
-        scale = float(np.linalg.norm([np.linalg.norm(f) for f in f_mat])) / m
-        relax_row = np.empty(n + 1)
-        relax_row[:n] = np.sum(phi.real, axis=0)
-        relax_row[n] = m
-        aa = np.vstack([aa, scale * relax_row])
-        bb = np.concatenate([bb, [scale * m]])
-    col_scale = np.linalg.norm(aa, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if relaxed:
+            scale = float(np.linalg.norm([np.linalg.norm(f) for f in f_mat])) / m
+            relax_row = np.empty(n + 1)
+            relax_row[:n] = np.sum(phi.real, axis=0)
+            relax_row[n] = m
+            aa = np.vstack([aa, scale * relax_row])
+            bb = np.concatenate([bb, [scale * m]])
+        col_scale = np.linalg.norm(aa, axis=0)
+    # a finite column norm bounds every entry of its column of aa
+    if not (np.isfinite(col_scale).all() and np.isfinite(bb).all()):
+        raise NumericError("relocation least squares failed: response magnitude "
+                           "overflows the column scaling")
     col_scale[col_scale == 0.0] = 1.0
     try:
         x, *_ = np.linalg.lstsq(aa / col_scale, bb, rcond=None)
@@ -587,6 +631,7 @@ def _relocate_poles(poles, s, f_mat, relaxed):
             d_sigma = 1e-8 if d_sigma >= 0 else -1e-8
     else:
         c_sigma, d_sigma = x, 1.0
+    settled = float(np.linalg.norm(c_sigma)) / abs(d_sigma)
 
     # zeros of sigma: eigenvalues of the pole matrix minus the rank-one
     # update, in real block form for conjugate pairs
@@ -599,7 +644,7 @@ def _relocate_poles(poles, s, f_mat, relaxed):
         raise NumericError(f"defective relocation eigenproblem: {exc}") from None
     new_poles = lam[order].astype(complex)
     new_poles[n_real + 1::2] = np.conj(new_poles[n_real::2])
-    return new_poles
+    return new_poles, settled
 
 
 def fit_common_denominator(resps, cfg):
@@ -607,9 +652,10 @@ def fit_common_denominator(resps, cfg):
 
     Initial poles are conjugate pairs spread over the band; each iteration
     relocates them to the zeros of the fitted scaling function (relaxed
-    nontriviality constraint by default).  Final residues and one real
-    direct term per port are solved against the fixed relocated poles.
-    Unstable poles are preserved at every stage.
+    nontriviality constraint by default), until the poles stop moving, the
+    scaling function settles (``_SIGMA_TOL``) or ``cfg.iters`` runs out.
+    Final residues and one real direct term per port are solved against the
+    fixed relocated poles.  Unstable poles are preserved at every stage.
     """
     if cfg.method != "vf":
         raise UsageError("fit_common_denominator requires cfg.method == 'vf'")
@@ -622,20 +668,23 @@ def fit_common_denominator(resps, cfg):
     s = 1j * omega / w_scale
     f_mat = resps.to_matrix()
 
-    converged = False
     iters_used = 0
     if n == 0:
         poles = np.zeros(0, dtype=complex)
-        converged = True
+        stop = "no-poles"
     else:
         poles = _initial_poles(n, float(omega[0]) / w_scale, float(omega[-1]) / w_scale)
+        stop = "iteration-cap"
         for it in range(cfg.iters):
             iters_used = it + 1
-            new_poles = _relocate_poles(poles, s, f_mat, cfg.relaxed)
+            new_poles, settled = _relocate_poles(poles, s, f_mat, cfg.relaxed)
             move = np.max(np.abs(np.sort_complex(new_poles) - np.sort_complex(poles)))
             poles = new_poles
             if move < 1e-10 * max(1.0, float(np.max(np.abs(poles)))):
-                converged = True
+                stop = "pole-move"
+                break
+            if settled <= _SIGMA_TOL:
+                stop = "sigma-settled"
                 break
 
     # residues per port against the fixed poles
@@ -656,7 +705,8 @@ def fit_common_denominator(resps, cfg):
     model = PartialFractionModel(poles * w_scale, residues * w_scale, direct,
                                  resps.port_names)
     err = fit_error(model, resps)
-    report = FitReport(err.rms_rel_error, err.max_phase_err_deg, iters_used, converged)
+    report = FitReport(err.rms_rel_error, err.max_phase_err_deg, iters_used,
+                       stop != "iteration-cap", stop)
     return model, report
 
 
@@ -759,7 +809,8 @@ def save_model(model, report=None):
         doc["report"] = {"rms_rel_error": report.rms_rel_error,
                          "max_phase_err_deg": report.max_phase_err_deg,
                          "iters_used": report.iters_used,
-                         "converged": report.converged}
+                         "converged": report.converged,
+                         "stop": report.stop}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

@@ -173,6 +173,27 @@ def wideband_model(n_pairs=10, f_lo=1e6, f_hi=40e9, q=30.0, seed=3):
     return PartialFractionModel(np.asarray(poles), np.asarray([res]), np.asarray([1.0]))
 
 
+def wideband_net(seed=2, n_tanks=10):
+    """Parallel RLC tanks in series from t0 to ground, one with negative R.
+
+    The impedance at t0 has 2 * n_tanks poles with resonances log-spaced
+    over 4.5 decades (1.5 MHz - 28 GHz), quality 20-50; its pencil
+    eigenvalues are the oracle.
+    """
+    rng = np.random.default_rng(seed)
+    f0s = np.geomspace(1.5e6, 28e9, n_tanks) * np.exp(rng.uniform(-0.1, 0.1, n_tanks))
+    bad = int(rng.integers(0, n_tanks))
+    els = []
+    for k, f0 in enumerate(f0s):
+        w = 2 * np.pi * f0
+        c = 1.0 / (w * 10 ** rng.uniform(1.0, 2.0))
+        r = rng.uniform(20.0, 50.0) / (w * c)
+        a, b = f"t{k}", f"t{k + 1}" if k < n_tanks - 1 else "0"
+        els += [resistor(f"r{k}", a, b, -r if k == bad else r),
+                inductor(f"l{k}", a, b, 1.0 / (w * w * c)), capacitor(f"c{k}", a, b, c)]
+    return Netlist(tuple(els))
+
+
 # ---------------------------------------------------------------------------
 # under/over-modeling fixture: a weak RHP resonance beside a strong stable one
 

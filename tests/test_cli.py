@@ -1,4 +1,5 @@
 import json
+import warnings
 import xml.dom.minidom
 
 import numpy as np
@@ -251,6 +252,22 @@ class TestExitCodes:
                              "--report", str(tmp_path / "r.json")])
         assert code == 3
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_numeric_failure_prints_only_the_typed_error(self, tmp_path, capfd):
+        # the column scaling overflowed: numpy warnings, then LAPACK's DLASCL
+        # complaint on stdout, came before the typed error
+        resp = tmp_path / "huge.csv"
+        rows = "\n".join(f"{float(f)!r},1e200,0.0" for f in np.linspace(1e8, 1e9, 200))
+        resp.write_text("freq_hz,p1_re,p1_im\n" + rows + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = dispatch(["stability", "--in", str(resp), "--orders", "2:6",
+                             "--report", str(tmp_path / "r.json")])
+        out, err = capfd.readouterr()
+        assert code == 3
+        assert not caught and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("pzid stability: numeric failure: ")
 
     def test_fit_error_overflow_is_not_an_instability(self, tmp_path, capsys):
         # squaring the 1e300 peak before dividing overflowed in fit_error

@@ -73,6 +73,12 @@ class TestParseCsv:
                 "freq_hz,p1_re,p1_im\n1e9,1,0\n2e9,1,0\n3e9,1,0\n4e9,1,0\n")
         assert parse_csv(text).kinds == ("impedance",)
 
+    def test_excitation_directive_for_unknown_port(self):
+        text = ("# excitation: p1=inode:n1,q=inode:n2\n"
+                "freq_hz,p1_re,p1_im\n1e9,1,0\n2e9,1,0\n3e9,1,0\n4e9,1,0\n")
+        with pytest.raises(ResponseParseError, match="excitation directive for unknown port 'q'"):
+            parse_csv(text)
+
     def test_crlf_line_endings(self):
         text = "freq_hz,p1_re,p1_im\r\n1e9,1,0\r\n2e9,1,0\r\n3e9,1,0\r\n4e9,1,0\r\n"
         rset = parse_csv(text)
@@ -207,15 +213,28 @@ class TestMergeAndValidation:
             PortLabel("m", "bogus:a")
 
 
-# Node names may hold any character; modal node names exclude the ',' and
-# '@' that separate modal terms.
-NAMES = st.text(alphabet="ab1_:;.,@ ", min_size=1, max_size=6)
-MODAL_NAMES = st.text(alphabet="ab1_:;. ", min_size=1, max_size=6)
+def accepted(build, *strategies):
+    """Specs from ``build`` over drawn arguments, keeping only those that
+    ProbeSpec accepts: names are drawn from a wider alphabet than it allows."""
+    def attempt(*args):
+        try:
+            return build(*args)
+        except ValueError:
+            return None
+    return st.builds(attempt, *strategies).filter(lambda spec: spec is not None)
+
+
+# Names draw on every character the grammar and the CSV directive treat
+# specially: separators, whitespace and a line break.  A modal spec joins
+# accepted one-node terms.
+NAMES = st.text(alphabet="ab1_:;.,@= \t\n", min_size=1, max_size=6)
 PHASES = st.floats(min_value=0.0, max_value=360.0, exclude_max=True)
-MODAL_SPECS = st.lists(st.tuples(MODAL_NAMES, PHASES), min_size=1, max_size=4).map(
-    lambda terms: ProbeSpec("modal", nodes=tuple(n for n, _ in terms),
-                            phases_deg=tuple(p for _, p in terms)))
-SPECS = st.one_of(st.builds(current_probe, NAMES), st.builds(voltage_probe, NAMES),
+MODAL_TERMS = accepted(lambda n, p: ProbeSpec("modal", nodes=(n,), phases_deg=(p,)),
+                       NAMES, PHASES)
+MODAL_SPECS = st.lists(MODAL_TERMS, min_size=1, max_size=4).map(
+    lambda terms: ProbeSpec("modal", nodes=tuple(t.nodes[0] for t in terms),
+                            phases_deg=tuple(t.phases_deg[0] for t in terms)))
+SPECS = st.one_of(accepted(current_probe, NAMES), accepted(voltage_probe, NAMES),
                   MODAL_SPECS)
 PHASE_TEXTS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -262,10 +281,25 @@ class TestProbeGrammar:
         assert spec.descriptor() == "modal:a@0,b@123.4567891"
         assert modal_probe(["a"], [180]).descriptor() == "modal:a@180"
 
-    @pytest.mark.parametrize("node", ["a,b", "a@b", ""])
+    @settings(max_examples=300, derandomize=True)
+    @given(SPECS)
+    def test_every_accepted_spec_survives_the_csv_directive(self, spec):
+        label = PortLabel("p", spec.descriptor())
+        rset = FrequencyResponseSet(FrequencyGrid(np.array([1.0, 2.0, 3.0, 4.0])),
+                                    (label,), (np.ones(4, dtype=complex),))
+        assert parse_csv(emit_csv(rset)).ports == (label,)
+
+    @pytest.mark.parametrize("node", ["a,b", "a@b", "a=b", " a", "a ", "a\nb", ""])
     def test_unparseable_modal_node_rejected(self, node):
         with pytest.raises(ValueError, match="modal node"):
             modal_probe([node], [0.0])
+
+    @pytest.mark.parametrize("build, what", [(current_probe, "current probe node"),
+                                             (voltage_probe, "voltage probe branch")])
+    @pytest.mark.parametrize("name", ["x,y=z", "a=b", " a", "a ", "\ta", "a\nb"])
+    def test_name_breaking_the_directive_rejected(self, build, what, name):
+        with pytest.raises(ValueError, match=what):
+            build(name)
 
     @pytest.mark.parametrize("phase", [360.0, -1.0, float("nan")])
     def test_spec_keeps_strict_phase_range(self, phase):

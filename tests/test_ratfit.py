@@ -1,10 +1,14 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
-from fixtures import random_pf_model, sample_model, wideband_model
+from fixtures import random_pf_model, sample_model, wideband_model, wideband_net
 from pzid.errors import NumericError, UsageError
 from pzid.freqresp import FrequencyGrid, FrequencyResponseSet, PortLabel
-from pzid.ratfit import (_QR_NB, FitConfig, PartialFractionModel,
+from pzid.netsim import analytic_poles, current_probe, frequency_response
+from pzid.ratfit import (_QR_NB, _SIGMA_TOL, FitConfig, FitReport, PartialFractionModel,
                          PolynomialRatioModel, RankDeficiencyError, _canonical_order,
                          _canonical_pf, _initial_poles, _pf_basis, _qr_r,
                          _real_realization, _relocate_poles, evaluate_model,
@@ -31,6 +35,8 @@ class TestPolynomialRatioFit:
         poles, _ = poles_and_zeros(model)
         assert worst_pole_error(poles, [complex(-1, 10), complex(-1, -10)]) < 1e-8
         assert report.rms_rel_error < 1e-10
+        assert report.stop in ("coeff-move", "rank-deficient", "iteration-cap")
+        assert report.converged == (report.stop == "coeff-move")
 
     def test_constant_fit(self):
         w = np.linspace(1.0, 100.0, 200)
@@ -107,9 +113,10 @@ class TestCommonDenominatorFit:
 
     def test_order_zero(self):
         f = np.linspace(1e8, 1e9, 100)
-        model, _ = fit_common_denominator(single_port(f, np.full(100, 7.0 + 0j)),
-                                          FitConfig(order=0))
+        model, report = fit_common_denominator(single_port(f, np.full(100, 7.0 + 0j)),
+                                               FitConfig(order=0))
         assert model.poles.size == 0 and abs(model.direct[0] - 7.0) < 1e-12
+        assert report.stop == "no-poles" and report.iters_used == 0
 
     def test_point_budget(self):
         f = np.linspace(1e8, 1e9, 6)
@@ -128,6 +135,55 @@ class TestCommonDenominatorFit:
             sample_model(model, f_lo, f_hi),
             FitConfig(order=model.order, iters=25, relaxed=False))
         assert worst_pole_error(fit.poles, model.poles) < 1e-6
+
+
+VF_STOPS = ("pole-move", "sigma-settled", "iteration-cap", "no-poles")
+
+
+class TestRelocationStop:
+    def test_wideband_fit_stops_on_settled_sigma(self):
+        # at the 4th step the poles still move by 6e-9 of the band edge,
+        # 60x the pole-move threshold, while sigma has settled to 7e-9
+        net = wideband_net()
+        truth = analytic_poles(net)
+        assert truth.size == 20
+        resp = frequency_response(net, current_probe("t0"),
+                                  FrequencyGrid(np.geomspace(1e6, 40e9, 400)))
+        cfg = FitConfig(order=20)
+        fit, report = fit_common_denominator(resp, cfg)
+        assert report.stop == "sigma-settled" and report.converged
+        assert report.iters_used < cfg.iters
+        assert worst_pole_error(fit.poles, truth) <= 1e-6
+
+    def test_settled_ratio_is_sigma_residue_size(self):
+        model, f_lo, f_hi = random_pf_model(300)
+        w = 2 * np.pi * np.linspace(f_lo, f_hi, 400)
+        s = 1j * w / w[-1]
+        f_mat = evaluate_model(model, FrequencyGrid(w / (2 * np.pi)), 0)[None, :]
+        for relaxed in (True, False):
+            _, far = _relocate_poles(_initial_poles(model.order, w[0] / w[-1], 1.0),
+                                     s, f_mat, relaxed)
+            _, at_truth = _relocate_poles(model.poles / w[-1], s, f_mat, relaxed)
+            assert far > _SIGMA_TOL
+            assert at_truth < 1e-3 * _SIGMA_TOL
+
+    def test_classic_fit_reports_a_stop(self):
+        model, f_lo, f_hi = random_pf_model(21)
+        cfg = FitConfig(order=model.order, iters=25, relaxed=False)
+        _, report = fit_common_denominator(sample_model(model, f_lo, f_hi), cfg)
+        assert report.stop in VF_STOPS
+        assert report.converged == (report.stop in ("pole-move", "sigma-settled"))
+        assert report.iters_used <= cfg.iters
+
+    def test_iteration_cap_is_not_converged(self):
+        model, f_lo, f_hi = random_pf_model(21)
+        _, report = fit_common_denominator(sample_model(model, f_lo, f_hi),
+                                           FitConfig(order=model.order, iters=1))
+        assert report.stop == "iteration-cap" and not report.converged
+
+    def test_unknown_stop_rejected(self):
+        with pytest.raises(ValueError, match="unknown fit stop"):
+            FitReport(0.0, 0.0, 1, True, "settled")
 
 
 class TestConditioningSplit:
@@ -273,8 +329,18 @@ class TestModelValidationAndSerialization:
                                              FitConfig(order=model.order, iters=20))
         again, rep2 = load_model(save_model(fit, report))
         assert again == fit
-        assert rep2 == report
+        assert rep2 == report and rep2.stop is not None
         assert load_model(save_model(again, rep2))[0] == again
+
+    def test_report_saved_without_stop_still_loads(self):
+        model, f_lo, f_hi = random_pf_model(61)
+        fit, report = fit_common_denominator(sample_model(model, f_lo, f_hi),
+                                             FitConfig(order=model.order))
+        doc = json.loads(save_model(fit, report))
+        del doc["report"]["stop"]
+        again, old = load_model(json.dumps(doc))
+        assert again == fit
+        assert old == dataclasses.replace(report, stop=None)
 
     def test_save_load_roundtrip_poly(self):
         w = np.linspace(1.0, 100.0, 200)
@@ -502,7 +568,7 @@ class TestRelocationQr:
                 poles = _initial_poles(n, w_lo, 1.0)
                 for _ in range(3):
                     ref = reference_relocate_poles(poles, s, f_mat, relaxed)
-                    got = _relocate_poles(poles, s, f_mat, relaxed)
+                    got, _ = _relocate_poles(poles, s, f_mat, relaxed)
                     assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
                     poles = ref
 
