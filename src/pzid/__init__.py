@@ -21,8 +21,8 @@ from .ratfit import (FitConfig, FitReport, PartialFractionModel, PolePair,
                      PolynomialRatioModel, RankDeficiencyError, evaluate_model,
                      fit_common_denominator, fit_error, fit_polynomial_ratio,
                      load_model, poles_and_zeros, save_model)
-from .staban import (ClassifiedPole, QuasiCancellation, RhoMatrix,
-                     StabilityConfig, StabilityVerdict, auto_identify,
+from .staban import (ClassifiedPole, OrderScan, QuasiCancellation, RhoMatrix,
+                     ScanStep, StabilityConfig, StabilityVerdict, auto_identify,
                      classify_poles, detect_quasi_cancellations, rank_ports,
                      rho_factor, rho_matrix, serialize_verdict,
                      subband_consistency_check)

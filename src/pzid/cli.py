@@ -112,11 +112,8 @@ def _cmd_synth(args):
 
 def _cmd_fit(args):
     resp = _load_responses(getattr(args, "in"))
-    cfg = ratfit.FitConfig(order=args.order, method=args.method, iters=args.iters)
-    if args.method == "poly":
-        model, report = ratfit.fit_polynomial_ratio(resp, cfg)
-    else:
-        model, report = ratfit.fit_common_denominator(resp, cfg)
+    fit = ratfit.fit_polynomial_ratio if args.method == "poly" else ratfit.fit_common_denominator
+    model, report = fit(resp, ratfit.FitConfig(order=args.order, iters=args.iters))
     _write(args.out, ratfit.save_model(model, report))
     return 0
 

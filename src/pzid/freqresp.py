@@ -90,9 +90,9 @@ class FrequencyGrid:
 
 
 def _check_name(what, name, forbidden):
-    """Reject a probe name that the descriptor or the CSV ``# excitation:``
-    directive cannot carry: one holding a separator, a line break or other
-    unprintable character, or leading or trailing whitespace (directive
+    """Reject a probe or port name that a descriptor or the CSV cannot
+    carry: one holding a separator, a line break or other unprintable
+    character, or leading or trailing whitespace (CSV cells and directive
     entries are stripped)."""
     bad = [c for c in forbidden if c in name]
     if bad:
@@ -199,7 +199,11 @@ def parse_probe(text):
 
 @dataclass(frozen=True)
 class PortLabel:
-    """Named observation port, optionally recording how it was excited."""
+    """Named observation port, optionally recording how it was excited.
+
+    The name heads CSV columns and keys directives, so it follows the
+    probe-name rules: no ``,``, ``=``, surrounding whitespace or
+    unprintable character."""
 
     name: str
     excitation: str | None = None
@@ -207,6 +211,7 @@ class PortLabel:
     def __post_init__(self):
         if not self.name:
             raise ValueError("port name must be nonempty")
+        _check_name("port name", self.name, ",=")
         if self.excitation is not None:
             object.__setattr__(self, "excitation", parse_probe(self.excitation).descriptor())
 
@@ -346,17 +351,21 @@ def parse_csv(text):
                 if re_col[:-3] != im_col[:-3]:
                     raise ResponseParseError(
                         f"column pair {re_col!r},{im_col!r} names disagree", lineno)
-                port_names.append(re_col[:-3])
+                try:
+                    port_names.append(PortLabel(re_col[:-3]).name)
+                except ValueError as exc:
+                    raise ResponseParseError(str(exc), lineno) from None
             continue
         toks = _split_csv_line(line)
         if len(toks) != 1 + 2 * len(port_names):
             raise ResponseParseError(
                 f"ragged row: expected {1 + 2 * len(port_names)} fields, got {len(toks)}", lineno)
-        try:
-            nums = [float(t) for t in toks]
-        except ValueError:
-            bad = next(t for t in toks if not _is_float(t))
-            raise ResponseParseError(f"unparseable number {bad!r}", lineno) from None
+        nums = []
+        for tok in toks:
+            try:
+                nums.append(float(tok))
+            except ValueError:
+                raise ResponseParseError(f"unparseable number {tok!r}", lineno) from None
         if freqs and nums[0] <= freqs[-1]:
             raise ResponseParseError("non-monotone grid", lineno)
         freqs.append(nums[0])
@@ -379,25 +388,8 @@ def parse_csv(text):
     return FrequencyResponseSet(FrequencyGrid(np.asarray(freqs)), ports, tuple(values), kinds)
 
 
-def _is_float(tok):
-    try:
-        float(tok)
-        return True
-    except ValueError:
-        return False
-
-
 def emit_csv(rset):
-    """Serialize to the CSV schema; ``parse_csv`` round-trips bit-identically.
-
-    Port names head CSV columns and key the ``name=value`` directives, so a
-    name containing ``,`` or ``=`` is rejected.
-    """
-    for p in rset.ports:
-        if "," in p.name:
-            raise ValueError(f"port name {p.name!r} contains ',' and cannot head a CSV column")
-        if "=" in p.name:
-            raise ValueError(f"port name {p.name!r} contains '=' and cannot key a directive")
+    """Serialize to the CSV schema; ``parse_csv`` round-trips bit-identically."""
     lines = []
     if any(k != "transfer" for k in rset.kinds):
         pairs = ",".join(f"{p.name}={k}" for p, k in zip(rset.ports, rset.kinds))

@@ -47,7 +47,7 @@ class RankDeficiencyError(NumericError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs shared by both fitting engines.
+    """Knobs shared by both fitting engines; the function called picks the engine.
 
     ``iters`` bounds the Sanathanan-Koerner reweighting or vector-fitting
     pole-relocation loop.  The loop may stop earlier: reweighting once the
@@ -59,15 +59,12 @@ class FitConfig:
     """
 
     order: int
-    method: str = "vf"
     iters: int = 12
     relaxed: bool = True
 
     def __post_init__(self):
         if self.order < 0:
             raise ValueError("order must be >= 0")
-        if self.method not in ("poly", "vf"):
-            raise ValueError(f"unknown method {self.method!r}")
         if not 1 <= self.iters <= 100:
             raise ValueError("iters must be in 1..100")
 
@@ -329,24 +326,17 @@ def fit_error(model, resp):
     The RMS is over all ports and samples, each port normalized by its own
     peak magnitude.
     """
-    rel_sq = []
-    phase = []
+    s = 1j * resp.grid.omega
     if isinstance(model, PolynomialRatioModel):
         if resp.n_ports != 1:
             raise UsageError("polynomial model is single-port")
-        columns = [(0, resp.values[0])]
-        fits = [_eval_poly(model, 1j * resp.grid.omega)]
+        fits = [_eval_poly(model, s)]
     else:
-        columns = []
-        fits = []
-        s = 1j * resp.grid.omega
-        for i, p in enumerate(resp.ports):
-            columns.append((i, resp.values[i]))
-            fits.append(_eval_pf(model, model.port_index(p.name), s))
-    for (_, h), h_fit in zip(columns, fits):
-        scale = float(np.max(np.abs(h)))
-        if scale == 0.0:
-            scale = 1.0
+        fits = [_eval_pf(model, model.port_index(p.name), s) for p in resp.ports]
+    rel_sq = []
+    phase = []
+    for h, h_fit in zip(resp.values, fits):
+        scale = float(np.max(np.abs(h))) or 1.0
         rel_sq.append((np.abs(h_fit - h) / scale) ** 2)
         phase.append(_wrapped_phase_deg(h_fit, h))
     rms = float(np.sqrt(np.mean(np.concatenate(rel_sq))))
@@ -367,8 +357,6 @@ def fit_polynomial_ratio(resp, cfg):
     singular direction of the stacked system (unit joint norm).  RHP poles
     are returned as fitted.
     """
-    if cfg.method != "poly":
-        raise UsageError("fit_polynomial_ratio requires cfg.method == 'poly'")
     if resp.n_ports != 1:
         raise UsageError("fit_polynomial_ratio takes a single-port response")
     n = cfg.order
@@ -657,8 +645,6 @@ def fit_common_denominator(resps, cfg):
     Final residues and one real direct term per port are solved against the
     fixed relocated poles.  Unstable poles are preserved at every stage.
     """
-    if cfg.method != "vf":
-        raise UsageError("fit_common_denominator requires cfg.method == 'vf'")
     n = cfg.order
     m = len(resps.grid)
     if 2 * m < 2 * (n + 1):

@@ -17,13 +17,15 @@ import scipy.optimize
 
 from .errors import UsageError
 from .freqresp import slice_band
-from .ratfit import (FitConfig, PartialFractionModel, PolePair,
+from .ratfit import (FitConfig, FitReport, PartialFractionModel, PolePair,
                      fit_common_denominator, poles_and_zeros)
 
 __all__ = [
     "ClassifiedPole",
+    "OrderScan",
     "QuasiCancellation",
     "RhoMatrix",
+    "ScanStep",
     "StabilityConfig",
     "StabilityVerdict",
     "classify_poles",
@@ -90,22 +92,48 @@ class RhoMatrix:
                 and self.port_names == other.port_names)
 
 
+_MARGIN_TOL_REL = 1e-6  # marginal band half-width, times max grid omega
+_PERSIST_REL_TOL = 0.02  # relative pole-location tolerance of every persistence test
+_SUBBAND_FRACTIONS = (1.0, 0.5, 0.25)  # sub-band widths, as fractions of the band
+
+
 @dataclass(frozen=True)
 class StabilityConfig:
     """Pipeline thresholds; the defaults implement the tool's house rules.
 
-    ``margin_tol_rel`` scales with the analyzed band (times max grid omega).
-    The +2 order persistence window and the 2 % location tolerance are used
-    both for order selection and for sub-band consistency checks.  Each
-    order of the scan is fitted with the default ``FitConfig`` at that order.
+    An order's poles are tested for persistence at order+2 once its rms
+    meets ``rms_target``; RHP pairs with best rho under ``rho_floor`` are
+    re-identified in sub-bands; ``cancel_threshold`` bounds the reported
+    quasi-cancellations.  Scanned orders use the default ``FitConfig``.
     """
 
     rms_target: float = 1e-6
     rho_floor: float = 1e-4
     cancel_threshold: float = 0.05
-    margin_tol_rel: float = 1e-6
-    persist_rel_tol: float = 0.02
-    subband_fractions: tuple[float, ...] = (1.0, 0.5, 0.25)
+
+
+@dataclass(frozen=True)
+class ScanStep:
+    """One scanned order and its fit ``report``.  ``persisted`` is None when
+    the rms missed the target (order+2 not fitted), else whether every pole
+    has a mate at order+2; ``drifted`` is the first pole without one."""
+
+    order: int
+    report: FitReport
+    persisted: bool | None
+    drifted: complex | None
+
+
+@dataclass(frozen=True)
+class OrderScan:
+    """Scan result: ``steps`` end at the first order meeting the rms target
+    with persisting poles (``converged``), or list every order when none
+    does and ``selected`` is the lowest-rms one (first on ties)."""
+
+    steps: tuple[ScanStep, ...]
+    selected: int
+    converged: bool
+    model: PartialFractionModel
 
 
 @dataclass(frozen=True)
@@ -116,8 +144,7 @@ class StabilityVerdict:
     rho: RhoMatrix | None
     model: PartialFractionModel | None
     selected_order: int | None
-    converged: bool
-    order_scan: tuple[tuple[int, float], ...] = ()  # (order, rms)
+    scan: OrderScan
     audit: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
     margin_tol: float = 0.0
@@ -233,23 +260,28 @@ def rank_ports(verdict, pair_index):
 # ---------------------------------------------------------------------------
 # order selection and over-modeling pruning
 
-def _poles_persist(poles_a, poles_b, tol, floor):
-    """True if every pole in a has a mate in b within relative tolerance."""
+def _omega_floor(grid):
+    """Smallest magnitude a relative pole distance divides by."""
+    return 1e-9 * float(np.max(grid.omega))
+
+
+def _poles_persist(poles_a, poles_b, floor):
+    """First pole in a with no mate in b within the relative location
+    tolerance, or None when every pole persists."""
     for p in poles_a:
-        if poles_b.size == 0:
-            return poles_a.size == 0
-        if np.min(np.abs(poles_b - p)) / max(abs(p), floor) > tol:
-            return False
-    return True
+        if poles_b.size == 0 or \
+                np.min(np.abs(poles_b - p)) / max(abs(p), floor) > _PERSIST_REL_TOL:
+            return complex(p)
+    return None
 
 
 def _scan_orders(resps, orders, cfg):
-    """Fit ascending orders; pick the smallest meeting the rms target whose
-    poles persist at order+2.  Returns (model, report, order, scan, ok)."""
+    """Fit ascending orders; select the smallest meeting the rms target
+    whose poles persist at order+2, else the lowest-rms order."""
     orders = [int(n) for n in orders]
     if not orders or any(b <= a for a, b in zip(orders, orders[1:])):
         raise UsageError("orders must be a nonempty ascending sequence")
-    floor = 1e-9 * float(np.max(resps.grid.omega))
+    floor = _omega_floor(resps.grid)
     fits = {}
 
     def fit_at(n):
@@ -257,24 +289,18 @@ def _scan_orders(resps, orders, cfg):
             fits[n] = fit_common_denominator(resps, FitConfig(order=n))
         return fits[n]
 
-    scan = []
-    best = None
-    chosen = None
+    steps = []
     for n in orders:
         model, report = fit_at(n)
-        scan.append((n, report.rms_rel_error))
-        if best is None or report.rms_rel_error < best[1].rms_rel_error:
-            best = (model, report, n)
+        persisted = drifted = None
         if report.rms_rel_error <= cfg.rms_target:
-            model2, _ = fit_at(n + 2)
-            if _poles_persist(model.poles, model2.poles, cfg.persist_rel_tol, floor):
-                chosen = (model, report, n)
-                break
-    if chosen is not None:
-        model, report, n = chosen
-        return model, report, n, tuple(scan), True
-    model, report, n = best
-    return model, report, n, tuple(scan), False
+            drifted = _poles_persist(model.poles, fit_at(n + 2)[0].poles, floor)
+            persisted = drifted is None
+        steps.append(ScanStep(n, report, persisted, drifted))
+        if persisted:
+            return OrderScan(tuple(steps), n, True, model)
+    best = min(steps, key=lambda step: step.report.rms_rel_error)
+    return OrderScan(tuple(steps), best.order, False, fits[best.order][0])
 
 
 def subband_consistency_check(resps, suspect, widths_hz, orders, cfg=StabilityConfig()):
@@ -282,7 +308,7 @@ def subband_consistency_check(resps, suspect, widths_hz, orders, cfg=StabilityCo
 
     Physical poles reappear at the same location whatever the bandwidth;
     over-modeling artifacts drift.  Returns 'physical' only if the suspect
-    is found within the location tolerance in every sub-band.
+    persists (within the location tolerance) in every sub-band.
     """
     suspect = complex(suspect)
     f_r = abs(suspect.imag) / (2.0 * np.pi)
@@ -291,7 +317,7 @@ def subband_consistency_check(resps, suspect, widths_hz, orders, cfg=StabilityCo
         raise UsageError(
             f"suspect resonant frequency {f_r} Hz lies outside the grid "
             f"[{g.f_lo}, {g.f_hi}] Hz")
-    floor = 1e-9 * float(np.max(g.omega))
+    floor = _omega_floor(g)
     for width in widths_hz:
         lo = max(f_r - width / 2.0, g.f_lo)
         hi = min(f_r + width / 2.0, g.f_hi)
@@ -302,11 +328,8 @@ def subband_consistency_check(resps, suspect, widths_hz, orders, cfg=StabilityCo
         usable = [n for n in orders if len(sub.grid) >= n + 1]
         if not usable:
             raise UsageError(f"sub-band of width {width} Hz is too narrow for any fit")
-        model, _, _, _, _ = _scan_orders(sub, usable, cfg)
-        if model.poles.size == 0:
-            return "numerical"
-        if np.min(np.abs(model.poles - suspect)) / max(abs(suspect), floor) \
-                > cfg.persist_rel_tol:
+        sub_poles = _scan_orders(sub, usable, cfg).model.poles
+        if _poles_persist([suspect], sub_poles, floor) is not None:
             return "numerical"
     return "physical"
 
@@ -318,19 +341,20 @@ def auto_identify(resps, orders, cfg=StabilityConfig()):
     routed to sub-band consistency checking; artifacts classified numerical
     are pruned before the stability verdict is read off the pole map.
     """
-    model, report, order, scan, converged = _scan_orders(resps, orders, cfg)
-    margin_tol = cfg.margin_tol_rel * float(np.max(resps.grid.omega))
+    scan = _scan_orders(resps, orders, cfg)
+    model = scan.model
+    margin_tol = _MARGIN_TOL_REL * float(np.max(resps.grid.omega))
     rho = rho_matrix(model)
     pairs = model.pole_pairs()
     band = resps.grid.f_hi - resps.grid.f_lo
-    widths = tuple(frac * band for frac in cfg.subband_fractions)
+    widths = tuple(frac * band for frac in _SUBBAND_FRACTIONS)
 
     audit = []
     notes = []
-    if not converged:
-        notes.append(f"no order in {scan[0][0]}..{scan[-1][0]} passed the "
-                     f"selection rule (rms <= {cfg.rms_target} plus pole "
-                     f"persistence); best attempt order {order}")
+    if not scan.converged:
+        notes.append(f"no order in {scan.steps[0].order}..{scan.steps[-1].order} passed "
+                     f"the selection rule (rms <= {cfg.rms_target} plus pole "
+                     f"persistence); best attempt order {scan.selected}")
 
     pruned = set()
     for k, pair in enumerate(pairs):
@@ -360,7 +384,7 @@ def auto_identify(resps, orders, cfg=StabilityConfig()):
     critical = tuple(cp for cp in classified if cp.label == "unstable")
 
     cancellations = []
-    floor = 1e-9 * float(np.max(resps.grid.omega))
+    floor = _omega_floor(resps.grid)
     for name in model.port_names:
         _, zeros = poles_and_zeros(model, name)
         for qc in detect_quasi_cancellations(model.poles, zeros,
@@ -382,9 +406,8 @@ def auto_identify(resps, orders, cfg=StabilityConfig()):
         cancellations=tuple(cancellations),
         rho=rho,
         model=model,
-        selected_order=order,
-        converged=converged,
-        order_scan=scan,
+        selected_order=scan.selected,
+        scan=scan,
         audit=tuple(audit),
         notes=tuple(notes),
         margin_tol=margin_tol,
@@ -397,21 +420,23 @@ def serialize_verdict(verdict):
     def c2p(z):
         return [float(z.real), float(z.imag)]
 
+    def pole(cp):
+        return {"rad_s": c2p(cp.value), "freq_hz": cp.resonant_freq_hz,
+                "damping": cp.damping, "class": cp.label}
+
     doc = {
         "schema": 1,
         "stable": verdict.stable,
-        "converged": verdict.converged,
+        "converged": verdict.scan.converged,
         "selected_order": verdict.selected_order,
         "margin_tol_rad_s": verdict.margin_tol,
-        "critical_poles": [
-            {"rad_s": c2p(cp.value), "freq_hz": cp.resonant_freq_hz,
-             "damping": cp.damping, "class": cp.label}
-            for cp in verdict.critical_poles],
+        "critical_poles": [pole(cp) for cp in verdict.critical_poles],
         "cancellations": [
             {"pole": c2p(qc.pole), "zero": c2p(qc.zero),
              "rel_distance": qc.rel_distance, "origin": qc.origin}
             for qc in verdict.cancellations],
-        "order_scan": [{"order": n, "rms_rel_error": e} for n, e in verdict.order_scan],
+        "order_scan": [{"order": step.order, "rms_rel_error": step.report.rms_rel_error}
+                       for step in verdict.scan.steps],
         "audit": list(verdict.audit),
         "notes": list(verdict.notes),
     }
@@ -423,8 +448,6 @@ def serialize_verdict(verdict):
                        for row in verdict.rho.values],
         }
     if verdict.model is not None:
-        doc["poles"] = [
-            {"rad_s": c2p(cp.value), "freq_hz": cp.resonant_freq_hz,
-             "damping": cp.damping, "class": cp.label}
-            for cp in classify_poles(verdict.model.poles, verdict.margin_tol)]
+        doc["poles"] = [pole(cp) for cp in classify_poles(verdict.model.poles,
+                                                          verdict.margin_tol)]
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

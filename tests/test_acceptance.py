@@ -47,7 +47,7 @@ def test_criterion_01_rational_round_trip():
         vf, _ = fit_common_denominator(resp, FitConfig(order=model.order, iters=30))
         assert worst_pole_error(vf.poles, model.poles) <= 1e-6, f"vf seed {seed}"
         poly, _ = fit_polynomial_ratio(
-            resp, FitConfig(order=model.order, method="poly", iters=30))
+            resp, FitConfig(order=model.order, iters=30))
         ppoles, _ = poles_and_zeros(poly)
         assert worst_pole_error(ppoles, model.poles) <= 1e-6, f"poly seed {seed}"
 
@@ -58,7 +58,7 @@ def test_criterion_01_rational_round_trip():
     vf, _ = fit_common_denominator(resp, FitConfig(order=20, iters=30))
     assert worst_pole_error(vf.poles, wide.poles) <= 1e-6
     try:
-        poly, _ = fit_polynomial_ratio(resp, FitConfig(order=20, method="poly", iters=30))
+        poly, _ = fit_polynomial_ratio(resp, FitConfig(order=20, iters=30))
         ppoles, _ = poles_and_zeros(poly)
         note = f"poly worst pole error {worst_pole_error(ppoles, wide.poles):.2e}"
     except NumericError as exc:

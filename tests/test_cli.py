@@ -289,8 +289,9 @@ class TestExitCodes:
 class TestSvgRendering:
     def test_empty_pole_map_is_valid(self):
         from pzid.polemap import render_pole_map
-        from pzid.staban import StabilityVerdict
-        doc = render_pole_map(StabilityVerdict(True, (), (), None, None, None, True))
+        from pzid.staban import OrderScan, StabilityVerdict
+        doc = render_pole_map(StabilityVerdict(True, (), (), None, None, None,
+                                               OrderScan((), None, False, None)))
         xml.dom.minidom.parseString(doc)
 
     def test_upper_half_plane_filter(self):
@@ -300,7 +301,8 @@ class TestSvgRendering:
         model = PartialFractionModel(
             np.array([complex(-1e9, 2e10), complex(-1e9, -2e10)]),
             np.array([[1e9 + 0j, 1e9 - 0j]]), np.array([1.0]))
-        v = staban.StabilityVerdict(True, (), (), None, model, 2, True)
+        v = staban.StabilityVerdict(True, (), (), None, model, 2,
+                                    staban.OrderScan((), 2, True, model))
         half = render_pole_map(v)
         full = render_pole_map(v, PoleMapStyle(full_plane=True))
         assert half.count("<line") < full.count("<line")

@@ -115,11 +115,21 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="','"):
             emit_csv(make_set([1e9, 2e9, 3e9, 4e9], **{"a,b": [1, 2, 3, 4]}))
 
+    @pytest.mark.parametrize("name", [" p", "p ", "a\nb", "a\tb"])
+    def test_port_name_the_csv_cannot_carry_rejected(self, name):
+        with pytest.raises(ValueError, match="port name"):
+            PortLabel(name)
+
+    def test_bad_header_name_reports_line(self):
+        text = "# kind: a=impedance\nfreq_hz,a=b_re,a=b_im\n1,0,0\n2,0,0\n3,0,0\n4,0,0\n"
+        with pytest.raises(ResponseParseError, match="'=' at line 2"):
+            parse_csv(text)
+
     def test_equals_in_port_name_rejected(self):
         # "# kind: a=b=impedance" would not parse back
-        rset = make_set([1e9, 2e9, 3e9, 4e9], **{"a=b": [1, 2, 3, 4]})
-        rset = FrequencyResponseSet(rset.grid, rset.ports, rset.values, ("impedance",))
         with pytest.raises(ValueError, match="'='"):
+            rset = make_set([1e9, 2e9, 3e9, 4e9], **{"a=b": [1, 2, 3, 4]})
+            rset = FrequencyResponseSet(rset.grid, rset.ports, rset.values, ("impedance",))
             emit_csv(rset)
 
 
@@ -214,8 +224,8 @@ class TestMergeAndValidation:
 
 
 def accepted(build, *strategies):
-    """Specs from ``build`` over drawn arguments, keeping only those that
-    ProbeSpec accepts: names are drawn from a wider alphabet than it allows."""
+    """Values from ``build`` over drawn arguments, keeping only those it
+    accepts: names are drawn from a wider alphabet than names allow."""
     def attempt(*args):
         try:
             return build(*args)
@@ -288,6 +298,14 @@ class TestProbeGrammar:
         rset = FrequencyResponseSet(FrequencyGrid(np.array([1.0, 2.0, 3.0, 4.0])),
                                     (label,), (np.ones(4, dtype=complex),))
         assert parse_csv(emit_csv(rset)).ports == (label,)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.one_of(accepted(PortLabel, NAMES), accepted(PortLabel, st.text(min_size=1))))
+    def test_every_accepted_port_name_survives_the_csv(self, label):
+        rset = FrequencyResponseSet(FrequencyGrid(np.array([1.0, 2.0, 3.0, 4.0])),
+                                    (label,), (np.ones(4, dtype=complex),), ("impedance",))
+        again = parse_csv(emit_csv(rset))
+        assert again.ports == (label,) and again.kinds == ("impedance",)
 
     @pytest.mark.parametrize("node", ["a,b", "a@b", "a=b", " a", "a ", "a\nb", ""])
     def test_unparseable_modal_node_rejected(self, node):

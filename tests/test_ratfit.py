@@ -31,7 +31,7 @@ class TestPolynomialRatioFit:
         w = np.linspace(1.0, 100.0, 200)
         h = 1.0 / ((1j * w) ** 2 + 2 * (1j * w) + 101.0)
         model, report = fit_polynomial_ratio(single_port(w / (2 * np.pi), h),
-                                             FitConfig(order=2, method="poly"))
+                                             FitConfig(order=2))
         poles, _ = poles_and_zeros(model)
         assert worst_pole_error(poles, [complex(-1, 10), complex(-1, -10)]) < 1e-8
         assert report.rms_rel_error < 1e-10
@@ -41,7 +41,7 @@ class TestPolynomialRatioFit:
     def test_constant_fit(self):
         w = np.linspace(1.0, 100.0, 200)
         model, _ = fit_polynomial_ratio(single_port(w, np.full(200, 2.0 + 0j)),
-                                        FitConfig(order=0, method="poly"))
+                                        FitConfig(order=0))
         assert abs(model.num_coeffs[0] / model.den_coeffs[0] - 2.0) < 1e-12
 
     def test_rhp_poles_not_flipped(self):
@@ -52,7 +52,7 @@ class TestPolynomialRatioFit:
         truth = analytic_poles(net)
         grid = FrequencyGrid(np.linspace(1e9, 9e9, 300))
         resp = frequency_response(net, current_probe("n1"), grid)
-        model, _ = fit_polynomial_ratio(resp, FitConfig(order=2, method="poly"))
+        model, _ = fit_polynomial_ratio(resp, FitConfig(order=2))
         poles, _ = poles_and_zeros(model)
         assert np.all(poles.real > 0)
         assert worst_pole_error(poles, truth) < 1e-8
@@ -61,18 +61,13 @@ class TestPolynomialRatioFit:
         w = np.linspace(1.0, 100.0, 200)
         with pytest.raises(RankDeficiencyError):
             fit_polynomial_ratio(single_port(w, np.full(200, 2.0 + 0j)),
-                                 FitConfig(order=3, method="poly"))
+                                 FitConfig(order=3))
 
     def test_point_budget(self):
         w = np.linspace(1.0, 100.0, 5)
         with pytest.raises(UsageError, match="grid points"):
             fit_polynomial_ratio(single_port(w, np.ones(5)),
-                                 FitConfig(order=2, method="poly"))
-
-    def test_method_mismatch(self):
-        w = np.linspace(1.0, 100.0, 10)
-        with pytest.raises(UsageError):
-            fit_polynomial_ratio(single_port(w, np.ones(10)), FitConfig(order=2))
+                                 FitConfig(order=2))
 
 
 class TestCommonDenominatorFit:
@@ -195,8 +190,7 @@ class TestConditioningSplit:
         fit, _ = fit_common_denominator(resp, FitConfig(order=20, iters=30))
         assert worst_pole_error(fit.poles, model.poles) < 1e-6
         try:
-            pmodel, _ = fit_polynomial_ratio(resp, FitConfig(order=20, method="poly",
-                                                             iters=30))
+            pmodel, _ = fit_polynomial_ratio(resp, FitConfig(order=20, iters=30))
             ppoles, _ = poles_and_zeros(pmodel)
             poly_result = f"worst pole error {worst_pole_error(ppoles, model.poles):.3e}"
         except NumericError as exc:
@@ -346,7 +340,7 @@ class TestModelValidationAndSerialization:
         w = np.linspace(1.0, 100.0, 200)
         h = 1.0 / ((1j * w) ** 2 + 2 * (1j * w) + 101.0)
         model, report = fit_polynomial_ratio(single_port(w / (2 * np.pi), h),
-                                             FitConfig(order=2, method="poly"))
+                                             FitConfig(order=2))
         again, _ = load_model(save_model(model, report))
         assert again == model
 
@@ -359,8 +353,7 @@ class TestRoundTripRecoveryProperty:
             resp = sample_model(model, f_lo, f_hi)
             vf, _ = fit_common_denominator(resp, FitConfig(order=model.order, iters=30))
             assert worst_pole_error(vf.poles, model.poles) < 1e-6
-            poly, _ = fit_polynomial_ratio(resp, FitConfig(order=model.order,
-                                                           method="poly", iters=30))
+            poly, _ = fit_polynomial_ratio(resp, FitConfig(order=model.order, iters=30))
             ppoles, _ = poles_and_zeros(poly)
             assert worst_pole_error(ppoles, model.poles) < 1e-6
 

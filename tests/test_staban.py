@@ -5,14 +5,15 @@ import pytest
 
 from fixtures import (COMBINER_GRID, TWO_STAGE_GRID, combiner,
                       overmodel_response, random_pf_model, two_stage)
+from pzid import staban
 from pzid.errors import UsageError
-from pzid.freqresp import FrequencyGrid
+from pzid.freqresp import FrequencyGrid, FrequencyResponseSet, PortLabel
 from pzid.netsim import (analytic_poles, current_probe, frequency_responses,
                          modal_probe)
 from pzid.ratfit import FitConfig, PartialFractionModel, fit_common_denominator
-from pzid.staban import (_RHO_GUARD, StabilityConfig, auto_identify, classify_poles,
-                         detect_quasi_cancellations, rank_ports, rho_factor,
-                         rho_matrix, serialize_verdict,
+from pzid.staban import (_RHO_GUARD, OrderScan, StabilityConfig, auto_identify,
+                         classify_poles, detect_quasi_cancellations, rank_ports,
+                         rho_factor, rho_matrix, serialize_verdict,
                          subband_consistency_check)
 
 RHO_PAIR_MODEL = PartialFractionModel(
@@ -151,7 +152,7 @@ class TestAutoIdentify:
         resp = overmodel_response(seed=0)
         cfg = StabilityConfig(rms_target=1e-4)
         v = auto_identify(resp, [2], cfg)
-        assert v.stable and not v.converged
+        assert v.stable and not v.scan.converged
 
     def test_adequate_order_detects(self):
         resp = overmodel_response(seed=0)
@@ -216,6 +217,65 @@ class TestAutoIdentify:
             auto_identify(resp, [4, 2], StabilityConfig())
 
 
+def flat_response(noise=0.0, seed=0):
+    """H = 1 over 0.1-1 GHz plus ``noise`` times complex Gaussian noise."""
+    f = np.linspace(1e8, 1e9, 200)
+    rng = np.random.default_rng(seed)
+    h = 1.0 + noise * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size))
+    return FrequencyResponseSet(FrequencyGrid(f), (PortLabel("p1"),), (h,))
+
+
+class TestOrderScanRecord:
+    def test_steps_carry_each_orders_own_fit(self):
+        resp = overmodel_response(seed=0)
+        scan = auto_identify(resp, range(2, 9), StabilityConfig(rms_target=1e-4)).scan
+        assert [step.order for step in scan.steps] == [2, 3, 4]
+        for step in scan.steps:
+            _, report = fit_common_denominator(resp, FitConfig(order=step.order))
+            assert step.report == report
+        assert scan.converged and scan.selected == 4
+        assert scan.steps[-1].persisted is True and scan.steps[-1].drifted is None
+        assert all(step.persisted is not True for step in scan.steps[:-1])
+        assert scan.model == fit_common_denominator(resp, FitConfig(order=4))[0]
+
+    def test_flat_response_fails_persistence(self, monkeypatch):
+        resp = flat_response()
+        fitted = []
+
+        def recording_fit(resps, cfg):
+            if resps is resp:
+                fitted.append(cfg.order)
+            return fit_common_denominator(resps, cfg)
+
+        monkeypatch.setattr(staban, "fit_common_denominator", recording_fit)
+        v = auto_identify(resp, range(2, 7))
+        assert sorted(fitted) == list(range(2, 9))  # orders 2..6 and their +2, once each
+        assert [step.order for step in v.scan.steps] == [2, 3, 4, 5, 6]
+        assert all(step.report.rms_rel_error <= 1e-6 for step in v.scan.steps)
+        assert all(step.persisted is False for step in v.scan.steps)
+        assert all(isinstance(step.drifted, complex) for step in v.scan.steps)
+        assert not v.scan.converged
+        assert v.notes == ("no order in 2..6 passed the selection rule (rms <= 1e-06 "
+                           "plus pole persistence); best attempt order 4",)
+
+    def test_noise_misses_the_rms_target(self):
+        v = auto_identify(flat_response(noise=1e-4), range(2, 9))
+        assert [step.order for step in v.scan.steps] == list(range(2, 9))
+        assert all(step.persisted is None and step.drifted is None
+                   for step in v.scan.steps)
+        assert not v.scan.converged
+        assert v.notes == ("no order in 2..8 passed the selection rule (rms <= 1e-06 "
+                           "plus pole persistence); best attempt order 6",)
+
+    def test_report_renders_the_scan(self):
+        v = auto_identify(flat_response(), range(2, 7))
+        doc = json.loads(serialize_verdict(v))
+        assert doc["converged"] is False and doc["selected_order"] == v.scan.selected
+        assert doc["order_scan"] == [
+            {"order": step.order, "rms_rel_error": step.report.rms_rel_error}
+            for step in v.scan.steps]
+
+
 class TestRankPorts:
     def verdict(self):
         mimo = frequency_responses(two_stage(),
@@ -241,7 +301,7 @@ class TestRankPorts:
             np.array([[1 + 0j, 1 - 0j], [1 + 0j, 1 - 0j]]),
             np.array([1.0, 1.0]), ("pa", "pb"))
         from pzid.staban import StabilityVerdict
-        v = StabilityVerdict(True, (), (), rho_matrix(m), m, 2, True)
+        v = StabilityVerdict(True, (), (), rho_matrix(m), m, 2, OrderScan((), 2, True, m))
         assert [name for name, _ in rank_ports(v, 0)] == ["pa", "pb"]
 
 
