@@ -99,6 +99,10 @@ def _render_svg(path, report, args):
     _write(path, polemap.render_pole_map(report, style))
 
 
+def _fit_config(args):
+    return ratfit.FitConfig(order=args.order, iters=args.iters)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -113,7 +117,7 @@ def _cmd_synth(args):
 def _cmd_fit(args):
     resp = _load_responses(getattr(args, "in"))
     fit = ratfit.fit_polynomial_ratio if args.method == "poly" else ratfit.fit_common_denominator
-    model, report = fit(resp, ratfit.FitConfig(order=args.order, iters=args.iters))
+    model, report = fit(resp, _fit_config(args))
     _write(args.out, ratfit.save_model(model, report))
     return 0
 
@@ -139,15 +143,8 @@ def _cmd_rho(args):
         model, _ = ratfit.load_model(fh.read())
     if not isinstance(model, ratfit.PartialFractionModel):
         raise UsageError("rho needs a partial-fraction (vf) model")
-    rm = staban.rho_matrix(model)
-    doc = {
-        "schema": 1,
-        "config": _config_echo(args),
-        "ports": list(rm.port_names),
-        "pair_poles": [[p.real, p.imag] for p in rm.pair_poles],
-        "rho": [[v if np.isfinite(v) else repr(float(v)) for v in map(float, row)]
-                for row in rm.values],
-    }
+    doc = staban.rho_table(staban.rho_matrix(model))
+    doc.update(schema=1, config=_config_echo(args), rho=doc.pop("values"))
     _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -155,9 +152,8 @@ def _cmd_rho(args):
 def _cmd_locus(args):
     net = _load_netlist(args.netlist)
     probe = netsim.parse_probe(args.probe)
-    cfg = ratfit.FitConfig(order=args.order, iters=args.iters)
     traj = sweeps.trace_pole_locus(net, probe, _grid(args), args.param,
-                                   _parse_values(args.values), cfg)
+                                   _parse_values(args.values), _fit_config(args))
     lines = [_config_comment(args),
              "param_value,track,re_rad_s,im_rad_s\n"]
     for ti, track in enumerate(traj.tracks):
@@ -175,9 +171,8 @@ def _cmd_locus(args):
 def _cmd_threshold(args):
     net = _load_netlist(args.netlist)
     probe = netsim.parse_probe(args.probe)
-    cfg = ratfit.FitConfig(order=args.order, iters=args.iters)
     value = sweeps.stabilization_threshold(net, probe, _grid(args), args.param,
-                                           args.lo, args.hi, args.tol, cfg)
+                                           args.lo, args.hi, args.tol, _fit_config(args))
     print(repr(float(value)))
     return 0
 
@@ -185,9 +180,8 @@ def _cmd_threshold(args):
 def _cmd_mc(args):
     net = _load_netlist(args.netlist)
     probe = netsim.parse_probe(args.probe)
-    cfg = ratfit.FitConfig(order=args.order, iters=args.iters)
     cloud = sweeps.monte_carlo_cloud(net, probe, _grid(args), args.sigma,
-                                     args.trials, args.seed, cfg)
+                                     args.trials, args.seed, _fit_config(args))
     lines = [_config_comment(args)]
     stats = cloud.margin_stats
     lines.append(f"# margin: max_re={stats['max_re']!r} "
@@ -234,6 +228,12 @@ def _cmd_proviso(args):
 
 
 # ---------------------------------------------------------------------------
+
+def _add_fit_opts(p):
+    """Fit order and relocation-iteration cap of the sweep subcommands."""
+    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--iters", type=int, default=12)
+
 
 def _add_grid_opts(p, points_flag="--points"):
     p.add_argument("--fstart", type=float, default=1e8, help="band start in Hz")
@@ -293,8 +293,7 @@ def build_parser():
     p.add_argument("--probe", required=True)
     p.add_argument("--param", required=True, help="element name to sweep")
     p.add_argument("--values", required=True, help="LO:HI:N[:log]")
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--iters", type=int, default=12)
+    _add_fit_opts(p)
     _add_grid_opts(p)
     p.add_argument("--out", required=True)
     _add_svg_opts(p)
@@ -307,8 +306,7 @@ def build_parser():
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
     p.add_argument("--tol", type=float, required=True, help="relative width")
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--iters", type=int, default=12)
+    _add_fit_opts(p)
     _add_grid_opts(p)
     p.set_defaults(func=_cmd_threshold)
 
@@ -318,8 +316,7 @@ def build_parser():
     p.add_argument("--sigma", type=float, required=True, help="relative element tolerance")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--iters", type=int, default=12)
+    _add_fit_opts(p)
     _add_grid_opts(p)
     p.add_argument("--out", required=True)
     _add_svg_opts(p)

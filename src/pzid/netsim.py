@@ -20,7 +20,7 @@ import scipy.linalg
 
 from .errors import NumericError, UsageError
 from .freqresp import (FrequencyResponseSet, PortLabel, ProbeSpec, current_probe,
-                       modal_probe, parse_probe, voltage_probe)
+                       merge_sets, modal_probe, parse_probe, voltage_probe)
 
 __all__ = [
     "Element",
@@ -428,8 +428,6 @@ def _raise_first_singular(A, b, freqs_hz):
 
 def frequency_responses(net, probes, grid, port_names=None):
     """MIMO convenience: one response set with a port per probe."""
-    from .freqresp import merge_sets
-
     names = port_names or [None] * len(probes)
     return merge_sets([frequency_response(net, p, grid, n)
                        for p, n in zip(probes, names, strict=True)])

@@ -53,14 +53,12 @@ class FitConfig:
     pole-relocation loop.  The loop may stop earlier: reweighting once the
     coefficients stop moving, relocation once the poles stop moving or the
     scaling function has settled (||c_sigma|| / |d_sigma| <= ``_SIGMA_TOL``).
-    :class:`FitReport` records which stop ended the loop.  ``relaxed``
-    selects the relaxed nontriviality constraint for pole relocation;
-    ``relaxed=False`` selects the classic fixed-unity constraint instead.
+    :class:`FitReport` records which stop ended the loop.  Pole relocation
+    always uses the relaxed nontriviality constraint.
     """
 
     order: int
     iters: int = 12
-    relaxed: bool = True
 
     def __post_init__(self):
         if self.order < 0:
@@ -223,9 +221,10 @@ class PartialFractionModel:
 
     def pole_pairs(self):
         """Real poles as singleton groups, then conjugate pairs."""
-        reals, reps = _pair_layout(self.poles)
-        return tuple([PolePair((i,), self.poles[i]) for i in reals]
-                     + [PolePair((i, i + 1), self.poles[i]) for i in reps])
+        n_real = _n_real(self.poles)
+        return tuple([PolePair((i,), self.poles[i]) for i in range(n_real)]
+                     + [PolePair((i, i + 1), self.poles[i])
+                        for i in range(n_real, self.order, 2)])
 
 
 def _canonical_order(poles):
@@ -254,6 +253,12 @@ def _canonical_order(poles):
     reals.sort(key=lambda i: vals[i].real)
     pairs.sort(key=lambda ij: (vals[ij[0]].imag, vals[ij[0]].real))
     return reals + [i for pair in pairs for i in pair], len(reals)
+
+
+def _n_real(poles):
+    """Number of real poles.  In canonical storage they come first, so pair k
+    starts at index n_real + 2k with its Im > 0 member."""
+    return int(np.count_nonzero(poles.imag == 0.0))
 
 
 def _canonical_pf(poles, residues):
@@ -409,7 +414,7 @@ def fit_polynomial_ratio(resp, cfg):
         resid = np.where(np.isfinite(h_fit), np.abs(h_fit - h), np.inf)
         rms = float(np.sqrt(np.mean((resid / scale) ** 2)))
         if not deficient and (best is None or rms < best[0]):
-            best = (rms, a_c, b_c, iters_used)
+            best = (rms, a_c, b_c)
         if not deficient and x_prev is not None and np.linalg.norm(x - x_prev) < 1e-14:
             stop = "coeff-move"
             break
@@ -420,7 +425,7 @@ def fit_polynomial_ratio(resp, cfg):
     if best is None:
         raise RankDeficiencyError(
             f"order {n} is too high for the data (ambiguous null space)")
-    _, a_c, b_c, _ = best
+    _, a_c, b_c = best
     model = PolynomialRatioModel(a_c, b_c, s_scale)
     err = fit_error(model, resp)
     report = FitReport(err.rms_rel_error, err.max_phase_err_deg, iters_used,
@@ -447,49 +452,29 @@ def _initial_poles(n, w_lo, w_hi):
     return np.asarray(poles, dtype=complex)
 
 
-def _pair_layout(poles):
-    """Indices of real poles and of pair representatives (Im > 0 member)."""
-    reals, reps = [], []
-    i = 0
-    while i < poles.size:
-        if poles[i].imag == 0.0:
-            reals.append(i)
-            i += 1
-        else:
-            reps.append(i)
-            i += 2
-    return reals, reps
-
-
 def _pf_basis(poles, s):
     """Real-coefficient partial-fraction basis columns at sample points."""
-    reals, reps = _pair_layout(poles)
+    n_real = _n_real(poles)
     phi = np.empty((s.size, poles.size), dtype=complex)
-    col = 0
-    for i in reals:
-        phi[:, col] = 1.0 / (s - poles[i])
-        col += 1
-    for i in reps:
+    for i in range(n_real):
+        phi[:, i] = 1.0 / (s - poles[i])
+    for i in range(n_real, poles.size, 2):
         u = 1.0 / (s - poles[i])
         v = 1.0 / (s - np.conj(poles[i]))
-        phi[:, col] = u + v
-        phi[:, col + 1] = 1j * (u - v)
-        col += 2
+        phi[:, i] = u + v
+        phi[:, i + 1] = 1j * (u - v)
     return phi
 
 
 def _coeffs_to_residues(poles, x):
     """Map real solution coefficients back to complex residues per pole."""
-    reals, reps = _pair_layout(poles)
+    n_real = _n_real(poles)
     r = np.empty(poles.size, dtype=complex)
-    col = 0
-    for i in reals:
-        r[i] = x[col]
-        col += 1
-    for i in reps:
-        r[i] = x[col] + 1j * x[col + 1]
+    for i in range(n_real):
+        r[i] = x[i]
+    for i in range(n_real, poles.size, 2):
+        r[i] = x[i] + 1j * x[i + 1]
         r[i + 1] = np.conj(r[i])
-        col += 2
     return r
 
 
@@ -501,25 +486,22 @@ def _real_realization(poles, residues=None):
     c = (Re r, Im r), both read off the Im > 0 member.  Without residues,
     c is zero.
     """
-    reals, reps = _pair_layout(poles)
+    n_real = _n_real(poles)
     n = poles.size
     r = np.zeros(n) if residues is None else residues
     amat = np.zeros((n, n))
     bvec = np.zeros(n)
     cvec = np.zeros(n)
-    col = 0
-    for i in reals:
-        amat[col, col] = poles[i].real
-        bvec[col] = 1.0
-        cvec[col] = r[i].real
-        col += 1
-    for i in reps:
+    for i in range(n_real):
+        amat[i, i] = poles[i].real
+        bvec[i] = 1.0
+        cvec[i] = r[i].real
+    for i in range(n_real, n, 2):
         sig, beta = poles[i].real, poles[i].imag
-        amat[col:col + 2, col:col + 2] = [[sig, beta], [-beta, sig]]
-        bvec[col] = 2.0
-        cvec[col] = r[i].real
-        cvec[col + 1] = r[i].imag
-        col += 2
+        amat[i:i + 2, i:i + 2] = [[sig, beta], [-beta, sig]]
+        bvec[i] = 2.0
+        cvec[i] = r[i].real
+        cvec[i + 1] = r[i].imag
     return amat, bvec, cvec
 
 
@@ -551,21 +533,19 @@ def _qr_r(a):
 _SIGMA_TOL = 1e-5
 
 
-def _relocate_poles(poles, s, f_mat, relaxed):
-    """One pole-relocation step.
+def _relocate_poles(poles, s, f_mat):
+    """One pole-relocation step under the relaxed nontriviality constraint.
 
     Returns the new pole set (never flipped) and ||c_sigma|| / |d_sigma|,
     how far the scaling function still is from its direct term.
 
     Each port's real-stacked system [Phi, 1, -f Phi, -f] (2m x 2(n+1)) is
     built in one preallocated buffer and reduced by ``_qr_r``; the trailing
-    rows of R give that port's block of the sigma equations.  Relaxed
-    relocation keeps the (n+1) x (n+1) block of the sigma columns, with the
-    direct term d_sigma as the last unknown.  Classic relocation fixes
-    d_sigma = 1, so the last column is the right-hand side -f: R's rows
-    n+1..2n then hold the n x n block and, in that column, -Q2^T f.
-    A response too large for the column scaling raises ``NumericError``
-    before the least-squares solve.
+    (n+1) x (n+1) block of R gives that port's rows of the sigma equations,
+    with the direct term d_sigma as the last unknown.  One appended row
+    fixes the sum of Re sigma over the samples, which keeps the solution
+    nontrivial.  A response too large for the column scaling raises
+    ``NumericError`` before the least-squares solve.
     """
     n = poles.size
     m = f_mat.shape[1]
@@ -577,7 +557,6 @@ def _relocate_poles(poles, s, f_mat, relaxed):
     phi1_ri[:m, n] = 1.0
     buf = np.empty((2 * m, k), order="F")
     blocks = []
-    rhs_blocks = []
     for f in f_mat:
         buf[:, :n + 1] = phi1_ri
         fphi = -f[:, None] * phi
@@ -585,23 +564,15 @@ def _relocate_poles(poles, s, f_mat, relaxed):
         buf[m:, n + 1:k - 1] = fphi.imag
         buf[:m, k - 1] = -f.real
         buf[m:, k - 1] = -f.imag
-        r = _qr_r(buf)
-        if relaxed:
-            blocks.append(r[n + 1:, n + 1:])
-            rhs_blocks.append(np.zeros(n + 1))
-        else:
-            blocks.append(r[n + 1:k - 1, n + 1:k - 1])
-            rhs_blocks.append(-r[n + 1:k - 1, k - 1])
-    aa = np.vstack(blocks)
-    bb = np.concatenate(rhs_blocks)
+        blocks.append(_qr_r(buf)[n + 1:, n + 1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        if relaxed:
-            scale = float(np.linalg.norm([np.linalg.norm(f) for f in f_mat])) / m
-            relax_row = np.empty(n + 1)
-            relax_row[:n] = np.sum(phi.real, axis=0)
-            relax_row[n] = m
-            aa = np.vstack([aa, scale * relax_row])
-            bb = np.concatenate([bb, [scale * m]])
+        scale = float(np.linalg.norm([np.linalg.norm(f) for f in f_mat])) / m
+        relax_row = np.empty(n + 1)
+        relax_row[:n] = np.sum(phi.real, axis=0)
+        relax_row[n] = m
+        aa = np.vstack(blocks + [scale * relax_row])
+        bb = np.zeros(aa.shape[0])
+        bb[-1] = scale * m
         col_scale = np.linalg.norm(aa, axis=0)
     # a finite column norm bounds every entry of its column of aa
     if not (np.isfinite(col_scale).all() and np.isfinite(bb).all()):
@@ -613,12 +584,9 @@ def _relocate_poles(poles, s, f_mat, relaxed):
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"relocation least squares failed: {exc}") from None
     x = x / col_scale
-    if relaxed:
-        c_sigma, d_sigma = x[:n], float(x[n])
-        if abs(d_sigma) < 1e-8:
-            d_sigma = 1e-8 if d_sigma >= 0 else -1e-8
-    else:
-        c_sigma, d_sigma = x, 1.0
+    c_sigma, d_sigma = x[:n], float(x[n])
+    if abs(d_sigma) < 1e-8:
+        d_sigma = 1e-8 if d_sigma >= 0 else -1e-8
     settled = float(np.linalg.norm(c_sigma)) / abs(d_sigma)
 
     # zeros of sigma: eigenvalues of the pole matrix minus the rank-one
@@ -639,8 +607,8 @@ def fit_common_denominator(resps, cfg):
     """Vector-fit all ports of a response set against one shared pole set.
 
     Initial poles are conjugate pairs spread over the band; each iteration
-    relocates them to the zeros of the fitted scaling function (relaxed
-    nontriviality constraint by default), until the poles stop moving, the
+    relocates them to the zeros of the fitted scaling function under the
+    relaxed nontriviality constraint, until the poles stop moving, the
     scaling function settles (``_SIGMA_TOL``) or ``cfg.iters`` runs out.
     Final residues and one real direct term per port are solved against the
     fixed relocated poles.  Unstable poles are preserved at every stage.
@@ -663,7 +631,7 @@ def fit_common_denominator(resps, cfg):
         stop = "iteration-cap"
         for it in range(cfg.iters):
             iters_used = it + 1
-            new_poles, settled = _relocate_poles(poles, s, f_mat, cfg.relaxed)
+            new_poles, settled = _relocate_poles(poles, s, f_mat)
             move = np.max(np.abs(np.sort_complex(new_poles) - np.sort_complex(poles)))
             poles = new_poles
             if move < 1e-10 * max(1.0, float(np.max(np.abs(poles)))):

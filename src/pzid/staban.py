@@ -35,6 +35,7 @@ __all__ = [
     "subband_consistency_check",
     "auto_identify",
     "rank_ports",
+    "rho_table",
     "serialize_verdict",
 ]
 
@@ -414,6 +415,17 @@ def auto_identify(resps, orders, cfg=StabilityConfig()):
     )
 
 
+def rho_table(rm):
+    """JSON-ready rho table: ports, each pair's representative pole as
+    [re, im] and the values, a non-finite entry written as its repr."""
+    return {
+        "ports": list(rm.port_names),
+        "pair_poles": [[float(p.real), float(p.imag)] for p in rm.pair_poles],
+        "values": [[v if np.isfinite(v) else repr(v) for v in map(float, row)]
+                   for row in rm.values],
+    }
+
+
 def serialize_verdict(verdict):
     """Machine-readable report: poles, cancellation table, rho matrix,
     order-scan trace and the pruning audit log."""
@@ -441,12 +453,7 @@ def serialize_verdict(verdict):
         "notes": list(verdict.notes),
     }
     if verdict.rho is not None:
-        doc["rho"] = {
-            "ports": list(verdict.rho.port_names),
-            "pair_poles": [c2p(p) for p in verdict.rho.pair_poles],
-            "values": [[v if np.isfinite(v) else repr(float(v)) for v in map(float, row)]
-                       for row in verdict.rho.values],
-        }
+        doc["rho"] = rho_table(verdict.rho)
     if verdict.model is not None:
         doc["poles"] = [pole(cp) for cp in classify_poles(verdict.model.poles,
                                                           verdict.margin_tol)]

@@ -5,8 +5,10 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
+from pzid import staban
 from pzid.cli import dispatch
 from pzid.freqresp import parse_csv
+from pzid.ratfit import PartialFractionModel, save_model
 
 NETLIST = """\
 # unstable parallel tank behind a port
@@ -56,6 +58,25 @@ class TestSynthAndFit:
         doc = json.loads(rho_out.read_text())
         assert len(doc["rho"]) == 1
         assert doc["config"]["model"] == str(model)
+
+    def test_rho_table_matches_verdict_report(self, tmp_path):
+        # port a is the pair alone, so its rho is +inf
+        model = PartialFractionModel(
+            np.array([complex(-3e9, 0), complex(-1e9, 2e10), complex(-1e9, -2e10)]),
+            np.array([[0j, 1e9 + 2e8j, 1e9 - 2e8j], [5e8 + 0j, 1e9 + 0j, 1e9 - 0j]]),
+            np.array([0.0, 1.0]), ("a", "b"))
+        path = tmp_path / "model.json"
+        path.write_text(save_model(model))
+        rho_out = tmp_path / "rho.json"
+        assert dispatch(["rho", "--model", str(path), "--out", str(rho_out)]) == 0
+        doc = json.loads(rho_out.read_text())
+        verdict = staban.StabilityVerdict(True, (), (), staban.rho_matrix(model), model, 3,
+                                          staban.OrderScan((), 3, True, model))
+        block = json.loads(staban.serialize_verdict(verdict))["rho"]
+        assert doc["rho"][0][1] == "inf"
+        assert doc["rho"] == block["values"]
+        assert doc["pair_poles"] == block["pair_poles"] == [[-3e9, 0.0], [-1e9, 2e10]]
+        assert doc["ports"] == block["ports"] == ["a", "b"]
 
     def test_fit_poly(self, tmp_path, resp_file):
         model = tmp_path / "model.json"
@@ -296,8 +317,6 @@ class TestSvgRendering:
 
     def test_upper_half_plane_filter(self):
         from pzid.polemap import render_pole_map, PoleMapStyle
-        from pzid.ratfit import PartialFractionModel
-        import pzid.staban as staban
         model = PartialFractionModel(
             np.array([complex(-1e9, 2e10), complex(-1e9, -2e10)]),
             np.array([[1e9 + 0j, 1e9 - 0j]]), np.array([1.0]))
