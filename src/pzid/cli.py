@@ -17,7 +17,7 @@ import numpy as np
 
 from . import netsim, polemap, ratfit, staban, sweeps
 from .errors import NumericError, UsageError
-from .freqresp import FrequencyGrid, ResponseParseError, emit_csv, parse_csv, parse_touchstone
+from .freqresp import FrequencyGrid, emit_csv, parse_csv, parse_touchstone
 
 __all__ = ["dispatch", "main"]
 
@@ -353,8 +353,7 @@ def dispatch(argv):
         return exc.code if exc.code is not None else 0
     try:
         return args.func(args)
-    except (UsageError, ResponseParseError, netsim.NetlistParseError, ValueError,
-            KeyError, OSError) as exc:
+    except (UsageError, ValueError, KeyError, OSError) as exc:
         print(f"pzid {args.subcommand}: error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

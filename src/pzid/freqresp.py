@@ -220,13 +220,15 @@ class PortLabel:
 class FrequencyResponseSet:
     """Complex samples for one or more ports sharing a frequency grid.
 
+    ``values`` is one read-only complex array of shape (n_ports, len(grid)),
+    a row per port in port order; any sequence of per-port rows builds it.
     ``kinds`` records the physical unit per port: impedance (ohm),
     admittance (siemens) or a dimensionless transfer.
     """
 
     grid: FrequencyGrid
     ports: tuple[PortLabel, ...]
-    values: tuple[np.ndarray, ...]
+    values: np.ndarray
     kinds: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
@@ -242,16 +244,16 @@ class FrequencyResponseSet:
         for k in kinds:
             if k not in RESPONSE_KINDS:
                 raise ValueError(f"unknown response kind {k!r}")
-        values = []
-        for p, v in zip(ports, self.values, strict=True):
+        values = np.empty((len(ports), len(self.grid)), dtype=complex)
+        for p, row, v in zip(ports, values, self.values, strict=True):
             v = np.asarray(v, dtype=complex)
-            if v.shape != (len(self.grid),):
+            if v.shape != row.shape:
                 raise ValueError(f"port {p.name}: {v.size} samples for {len(self.grid)}-point grid")
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"port {p.name}: non-finite samples")
-            values.append(_readonly(v))
+            row[:] = v
         object.__setattr__(self, "ports", ports)
-        object.__setattr__(self, "values", tuple(values))
+        object.__setattr__(self, "values", _readonly(values))
         object.__setattr__(self, "kinds", kinds)
 
     def __eq__(self, other):
@@ -261,7 +263,7 @@ class FrequencyResponseSet:
             self.grid == other.grid
             and self.ports == other.ports
             and self.kinds == other.kinds
-            and all(np.array_equal(a, b) for a, b in zip(self.values, other.values))
+            and np.array_equal(self.values, other.values)
         )
 
     @property
@@ -271,22 +273,6 @@ class FrequencyResponseSet:
     @property
     def port_names(self):
         return tuple(p.name for p in self.ports)
-
-    def port_index(self, name):
-        for i, p in enumerate(self.ports):
-            if p.name == name:
-                return i
-        raise KeyError(f"no port named {name!r}")
-
-    def samples(self, port):
-        """Samples for a port given by name or index."""
-        if isinstance(port, str):
-            port = self.port_index(port)
-        return self.values[port]
-
-    def to_matrix(self):
-        """All samples as an (n_ports, n_samples) complex array."""
-        return np.vstack(self.values)
 
 
 def _split_csv_line(line):
@@ -375,7 +361,7 @@ def parse_csv(text):
     if len(freqs) < MIN_POINTS:
         raise ResponseParseError(f"fewer than {MIN_POINTS} points")
     data = np.asarray(rows)
-    values = [data[:, 2 * i] + 1j * data[:, 2 * i + 1] for i in range(len(port_names))]
+    values = (data[:, 0::2] + 1j * data[:, 1::2]).T
     for label, named in (("kind", kinds_map), ("excitation", excit_map)):
         unknown = sorted(set(named) - set(port_names))
         if unknown:
@@ -385,7 +371,7 @@ def parse_csv(text):
         if k not in RESPONSE_KINDS:
             raise ResponseParseError(f"unknown kind {k!r} in directive")
     ports = tuple(PortLabel(n, excit_map.get(n)) for n in port_names)
-    return FrequencyResponseSet(FrequencyGrid(np.asarray(freqs)), ports, tuple(values), kinds)
+    return FrequencyResponseSet(FrequencyGrid(np.asarray(freqs)), ports, values, kinds)
 
 
 def emit_csv(rset):
@@ -482,9 +468,8 @@ def parse_touchstone(text):
     if len(freqs) < MIN_POINTS:
         raise ResponseParseError(f"fewer than {MIN_POINTS} points")
     ports = tuple(PortLabel(n) for n in labels)
-    values = tuple(np.asarray(c) for c in cols)
     return FrequencyResponseSet(FrequencyGrid(np.asarray(freqs)), ports,
-                                values, ("transfer",) * len(labels))
+                                cols, ("transfer",) * len(labels))
 
 
 def slice_band(rset, f_lo, f_hi):
@@ -498,8 +483,7 @@ def slice_band(rset, f_lo, f_hi):
         raise ValueError(
             f"sub-band [{f_lo}, {f_hi}] Hz has {n} grid points (< {MIN_POINTS})")
     return FrequencyResponseSet(
-        FrequencyGrid(f[mask]), rset.ports,
-        tuple(v[mask] for v in rset.values), rset.kinds)
+        FrequencyGrid(f[mask]), rset.ports, rset.values[:, mask], rset.kinds)
 
 
 def merge_sets(sets):
@@ -508,11 +492,9 @@ def merge_sets(sets):
     if not sets:
         raise ValueError("nothing to merge")
     grid = sets[0].grid
-    ports, values, kinds = [], [], []
-    for s in sets:
-        if s.grid != grid:
-            raise ValueError("sets do not share a frequency grid")
-        ports.extend(s.ports)
-        values.extend(s.values)
-        kinds.extend(s.kinds)
-    return FrequencyResponseSet(grid, tuple(ports), tuple(values), tuple(kinds))
+    if any(s.grid != grid for s in sets):
+        raise ValueError("sets do not share a frequency grid")
+    return FrequencyResponseSet(
+        grid, tuple(p for s in sets for p in s.ports),
+        np.vstack([s.values for s in sets]),
+        tuple(k for s in sets for k in s.kinds))

@@ -58,6 +58,7 @@ GROUND = "0"
 _BLOCK_BYTES = 1 << 20
 
 _CONDUCTING = ("R", "L", "C", "SHORT")
+_CUTOFF_FACTOR = 1e3  # see pencil_eigenvalues
 
 
 class NetlistParseError(ValueError):
@@ -347,7 +348,6 @@ class _Pencil:
         self.C = C
         self.b = b_vec
         self.c = c_vec
-        self.n_nodes = nn
 
 
 def node_required(node_idx, name):
@@ -454,11 +454,11 @@ def _corner_frequencies(net):
     return corners
 
 
-def pencil_eigenvalues(net, cutoff_factor=1e3):
+def pencil_eigenvalues(net):
     """All finite generalized eigenvalues of det(G + s C) = 0.
 
     Descriptor pencils carry infinite eigenvalues (algebraic constraints);
-    these, and rounding artifacts beyond ``cutoff_factor`` times the largest
+    these, and rounding artifacts beyond ``_CUTOFF_FACTOR`` times the largest
     element corner frequency, are discarded and counted.
     """
     pencil = _Pencil(net)
@@ -471,16 +471,16 @@ def pencil_eigenvalues(net, cutoff_factor=1e3):
     if np.any(np.isnan(lam)):
         raise NumericError("singular pencil: det(G + sC) vanishes identically")
     corners = _corner_frequencies(net)
-    cutoff = cutoff_factor * max(corners) if corners else math.inf
+    cutoff = _CUTOFF_FACTOR * max(corners) if corners else math.inf
     finite = np.isfinite(lam) & (np.abs(lam) <= cutoff)
     poles = lam[finite]
     order = np.lexsort((poles.imag, poles.real))
     return PencilEigenvalues(poles[order], int(np.count_nonzero(~finite)), cutoff)
 
 
-def analytic_poles(net, cutoff_factor=1e3):
+def analytic_poles(net):
     """Finite poles of the netlist in rad/s (see :func:`pencil_eigenvalues`)."""
-    return pencil_eigenvalues(net, cutoff_factor).poles
+    return pencil_eigenvalues(net).poles
 
 
 def ground_node(net, node):
@@ -511,8 +511,6 @@ def with_termination(net, port_name, gamma, f_ref=None):
     ports = tuple(replace(p, gamma=gamma) if p.name == port_name else p for p in net.ports)
     if gamma == 1.0:
         return Netlist(net.elements, ports)
-    if gamma == -1.0:
-        return Netlist(ground_node(net, port.node).elements, ports)
     z = port.z0 * (1.0 + gamma) / (1.0 - gamma)
     r, x = z.real, z.imag
     if r < 0.0:

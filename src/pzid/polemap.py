@@ -20,17 +20,15 @@ __all__ = ["PoleMapStyle", "render_pole_map"]
 
 @dataclass(frozen=True)
 class PoleMapStyle:
-    width: int = 640
-    height: int = 480
     axis: str = "rad/s"  # 'rad/s' | 'hz'
     full_plane: bool = False
-    shade_rhp: bool = True
 
     def __post_init__(self):
         if self.axis not in ("rad/s", "hz"):
             raise ValueError(f"unknown axis mode {self.axis!r}")
 
 
+_WIDTH, _HEIGHT = 640, 480
 _MARGIN = 48
 
 
@@ -97,7 +95,7 @@ def render_pole_map(report, style=PoleMapStyle()):
     x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
 
-    w, h = style.width, style.height
+    w, h = _WIDTH, _HEIGHT
     plot_w = w - 2 * _MARGIN
     plot_h = h - 2 * _MARGIN
 
@@ -112,7 +110,7 @@ def render_pole_map(report, style=PoleMapStyle()):
         f'viewBox="0 0 {w} {h}">',
         f'<rect x="0" y="0" width="{w}" height="{h}" fill="white"/>',
     ]
-    if style.shade_rhp and x_hi > 0:
+    if x_hi > 0:
         out.append(
             f'<rect x="{_fmt(sx(0.0))}" y="{_MARGIN}" '
             f'width="{_fmt(sx(x_hi) - sx(0.0))}" height="{plot_h}" '

@@ -620,7 +620,7 @@ def fit_common_denominator(resps, cfg):
     omega = resps.grid.omega
     w_scale = float(omega[-1])
     s = 1j * omega / w_scale
-    f_mat = resps.to_matrix()
+    f_mat = resps.values
 
     iters_used = 0
     if n == 0:

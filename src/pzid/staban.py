@@ -357,30 +357,31 @@ def auto_identify(resps, orders, cfg=StabilityConfig()):
                      f"the selection rule (rms <= {cfg.rms_target} plus pole "
                      f"persistence); best attempt order {scan.selected}")
 
-    pruned = set()
+    tested = ", ".join(f"{w:.4g} Hz" for w in widths)
+    kept_poles = []
+    origin_of = {}
     for k, pair in enumerate(pairs):
         rep = pair.pole
-        if rep.real <= margin_tol:
-            continue
-        max_rho = float(np.max(rho.values[:, k]))
-        if max_rho >= cfg.rho_floor:
-            audit.append(f"pair {k} at {rep:.6g}: rho {max_rho:.3g} >= floor, kept")
-            continue
-        f_r = abs(rep.imag) / (2.0 * np.pi)
-        if not resps.grid.f_lo <= f_r <= resps.grid.f_hi:
-            audit.append(f"pair {k} at {rep:.6g}: resonance outside grid, kept unverified")
-            continue
-        origin = subband_consistency_check(resps, rep, widths, orders, cfg)
-        tested = ", ".join(f"{w:.4g} Hz" for w in widths)
-        audit.append(f"pair {k} at {rep:.6g}: rho {max_rho:.3g} < floor, "
-                     f"re-identified in sub-bands of width {tested} -> {origin}")
-        if origin == "numerical":
-            pruned.add(k)
-
-    kept_poles = []
-    for k, pair in enumerate(pairs):
-        if k not in pruned:
-            kept_poles.extend(model.poles[list(pair.indices)])
+        members = model.poles[list(pair.indices)]
+        origin = "undecided"
+        if rep.real > margin_tol:
+            origin = "physical-low-sensitivity"
+            max_rho = float(np.max(rho.values[:, k]))
+            f_r = abs(rep.imag) / (2.0 * np.pi)
+            if max_rho >= cfg.rho_floor:
+                audit.append(f"pair {k} at {rep:.6g}: rho {max_rho:.3g} >= floor, kept")
+            elif not resps.grid.f_lo <= f_r <= resps.grid.f_hi:
+                audit.append(f"pair {k} at {rep:.6g}: resonance outside grid, kept unverified")
+            else:
+                sub = subband_consistency_check(resps, rep, widths, orders, cfg)
+                audit.append(f"pair {k} at {rep:.6g}: rho {max_rho:.3g} < floor, "
+                             f"re-identified in sub-bands of width {tested} -> {sub}")
+                if sub == "numerical":
+                    origin = "numerical-overmodeling"
+        if origin != "numerical-overmodeling":
+            kept_poles.extend(members)
+        for p in members:
+            origin_of.setdefault(p, origin)
     classified = classify_poles(kept_poles, margin_tol)
     critical = tuple(cp for cp in classified if cp.label == "unstable")
 
@@ -390,14 +391,7 @@ def auto_identify(resps, orders, cfg=StabilityConfig()):
         _, zeros = poles_and_zeros(model, name)
         for qc in detect_quasi_cancellations(model.poles, zeros,
                                              cfg.cancel_threshold, floor):
-            origin = "undecided"
-            for k, pair in enumerate(pairs):
-                if np.min(np.abs(model.poles[list(pair.indices)] - qc.pole)) == 0.0:
-                    if k in pruned:
-                        origin = "numerical-overmodeling"
-                    elif pair.pole.real > margin_tol:
-                        origin = "physical-low-sensitivity"
-                    break
+            origin = origin_of.get(qc.pole, "undecided")
             cancellations.append(QuasiCancellation(qc.pole, qc.zero, qc.rel_distance, origin))
     cancellations.sort(key=lambda qc: (qc.rel_distance, qc.pole.real, qc.pole.imag))
 

@@ -106,8 +106,10 @@ def trace_pole_locus(net, probe, grid, param, values, cfg):
 
     Matching across consecutive steps uses minimum-total-distance assignment
     in the complex plane scaled by the band's angular width.  Sign changes
-    of a track's real part are localized by linear interpolation, refined by
-    one bisection level against the analytic pole oracle.
+    of a track's real part are localized by linear interpolation, then
+    bisected against the analytic pole oracle until the crossing lies within
+    0.2 % of the parameter; without a matching oracle pole the linear
+    estimate stands.
     """
     values = [float(v) for v in values]
     if any(b <= a for a, b in zip(values, values[1:])):

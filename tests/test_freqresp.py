@@ -205,6 +205,17 @@ class TestMergeAndValidation:
         m = merge_sets([a, b])
         assert m.port_names == ("p1", "p2")
 
+    def test_values_are_one_readonly_matrix(self):
+        grid = FrequencyGrid(np.array([1e9, 2e9, 3e9, 4e9]))
+        ports = (PortLabel("p1"), PortLabel("p2"))
+        rows = (np.array([1, 2j, 3, 4]), np.array([5, 6, 7j, 8]))
+        from_rows = FrequencyResponseSet(grid, ports, rows)
+        assert from_rows.values.shape == (2, len(grid))
+        assert not from_rows.values.flags.writeable
+        assert from_rows == FrequencyResponseSet(grid, ports, np.vstack(rows))
+        with pytest.raises(ValueError, match="port p2: 3 samples for 4-point grid"):
+            FrequencyResponseSet(grid, ports, (rows[0], rows[1][:3]))
+
     def test_rejects_nan_samples(self):
         with pytest.raises(ValueError, match="non-finite"):
             make_set([1e9, 2e9, 3e9, 4e9], p1=[1, np.nan, 3, 4])

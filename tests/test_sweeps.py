@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import pzid.sweeps
 from fixtures import (DOUBLE_RESONATOR_GRID, PROVISO_GRID, double_resonator,
                       masked_loop, parallel_rlc, passive_loop)
-from pzid.errors import UsageError
+from pzid.errors import NumericError, UsageError
 from pzid.freqresp import FrequencyGrid
 from pzid.netsim import (analytic_poles, current_probe, set_element_value,
                          with_termination)
@@ -69,6 +70,22 @@ class TestPoleLocus:
                 others[i] = np.inf
                 assert step[i] < others.min()
 
+    def test_crossing_without_oracle_pole_is_linear_estimate(self, monkeypatch):
+        monkeypatch.setattr(pzid.sweeps, "analytic_poles",
+                            lambda net: np.zeros(0, dtype=complex))
+        values = np.geomspace(10.0, 1e6, 13)
+        traj = trace_pole_locus(double_resonator("B"), current_probe("B"),
+                                DOUBLE_RESONATOR_GRID, "rstab", values, CFG)
+        linear = []
+        for track in traj.tracks:
+            for j in range(len(values) - 1):
+                a, b = track[j], track[j + 1]
+                if a.real * b.real < 0.0:
+                    t = values[j] + a.real / (a.real - b.real) * (values[j + 1] - values[j])
+                    linear.append((t, a + (b - a) * (t - values[j]) / (values[j + 1] - values[j])))
+        assert linear
+        assert list(traj.crossing_events) == sorted(linear, key=lambda c: c[0])
+
     def test_values_must_ascend(self):
         with pytest.raises(UsageError):
             trace_pole_locus(double_resonator("B"), current_probe("B"),
@@ -83,6 +100,14 @@ class TestStabilizationThreshold:
                                       50.0, 1000.0, 1e-4, CFG)
         expect = oracle_threshold(net, "rstab", 50.0, 1000.0)
         assert abs(got - expect) / expect < 1e-3
+
+    def test_unconfirmed_by_oracle_raises(self, monkeypatch):
+        monkeypatch.setattr(pzid.sweeps, "analytic_poles",
+                            lambda net: np.array([-1e9 + 1e10j, -1e9 - 1e10j]))
+        with pytest.raises(NumericError, match="not confirmed by the analytic oracle"):
+            stabilization_threshold(double_resonator("B"), current_probe("B"),
+                                    DOUBLE_RESONATOR_GRID, "rstab",
+                                    50.0, 1000.0, 1e-2, CFG)
 
     def test_equal_bracket_rejected(self):
         with pytest.raises(UsageError):
