@@ -51,10 +51,11 @@ class FitConfig:
 
     ``iters`` bounds the Sanathanan-Koerner reweighting or vector-fitting
     pole-relocation loop.  The loop may stop earlier: reweighting once the
-    coefficients stop moving, relocation once the poles stop moving or the
-    scaling function has settled (||c_sigma|| / |d_sigma| <= ``_SIGMA_TOL``).
-    :class:`FitReport` records which stop ended the loop.  Pole relocation
-    always uses the relaxed nontriviality constraint.
+    coefficients stop moving, relocation once the poles stop moving, the
+    scaling function has settled (||c_sigma|| / |d_sigma| <= ``_SIGMA_TOL``)
+    or the relocation least squares keeps the same rank deficit on two
+    steps in a row.  :class:`FitReport` records which stop ended the loop.
+    Pole relocation always uses the relaxed nontriviality constraint.
     """
 
     order: int
@@ -79,15 +80,19 @@ class FitReport:
     band-normalized pole moved by 1e-10 of max(1, largest magnitude)),
     ``sigma-settled`` (the scaling function's residues vanished against its
     direct term, ||c_sigma|| / |d_sigma| <= ``_SIGMA_TOL``),
-    ``iteration-cap`` or ``no-poles`` (order 0, nothing to relocate).
-    Polynomial ratio: ``coeff-move`` (coefficients moved by less than
-    1e-14), ``rank-deficient`` (the null space became ambiguous after a
-    clean iterate) or ``iteration-cap``.  ``stop`` is None for a report of
-    :func:`fit_error` alone and for a model file saved without it.
+    ``rank-deficient`` (the relocation least squares had the same rank,
+    below n + 1, on two steps in a row: the order exceeds the data's and
+    the spare poles are not determined), ``iteration-cap`` or ``no-poles``
+    (order 0, nothing to relocate).  Polynomial ratio: ``coeff-move``
+    (coefficients moved by less than 1e-14), ``rank-deficient`` (the null
+    space became ambiguous after a clean iterate) or ``iteration-cap``.
+    ``stop`` is None for a report of :func:`fit_error` alone and for a model
+    file saved without it.
 
     ``converged`` is True when the loop stopped because its iterate
     settled: on ``pole-move`` or ``sigma-settled``, on ``coeff-move``, and
-    for ``no-poles``.
+    for ``no-poles``.  It is False on ``rank-deficient`` and
+    ``iteration-cap``.
     """
 
     rms_rel_error: float
@@ -536,8 +541,9 @@ _SIGMA_TOL = 1e-5
 def _relocate_poles(poles, s, f_mat):
     """One pole-relocation step under the relaxed nontriviality constraint.
 
-    Returns the new pole set (never flipped) and ||c_sigma|| / |d_sigma|,
-    how far the scaling function still is from its direct term.
+    Returns the new pole set (never flipped), ||c_sigma|| / |d_sigma|, how
+    far the scaling function still is from its direct term, and the
+    numerical rank of the sigma least squares (at most n + 1).
 
     Each port's real-stacked system [Phi, 1, -f Phi, -f] (2m x 2(n+1)) is
     built in one preallocated buffer and reduced by ``_qr_r``; the trailing
@@ -580,7 +586,7 @@ def _relocate_poles(poles, s, f_mat):
                            "overflows the column scaling")
     col_scale[col_scale == 0.0] = 1.0
     try:
-        x, *_ = np.linalg.lstsq(aa / col_scale, bb, rcond=None)
+        x, _, rank, _ = np.linalg.lstsq(aa / col_scale, bb, rcond=None)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"relocation least squares failed: {exc}") from None
     x = x / col_scale
@@ -600,7 +606,7 @@ def _relocate_poles(poles, s, f_mat):
         raise NumericError(f"defective relocation eigenproblem: {exc}") from None
     new_poles = lam[order].astype(complex)
     new_poles[n_real + 1::2] = np.conj(new_poles[n_real::2])
-    return new_poles, settled
+    return new_poles, settled, int(rank)
 
 
 def fit_common_denominator(resps, cfg):
@@ -609,7 +615,12 @@ def fit_common_denominator(resps, cfg):
     Initial poles are conjugate pairs spread over the band; each iteration
     relocates them to the zeros of the fitted scaling function under the
     relaxed nontriviality constraint, until the poles stop moving, the
-    scaling function settles (``_SIGMA_TOL``) or ``cfg.iters`` runs out.
+    scaling function settles (``_SIGMA_TOL``), the relocation least squares
+    keeps one rank below n + 1 on two consecutive steps (an over-modeled
+    fit whose spare poles would wander to the cap; the step just taken is
+    kept) or ``cfg.iters`` runs out.  The first steps off the initial poles
+    are often rank-deficient by a deficit that shrinks as the poles move,
+    so one deficient step alone never stops the loop.
     Final residues and one real direct term per port are solved against the
     fixed relocated poles.  Unstable poles are preserved at every stage.
     """
@@ -629,9 +640,10 @@ def fit_common_denominator(resps, cfg):
     else:
         poles = _initial_poles(n, float(omega[0]) / w_scale, float(omega[-1]) / w_scale)
         stop = "iteration-cap"
+        prev_rank = n + 1
         for it in range(cfg.iters):
             iters_used = it + 1
-            new_poles, settled = _relocate_poles(poles, s, f_mat)
+            new_poles, settled, rank = _relocate_poles(poles, s, f_mat)
             move = np.max(np.abs(np.sort_complex(new_poles) - np.sort_complex(poles)))
             poles = new_poles
             if move < 1e-10 * max(1.0, float(np.max(np.abs(poles)))):
@@ -640,6 +652,10 @@ def fit_common_denominator(resps, cfg):
             if settled <= _SIGMA_TOL:
                 stop = "sigma-settled"
                 break
+            if rank <= n and rank == prev_rank:
+                stop = "rank-deficient"
+                break
+            prev_rank = rank
 
     # residues per port against the fixed poles
     phi = _pf_basis(poles, s)
@@ -660,7 +676,7 @@ def fit_common_denominator(resps, cfg):
                                  resps.port_names)
     err = fit_error(model, resps)
     report = FitReport(err.rms_rel_error, err.max_phase_err_deg, iters_used,
-                       stop != "iteration-cap", stop)
+                       stop in ("pole-move", "sigma-settled", "no-poles"), stop)
     return model, report
 
 

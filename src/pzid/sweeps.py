@@ -49,7 +49,6 @@ class PoleTrajectory:
     changes sign.
     """
 
-    param_name: str
     param_values: np.ndarray
     tracks: np.ndarray
     crossing_events: tuple[tuple[float, complex], ...]
@@ -154,7 +153,7 @@ def trace_pole_locus(net, probe, grid, param, values, cfg):
                                                 a, b, t_lin, scale)
             crossings.append((float(t_cross), complex(p_cross)))
     crossings.sort(key=lambda c: c[0])
-    return PoleTrajectory(param, np.asarray(values), tracks, tuple(crossings))
+    return PoleTrajectory(np.asarray(values), tracks, tuple(crossings))
 
 
 def _refine_crossing(net, param, v_lo, v_hi, p_lo, p_hi, t_lin, scale):

@@ -154,6 +154,14 @@ def sample_model(model, f_lo, f_hi, n=400, log=False, port_name="p1"):
     return FrequencyResponseSet(grid, (PortLabel(port_name),), (h,), ("transfer",))
 
 
+def flat_response(noise=0.0, seed=0):
+    """H = 1 over 0.1-1 GHz plus ``noise`` times complex Gaussian noise."""
+    f = np.linspace(1e8, 1e9, 200)
+    rng = np.random.default_rng(seed)
+    h = 1.0 + noise * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size))
+    return FrequencyResponseSet(FrequencyGrid(f), (PortLabel("p1"),), (h,))
+
+
 def wideband_model(n_pairs=10, f_lo=1e6, f_hi=40e9, q=30.0, seed=3):
     """Log-spaced resonances over 4.5 decades; the conditioning fixture.
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from fixtures import random_pf_model, sample_model, wideband_model, wideband_net
+from fixtures import (flat_response, random_pf_model, sample_model, wideband_model,
+                      wideband_net)
 from pzid.errors import NumericError, UsageError
 from pzid.freqresp import FrequencyGrid, FrequencyResponseSet, PortLabel
 from pzid.netsim import analytic_poles, current_probe, frequency_response
@@ -149,10 +150,47 @@ class TestRelocationStop:
         w = 2 * np.pi * np.linspace(f_lo, f_hi, 400)
         s = 1j * w / w[-1]
         f_mat = evaluate_model(model, FrequencyGrid(w / (2 * np.pi)), 0)[None, :]
-        _, far = _relocate_poles(_initial_poles(model.order, w[0] / w[-1], 1.0), s, f_mat)
-        _, at_truth = _relocate_poles(model.poles / w[-1], s, f_mat)
+        _, far, _ = _relocate_poles(_initial_poles(model.order, w[0] / w[-1], 1.0), s, f_mat)
+        _, at_truth, _ = _relocate_poles(model.poles / w[-1], s, f_mat)
         assert far > _SIGMA_TOL
         assert at_truth < 1e-3 * _SIGMA_TOL
+
+    @pytest.mark.parametrize("seed", [21, 300, 1001])
+    def test_overmodeled_exact_fit_stops_rank_deficient(self, seed):
+        # the two spare poles leave the relocation least squares short of
+        # full rank by the same amount on every step; the stop needs that
+        # rank twice, so it cannot come before the second step
+        model, f_lo, f_hi = random_pf_model(seed)
+        fit, report = fit_common_denominator(sample_model(model, f_lo, f_hi),
+                                             FitConfig(order=model.order + 2))
+        assert report.stop == "rank-deficient" and not report.converged
+        assert 2 <= report.iters_used <= 4
+        assert report.rms_rel_error <= 1e-12
+        assert worst_pole_error(fit.poles, model.poles) <= 1e-9
+
+    def test_shrinking_rank_deficit_does_not_stop(self, monkeypatch):
+        # the first steps off the initial poles are rank-deficient by a
+        # deficit that shrinks to zero; the fit runs on to the true poles
+        ranks = []
+
+        def recording_relocate(poles, s, f_mat):
+            out = _relocate_poles(poles, s, f_mat)
+            ranks.append(out[2])
+            return out
+
+        monkeypatch.setattr("pzid.ratfit._relocate_poles", recording_relocate)
+        wide = wideband_model()
+        fit, report = fit_common_denominator(sample_model(wide, 1e6, 40e9, n=400, log=True),
+                                             FitConfig(order=20, iters=30))
+        assert ranks[0] < 21
+        assert report.stop in ("pole-move", "sigma-settled") and report.converged
+        assert worst_pole_error(fit.poles, wide.poles) <= 1e-6
+
+    def test_noisy_overmodeled_fit_is_not_rank_deficient(self):
+        # noise keeps the relocation system at full rank on every step, so
+        # a rank that merely repeats must not stop the fit
+        _, report = fit_common_denominator(flat_response(noise=1e-4), FitConfig(order=6))
+        assert report.stop != "rank-deficient"
 
     def test_iteration_cap_is_not_converged(self):
         model, f_lo, f_hi = random_pf_model(21)
@@ -309,6 +347,15 @@ class TestModelValidationAndSerialization:
         assert again == fit
         assert rep2 == report and rep2.stop is not None
         assert load_model(save_model(again, rep2))[0] == again
+
+    def test_save_load_roundtrip_rank_deficient_stop(self):
+        model, f_lo, f_hi = random_pf_model(61)
+        fit, report = fit_common_denominator(sample_model(model, f_lo, f_hi),
+                                             FitConfig(order=model.order + 2))
+        assert report.stop == "rank-deficient"
+        again, rep2 = load_model(save_model(fit, report))
+        assert again == fit
+        assert rep2 == report and not rep2.converged
 
     def test_report_saved_without_stop_still_loads(self):
         model, f_lo, f_hi = random_pf_model(61)
@@ -574,7 +621,7 @@ class TestRelocationQr:
                 poles = _initial_poles(n, w_lo, 1.0)
                 for _ in range(3):
                     ref = reference_relocate_poles(poles, s, f_mat)
-                    got, _ = _relocate_poles(poles, s, f_mat)
+                    got, _, _ = _relocate_poles(poles, s, f_mat)
                     assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
                     poles = ref
 

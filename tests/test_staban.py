@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from fixtures import (COMBINER_GRID, TWO_STAGE_GRID, combiner,
-                      overmodel_response, random_pf_model, two_stage)
+from fixtures import (COMBINER_GRID, DOUBLE_RESONATOR_GRID, TWO_STAGE_GRID, combiner,
+                      double_resonator, flat_response, overmodel_response,
+                      random_pf_model, two_stage)
 from pzid import staban
 from pzid.errors import UsageError
 from pzid.freqresp import FrequencyGrid, FrequencyResponseSet, PortLabel
-from pzid.netsim import (analytic_poles, current_probe, frequency_responses,
-                         modal_probe)
+from pzid.netsim import (analytic_poles, current_probe, frequency_response,
+                         frequency_responses, modal_probe)
 from pzid.ratfit import FitConfig, PartialFractionModel, fit_common_denominator
 from pzid.staban import (_RHO_GUARD, OrderScan, StabilityConfig, auto_identify,
                          classify_poles, detect_quasi_cancellations, rank_ports,
@@ -217,14 +218,6 @@ class TestAutoIdentify:
             auto_identify(resp, [4, 2], StabilityConfig())
 
 
-def flat_response(noise=0.0, seed=0):
-    """H = 1 over 0.1-1 GHz plus ``noise`` times complex Gaussian noise."""
-    f = np.linspace(1e8, 1e9, 200)
-    rng = np.random.default_rng(seed)
-    h = 1.0 + noise * (rng.standard_normal(f.size) + 1j * rng.standard_normal(f.size))
-    return FrequencyResponseSet(FrequencyGrid(f), (PortLabel("p1"),), (h,))
-
-
 class TestOrderScanRecord:
     def test_steps_carry_each_orders_own_fit(self):
         resp = overmodel_response(seed=0)
@@ -256,7 +249,30 @@ class TestOrderScanRecord:
         assert all(isinstance(step.drifted, complex) for step in v.scan.steps)
         assert not v.scan.converged
         assert v.notes == ("no order in 2..6 passed the selection rule (rms <= 1e-06 "
-                           "plus pole persistence); best attempt order 4",)
+                           "plus pole persistence); best attempt order 2",)
+
+    def test_overmodeled_persistence_fit_stops_rank_deficient(self, monkeypatch):
+        # exact data of true order 4: the order-6 persistence fit has two
+        # spare poles, so it ends on the settled rank deficit, not the cap
+        net = double_resonator()
+        resp = frequency_response(net, current_probe("A"), DOUBLE_RESONATOR_GRID)
+        reports = {}
+
+        def recording_fit(resps, cfg):
+            model, report = fit_common_denominator(resps, cfg)
+            if resps is resp:
+                reports[cfg.order] = report
+            return model, report
+
+        monkeypatch.setattr(staban, "fit_common_denominator", recording_fit)
+        v = auto_identify(resp, range(2, 7))
+        assert v.selected_order == 4 and not v.stable
+        truth = analytic_poles(net)
+        unstable = truth[truth.real > 0]
+        crit = np.array([cp.value for cp in v.critical_poles])
+        assert crit.size == 2
+        assert max(np.min(np.abs(crit - p)) / abs(p) for p in unstable) <= 1e-6
+        assert reports[6].stop == "rank-deficient" and reports[6].iters_used <= 4
 
     def test_noise_misses_the_rms_target(self):
         v = auto_identify(flat_response(noise=1e-4), range(2, 9))
