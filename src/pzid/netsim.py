@@ -268,92 +268,80 @@ def parse_netlist(text):
 # ---------------------------------------------------------------------------
 # pencil assembly
 
-class _Pencil:
-    """Real matrices G, C with an index map; optionally a probe RHS/output."""
+def _pencil(net, probe=None):
+    """Real MNA matrices G, C with the probe's drive b and readout c.
 
-    def __init__(self, net, probe=None):
-        nodes = list(net.nodes)
-        elements = list(net.elements)
-        probe_vsrc = None  # (nplus, nminus) with unit drive
-        if probe is not None and probe.kind == "vbranch":
-            branch = net.element(probe.branch)
-            if branch.kind not in ("R", "L", "C"):
-                raise UsageError(f"voltage probe target {probe.branch!r} must be R, L or C")
-            mid = "__probe"
-            a, b = branch.nodes
-            elements[elements.index(branch)] = replace(branch, nodes=(mid, b))
-            nodes.append(mid)
-            probe_vsrc = (mid, a)
+    A voltage probe splices its element onto a ``__probe`` node and appends
+    an ordinary SHORT from there to the element's first node; b and c pick
+    that short's branch current, the last unknown.  A current probe is a
+    one-node modal drive at 0 degrees: b holds a unit current of each drive
+    node's phase and c reads the first drive node.
+    """
+    nodes = list(net.nodes)
+    elements = list(net.elements)
+    if probe is not None and probe.kind == "vbranch":
+        branch = net.element(probe.branch)
+        if branch.kind not in ("R", "L", "C"):
+            raise UsageError(f"voltage probe target {probe.branch!r} must be R, L or C")
+        a, b = branch.nodes
+        elements[elements.index(branch)] = replace(branch, nodes=("__probe", b))
+        elements.append(Element("SHORT", "__probe", ("__probe", a)))
+        nodes.append("__probe")
 
-        self.node_idx = {n: i for i, n in enumerate(nodes)}
-        nn = len(nodes)
-        branches = [e for e in elements if e.kind in ("L", "SHORT")]
-        self.branch_idx = {e.name: nn + i for i, e in enumerate(branches)}
-        dim = nn + len(branches) + (1 if probe_vsrc else 0)
-        G = np.zeros((dim, dim))
-        C = np.zeros((dim, dim))
+    node_idx = {n: i for i, n in enumerate(nodes)}
+    nn = len(nodes)
+    branches = [i for i, e in enumerate(elements) if e.kind in ("L", "SHORT")]
+    branch_idx = {i: nn + k for k, i in enumerate(branches)}
+    dim = nn + len(branches)
+    G = np.zeros((dim, dim))
+    C = np.zeros((dim, dim))
 
-        def node(n):
-            return None if n == GROUND else self.node_idx[n]
+    def node(n):
+        return None if n == GROUND else node_idx[n]
 
-        for e in elements:
-            if e.kind == "R":
-                g = 1.0 / e.value
-                _stamp_admittance(G, node(e.nodes[0]), node(e.nodes[1]), g)
-            elif e.kind == "C":
-                _stamp_admittance(C, node(e.nodes[0]), node(e.nodes[1]), e.value)
-            elif e.kind == "L":
-                bi = self.branch_idx[e.name]
-                a, b = node(e.nodes[0]), node(e.nodes[1])
-                # branch current flows nodes[0] -> nodes[1]
-                if a is not None:
-                    G[a, bi] += 1.0
-                    G[bi, a] += 1.0
-                if b is not None:
-                    G[b, bi] -= 1.0
-                    G[bi, b] -= 1.0
+    for i, e in enumerate(elements):
+        if e.kind == "R":
+            g = 1.0 / e.value
+            _stamp_admittance(G, node(e.nodes[0]), node(e.nodes[1]), g)
+        elif e.kind == "C":
+            _stamp_admittance(C, node(e.nodes[0]), node(e.nodes[1]), e.value)
+        elif e.kind in ("L", "SHORT"):
+            # branch row: v(a) - v(b) = L di/dt, or 0 for a short; an
+            # inductor's current flows a -> b, a short's is delivered out of a
+            bi = branch_idx[i]
+            a, b = node(e.nodes[0]), node(e.nodes[1])
+            kcl = 1.0 if e.kind == "L" else -1.0
+            if a is not None:
+                G[a, bi] += kcl
+                G[bi, a] += 1.0
+            if b is not None:
+                G[b, bi] -= kcl
+                G[bi, b] -= 1.0
+            if e.kind == "L":
                 C[bi, bi] -= e.value
-            elif e.kind == "SHORT":
-                bi = self.branch_idx[e.name]
-                _stamp_vsource(G, bi, node(e.nodes[0]), node(e.nodes[1]))
-            elif e.kind == "G":
-                op, on, ip, in_ = (node(n) for n in e.nodes)
-                for orow, sign in ((op, 1.0), (on, -1.0)):
-                    if orow is None:
-                        continue
-                    if ip is not None:
-                        G[orow, ip] += sign * e.value
-                    if in_ is not None:
-                        G[orow, in_] -= sign * e.value
+        elif e.kind == "G":
+            op, on, ip, in_ = (node(n) for n in e.nodes)
+            for orow, sign in ((op, 1.0), (on, -1.0)):
+                if orow is None:
+                    continue
+                if ip is not None:
+                    G[orow, ip] += sign * e.value
+                if in_ is not None:
+                    G[orow, in_] -= sign * e.value
 
-        b_vec = np.zeros(dim, dtype=complex)
-        c_vec = np.zeros(dim)
-        if probe is not None:
-            if probe.kind == "inode":
-                ni = node_required(self.node_idx, probe.node)
-                b_vec[ni] = 1.0
-                c_vec[ni] = 1.0
-            elif probe.kind == "modal":
-                for n, ph in zip(probe.nodes, probe.phases_deg):
-                    ni = node_required(self.node_idx, n)
-                    b_vec[ni] += cmath.exp(1j * math.radians(ph))
-                c_vec[node_required(self.node_idx, probe.nodes[0])] = 1.0
-            else:  # vbranch
-                bi = dim - 1
-                _stamp_vsource(G, bi, node(probe_vsrc[0]), node(probe_vsrc[1]))
-                b_vec[bi] = 1.0
-                c_vec[bi] = 1.0
-
-        self.G = G
-        self.C = C
-        self.b = b_vec
-        self.c = c_vec
-
-
-def node_required(node_idx, name):
-    if name not in node_idx:
-        raise UsageError(f"probe references unknown node {name!r}")
-    return node_idx[name]
+    b_vec = np.zeros(dim, dtype=complex)
+    c_vec = np.zeros(dim)
+    if probe is not None and probe.kind == "vbranch":
+        b_vec[-1] = 1.0
+        c_vec[-1] = 1.0
+    elif probe is not None:
+        drives = list(zip(probe.nodes, probe.phases_deg)) or [(probe.node, 0.0)]
+        for n, ph in drives:
+            if n not in node_idx:
+                raise UsageError(f"probe references unknown node {n!r}")
+            b_vec[node_idx[n]] += cmath.exp(1j * math.radians(ph))
+        c_vec[node_idx[drives[0][0]]] = 1.0
+    return G, C, b_vec, c_vec
 
 
 def _stamp_admittance(M, a, b, y):
@@ -364,17 +352,6 @@ def _stamp_admittance(M, a, b, y):
     if a is not None and b is not None:
         M[a, b] -= y
         M[b, a] -= y
-
-
-def _stamp_vsource(G, bi, nplus, nminus):
-    # Constraint v(n+) - v(n-) = rhs; unknown bi is the current delivered
-    # out of the n+ terminal into the circuit.
-    if nplus is not None:
-        G[nplus, bi] -= 1.0
-        G[bi, nplus] += 1.0
-    if nminus is not None:
-        G[nminus, bi] += 1.0
-        G[bi, nminus] -= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -390,26 +367,27 @@ def frequency_response(net, probe, grid, port_name=None):
     so the stacked tensor stays within ``_BLOCK_BYTES``, which bounds memory
     on large netlists while small ones solve their whole grid in one call.
 
-    Current probe at a node returns the impedance seen by the probe;
-    voltage probe in a branch returns the admittance presented to it;
-    modal probe returns the voltage at its first listed node (transfer).
+    Current probe at a node (a unit drive there) returns the impedance seen
+    by the probe; voltage probe in a branch (a SHORT spliced in series, see
+    :func:`_pencil`) returns the admittance presented to it; modal probe
+    (phased unit drives) returns the voltage at its first listed node.
     """
-    pencil = _Pencil(net, probe)
+    G, C, b, c = _pencil(net, probe)
     omega = grid.omega
-    dim = pencil.G.shape[0]
+    dim = G.shape[0]
     step = max(1, _BLOCK_BYTES // (16 * dim * dim))
     # A right-hand side with as many dimensions as the stack is read as a
     # matrix by both NumPy 1.x and 2.x; a 1-D one is rejected by NumPy 1.x.
-    rhs = pencil.b[None, :, None]
+    rhs = b[None, :, None]
     out = np.empty(len(grid), dtype=complex)
     for lo in range(0, len(grid), step):
-        A = pencil.G + (1j * omega[lo:lo + step])[:, None, None] * pencil.C
+        A = G + (1j * omega[lo:lo + step])[:, None, None] * C
         try:
             x = np.linalg.solve(A, rhs)[..., 0]
         except np.linalg.LinAlgError:
-            _raise_first_singular(A, pencil.b, grid.freqs_hz[lo:lo + step])
+            _raise_first_singular(A, b, grid.freqs_hz[lo:lo + step])
             raise
-        out[lo:lo + step] = x @ pencil.c
+        out[lo:lo + step] = x @ c
     # the default name is the descriptor with ';' between modal terms, so
     # that it can head a CSV column
     name = port_name or probe.descriptor().replace(",", ";")
@@ -461,11 +439,11 @@ def pencil_eigenvalues(net):
     these, and rounding artifacts beyond ``_CUTOFF_FACTOR`` times the largest
     element corner frequency, are discarded and counted.
     """
-    pencil = _Pencil(net)
-    if not np.any(pencil.C):
-        return PencilEigenvalues(np.zeros(0, dtype=complex), pencil.G.shape[0], math.inf)
+    G, C, _, _ = _pencil(net)
+    if not np.any(C):
+        return PencilEigenvalues(np.zeros(0, dtype=complex), G.shape[0], math.inf)
     try:
-        lam = scipy.linalg.eigvals(-pencil.G, pencil.C)
+        lam = scipy.linalg.eigvals(-G, C)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NumericError(f"generalized eigenvalue solve failed: {exc}") from None
     if np.any(np.isnan(lam)):

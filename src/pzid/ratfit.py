@@ -216,7 +216,12 @@ class PartialFractionModel:
     def n_ports(self):
         return self.direct.size
 
-    def port_index(self, port):
+    def port_index(self, port=None):
+        """Row of a port given by name or index; None names the only port."""
+        if port is None:
+            if self.n_ports != 1:
+                raise UsageError("MIMO model: name the port")
+            return 0
         if isinstance(port, str):
             try:
                 return self.port_names.index(port)
@@ -318,10 +323,6 @@ def evaluate_model(model, grid, port=None):
     s = 1j * grid.omega
     if isinstance(model, PolynomialRatioModel):
         return _eval_poly(model, s)
-    if port is None:
-        if model.n_ports != 1:
-            raise UsageError("MIMO model: name the port to evaluate")
-        port = 0
     return _eval_pf(model, model.port_index(port), s)
 
 
@@ -474,12 +475,9 @@ def _pf_basis(poles, s):
 def _coeffs_to_residues(poles, x):
     """Map real solution coefficients back to complex residues per pole."""
     n_real = _n_real(poles)
-    r = np.empty(poles.size, dtype=complex)
-    for i in range(n_real):
-        r[i] = x[i]
-    for i in range(n_real, poles.size, 2):
-        r[i] = x[i] + 1j * x[i + 1]
-        r[i + 1] = np.conj(r[i])
+    r = np.array(x, dtype=complex)
+    r[n_real::2] = x[n_real::2] + 1j * x[n_real + 1::2]
+    r[n_real + 1::2] = np.conj(r[n_real::2])
     return r
 
 
@@ -494,19 +492,17 @@ def _real_realization(poles, residues=None):
     n_real = _n_real(poles)
     n = poles.size
     r = np.zeros(n) if residues is None else residues
-    amat = np.zeros((n, n))
+    amat = np.diag(poles.real)
+    # each pair block's off-diagonal entries lie on the diagonals of the
+    # (even, odd) and (odd, even) sub-grids of the pair rows and columns
+    pairs = amat[n_real:, n_real:]
+    np.fill_diagonal(pairs[::2, 1::2], poles.imag[n_real::2])
+    np.fill_diagonal(pairs[1::2, ::2], -poles.imag[n_real::2])
     bvec = np.zeros(n)
-    cvec = np.zeros(n)
-    for i in range(n_real):
-        amat[i, i] = poles[i].real
-        bvec[i] = 1.0
-        cvec[i] = r[i].real
-    for i in range(n_real, n, 2):
-        sig, beta = poles[i].real, poles[i].imag
-        amat[i:i + 2, i:i + 2] = [[sig, beta], [-beta, sig]]
-        bvec[i] = 2.0
-        cvec[i] = r[i].real
-        cvec[i + 1] = r[i].imag
+    bvec[:n_real] = 1.0
+    bvec[n_real::2] = 2.0
+    cvec = r.real.copy()
+    cvec[n_real + 1::2] = r.imag[n_real::2]
     return amat, bvec, cvec
 
 
@@ -717,10 +713,6 @@ def poles_and_zeros(model, port=None):
         zeros = np.zeros(0, dtype=complex) if zeros is None else zeros
         return _sorted_c(poles * model.s_scale), _sorted_c(zeros * model.s_scale)
 
-    if port is None:
-        if model.n_ports != 1:
-            raise UsageError("MIMO model: name the port whose zeros you want")
-        port = 0
     k = model.port_index(port)
     poles = model.poles
     r = model.residues[k]

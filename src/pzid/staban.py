@@ -103,9 +103,10 @@ class StabilityConfig:
     """Pipeline thresholds; the defaults implement the tool's house rules.
 
     An order's poles are tested for persistence at order+2 once its rms
-    meets ``rms_target``; RHP pairs with best rho under ``rho_floor`` are
-    re-identified in sub-bands; ``cancel_threshold`` bounds the reported
-    quasi-cancellations.  Scanned orders use the default ``FitConfig``.
+    meets ``rms_target`` and the grid holds order+3 samples; RHP pairs with
+    best rho under ``rho_floor`` are re-identified in sub-bands;
+    ``cancel_threshold`` bounds the reported quasi-cancellations.  Scanned
+    orders use the default ``FitConfig``.
     """
 
     rms_target: float = 1e-6
@@ -116,8 +117,9 @@ class StabilityConfig:
 @dataclass(frozen=True)
 class ScanStep:
     """One scanned order and its fit ``report``.  ``persisted`` is None when
-    the rms missed the target (order+2 not fitted), else whether every pole
-    has a mate at order+2; ``drifted`` is the first pole without one."""
+    order+2 was not fitted, because the rms missed the target or the grid
+    holds fewer than order+3 samples; else whether every pole has a mate at
+    order+2.  ``drifted`` is the first pole without one."""
 
     order: int
     report: FitReport
@@ -294,7 +296,8 @@ def _scan_orders(resps, orders, cfg):
     for n in orders:
         model, report = fit_at(n)
         persisted = drifted = None
-        if report.rms_rel_error <= cfg.rms_target:
+        # the order+2 fit needs n + 3 samples
+        if report.rms_rel_error <= cfg.rms_target and n + 3 <= len(resps.grid):
             drifted = _poles_persist(model.poles, fit_at(n + 2)[0].poles, floor)
             persisted = drifted is None
         steps.append(ScanStep(n, report, persisted, drifted))

@@ -44,18 +44,14 @@ class PoleTrajectory:
     """Pole tracks across a parameter sweep.
 
     ``tracks`` is (n_tracks, n_values) complex; NaN entries mark steps where
-    the fit failed (the track is then flagged terminated).  Crossing events
-    are (parameter value, interpolated pole) where a track's real part
-    changes sign.
+    the fit failed or kept a different number of in-band poles.  Crossing
+    events are (parameter value, interpolated pole) where a track's real
+    part changes sign.
     """
 
     param_values: np.ndarray
     tracks: np.ndarray
     crossing_events: tuple[tuple[float, complex], ...]
-
-    @property
-    def terminated(self):
-        return tuple(bool(np.any(np.isnan(t))) for t in self.tracks)
 
 
 @dataclass(frozen=True)
@@ -87,10 +83,9 @@ def _fit_poles(net, probe, grid, cfg):
     sweep decisions (crossings, thresholds, margins) stay meaningful.
     """
     resp = frequency_response(net, probe, grid)
-    model, report = fit_common_denominator(resp, cfg)
-    poles = model.poles
-    keep = np.abs(poles) <= 3.0 * float(np.max(grid.omega))
-    return poles[keep], report
+    model, _ = fit_common_denominator(resp, cfg)
+    keep = np.abs(model.poles) <= 3.0 * float(np.max(grid.omega))
+    return model.poles[keep]
 
 
 def _match_order(prev, new, scale):
@@ -119,7 +114,7 @@ def trace_pole_locus(net, probe, grid, param, values, cfg):
     pole_sets = []
     for v in values:
         try:
-            poles, _ = _fit_poles(set_element_value(net, param, v), probe, grid, cfg)
+            poles = _fit_poles(set_element_value(net, param, v), probe, grid, cfg)
         except NumericError:
             poles = None
         pole_sets.append(poles)
@@ -209,7 +204,7 @@ def stabilization_threshold(net, probe, grid, param, lo, hi, tol_rel, cfg):
     net.element(param)
 
     def max_re(v):
-        poles, _ = _fit_poles(set_element_value(net, param, v), probe, grid, cfg)
+        poles = _fit_poles(set_element_value(net, param, v), probe, grid, cfg)
         if poles.size == 0:
             raise NumericError(f"no poles fitted at {param}={v}")
         return float(np.max(poles.real))
@@ -271,7 +266,7 @@ def monte_carlo_cloud(net, probe, grid, sigma, trials, seed, cfg):
         patched = Netlist(tuple(replace(e, value=e.value * f)
                                 for e, f in zip(net.elements, factors)), net.ports)
         try:
-            poles, _ = _fit_poles(patched, probe, grid, cfg)
+            poles = _fit_poles(patched, probe, grid, cfg)
         except NumericError:
             n_failed += 1
             continue

@@ -54,18 +54,34 @@ class TestFrequencyResponse:
         resp = frequency_response(net, modal_probe(["n1"], [0.0]), GRID)
         assert resp.kinds == ("transfer",)
         ref = frequency_response(net, current_probe("n1"), GRID)
-        assert np.allclose(resp.values[0], ref.values[0])
+        # inode:n1 and modal:n1@0 are one stamp, a unit drive read at n1
+        assert np.array_equal(resp.values[0], ref.values[0])
 
     def test_unknown_probe_node(self):
         with pytest.raises(UsageError, match="unknown node"):
             frequency_response(parallel_rlc(), current_probe("nope"), GRID)
 
 
+class TestPencil:
+    def test_voltage_probe_is_a_short_element(self):
+        # rs (0-n1) is spliced onto __probe; the probe SHORT from __probe to
+        # ground takes the last branch row, after the inductor's.
+        # Unknowns: v(n1), v(n2), v(__probe), i(ls), i(probe)
+        G, C, b, c = netsim._pencil(series_rlc_loop(), voltage_probe("rs"))
+        assert np.array_equal(G, [[0.1, 0.0, -0.1, 1.0, 0.0],
+                                  [0.0, 0.0, 0.0, -1.0, 0.0],
+                                  [-0.1, 0.0, 0.1, 0.0, -1.0],
+                                  [1.0, -1.0, 0.0, 0.0, 0.0],
+                                  [0.0, 0.0, 1.0, 0.0, 0.0]])
+        assert np.array_equal(C, np.diag([0.0, 1e-12, 0.0, -1e-9, 0.0]))
+        assert np.array_equal(b, [0, 0, 0, 0, 1])
+        assert np.array_equal(c, [0, 0, 0, 0, 1])
+
+
 def per_point_response(net, probe, grid):
     """Reference: one lone solve per grid point."""
-    pencil = netsim._Pencil(net, probe)
-    return np.array([pencil.c @ np.linalg.solve(pencil.G + 1j * w * pencil.C, pencil.b)
-                     for w in grid.omega])
+    G, C, b, c = netsim._pencil(net, probe)
+    return np.array([c @ np.linalg.solve(G + 1j * w * C, b) for w in grid.omega])
 
 
 def probes_of(net):
@@ -91,7 +107,7 @@ class TestStackedSolve:
         net, ap = random_oracle_net(11)
         grid = oracle_grid(ap, n=300)
         for probe in probes_of(net):
-            dim = netsim._Pencil(net, probe).G.shape[0]
+            dim = netsim._pencil(net, probe)[0].shape[0]
             monkeypatch.setattr(netsim, "_BLOCK_BYTES", per_block * 16 * dim * dim + 1)
             got = frequency_response(net, probe, grid).values[0]
             assert np.array_equal(got, per_point_response(net, probe, grid)), probe

@@ -233,6 +233,20 @@ class TestEvaluateAndErrors:
         expect = 1 + (2 + 20j) / (1 + 20j)
         assert abs(got - expect) < 1e-14
 
+    def test_single_port_default(self):
+        model = self.pf_with_direct()
+        grid = FrequencyGrid(np.array([0.1, 0.5, 1.0, 10.0]))
+        assert np.array_equal(evaluate_model(model, grid), evaluate_model(model, grid, 0))
+
+    def test_mimo_evaluation_needs_port(self):
+        model = PartialFractionModel(
+            np.array([complex(-1, 10), complex(-1, -10)]),
+            np.array([[1 + 0j, 1 - 0j], [2 + 0j, 2 - 0j]]),
+            np.array([1.0, 2.0]))
+        grid = FrequencyGrid(np.array([0.1, 0.5, 1.0, 10.0]))
+        with pytest.raises(UsageError, match="name the port"):
+            evaluate_model(model, grid)
+
     def test_poly_constant(self):
         model = PolynomialRatioModel(np.array([2.0]), np.array([1.0]), 1e9)
         grid = FrequencyGrid(np.array([1e6, 1e7, 1e8, 1e9]))
@@ -301,12 +315,18 @@ class TestPolesAndZeros:
         scale = np.abs(model.direct[0]) + np.max(np.abs(model.residues))
         assert np.all(np.abs(h) < 1e-6 * scale)
 
+    def test_single_port_default(self):
+        model, _, _ = random_pf_model(41)
+        poles, zeros = poles_and_zeros(model)
+        poles_0, zeros_0 = poles_and_zeros(model, 0)
+        assert np.array_equal(poles, poles_0) and np.array_equal(zeros, zeros_0)
+
     def test_mimo_zeros_need_port(self):
         model = PartialFractionModel(
             np.array([complex(-1, 10), complex(-1, -10)]),
             np.array([[1 + 0j, 1 - 0j], [2 + 0j, 2 - 0j]]),
             np.array([1.0, 2.0]))
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match="name the port"):
             poles_and_zeros(model)
         poles_and_zeros(model, "p2")
 
@@ -503,6 +523,25 @@ def canonical_models(draw):
     return model, x
 
 
+def reference_pair_helpers(poles, x):
+    """Per-pole loops over the canonical layout: residues, then (A, b, c)."""
+    n_real = int(np.count_nonzero(poles.imag == 0))
+    n = poles.size
+    r = np.empty(n, dtype=complex)
+    amat, bvec, cvec = np.zeros((n, n)), np.zeros(n), np.zeros(n)
+    for i in range(n_real):
+        r[i] = x[i]
+        amat[i, i], bvec[i], cvec[i] = poles[i].real, 1.0, x[i]
+    for i in range(n_real, n, 2):
+        r[i] = x[i] + 1j * x[i + 1]
+        r[i + 1] = np.conj(r[i])
+        sig, beta = poles[i].real, poles[i].imag
+        amat[i:i + 2, i:i + 2] = [[sig, beta], [-beta, sig]]
+        bvec[i] = 2.0
+        cvec[i], cvec[i + 1] = r[i].real, r[i].imag
+    return r, (amat, bvec, cvec)
+
+
 class TestPairLayout:
     @settings(max_examples=300, derandomize=True)
     @given(canonical_models())
@@ -517,6 +556,10 @@ class TestPairLayout:
 
         s = 1j * np.array([0.0731, 2.917, 41.37]) + 0.0113
         r = _coeffs_to_residues(p, x)
+        ref_r, ref_abc = reference_pair_helpers(p, x)
+        assert np.array_equal(r, ref_r)
+        for got, ref in zip(_real_realization(p, r), ref_abc):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
         terms = r / (s[:, None] - p)
         got = _pf_basis(p, s) @ x
         assert np.all(np.abs(got - terms.sum(axis=1))

@@ -131,7 +131,10 @@ class TestSubbandConsistency:
         resp = overmodel_response(seed=0)
         suspect = complex(+2e8, 2 * np.pi * 6e9)
         cfg = StabilityConfig(rms_target=1e-4)
-        out = subband_consistency_check(resp, suspect, (9e9, 4.5e9, 2.25e9),
+        # the last three sub-bands hold 9, 7 and 5 points: their top usable
+        # orders meet the rms target but cannot afford the order+2 fit
+        out = subband_consistency_check(resp, suspect,
+                                        (9e9, 4.5e9, 2.25e9, 2e8, 1.6e8, 1.13e8),
                                         range(2, 9), cfg)
         assert out == "physical"
 
@@ -204,6 +207,18 @@ class TestAutoIdentify:
             assert any(qc.origin == "numerical-overmodeling" for qc in v.cancellations)
             return
         pytest.fail("no seed produced an RHP over-modeling artifact")
+
+    @pytest.mark.parametrize("n_points", [22, 24])
+    def test_short_grid_routes_to_subbands_without_budget_error(self, n_points):
+        # rho_floor 1e300 sends every RHP pair to the sub-band check, whose
+        # narrow bands cannot afford the order+2 persistence fit
+        resp = overmodel_response(seed=0)
+        idx = np.linspace(0, len(resp.grid) - 1, n_points).round().astype(int)
+        short = FrequencyResponseSet(FrequencyGrid(resp.grid.freqs_hz[idx]), resp.ports,
+                                     (resp.values[0][idx],), resp.kinds)
+        v = auto_identify(short, range(2, 9),
+                          StabilityConfig(rms_target=1e-4, rho_floor=1e300))
+        assert not v.stable and v.selected_order == 4
 
     def test_deterministic(self):
         resp = overmodel_response(seed=3)
