@@ -10,6 +10,7 @@ flags and seed produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -344,11 +345,16 @@ def build_parser():
     return top
 
 
+@functools.cache
+def _parser():
+    """The parser of :func:`build_parser`, built once per process."""
+    return build_parser()
+
+
 def dispatch(argv):
     """Run one subcommand; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:

@@ -271,11 +271,12 @@ def parse_netlist(text):
 def _pencil(net, probe=None):
     """Real MNA matrices G, C with the probe's drive b and readout c.
 
-    A voltage probe splices its element onto a ``__probe`` node and appends
-    an ordinary SHORT from there to the element's first node; b and c pick
-    that short's branch current, the last unknown.  A current probe is a
-    one-node modal drive at 0 degrees: b holds a unit current of each drive
-    node's phase and c reads the first drive node.
+    A voltage probe splices its element onto a fresh ``__probe`` node (a
+    name the netlist does not use) and appends an ordinary SHORT from there
+    to the element's first node; b and c pick that short's branch current,
+    the last unknown.  A current probe is a one-node modal drive at 0
+    degrees: b holds a unit current of each drive node's phase and c reads
+    the first drive node.
     """
     nodes = list(net.nodes)
     elements = list(net.elements)
@@ -284,9 +285,14 @@ def _pencil(net, probe=None):
         if branch.kind not in ("R", "L", "C"):
             raise UsageError(f"voltage probe target {probe.branch!r} must be R, L or C")
         a, b = branch.nodes
-        elements[elements.index(branch)] = replace(branch, nodes=("__probe", b))
-        elements.append(Element("SHORT", "__probe", ("__probe", a)))
-        nodes.append("__probe")
+        splice = "__probe"
+        i = 0
+        while splice in nodes:
+            i += 1
+            splice = f"__probe_{i}"
+        elements[elements.index(branch)] = replace(branch, nodes=(splice, b))
+        elements.append(Element("SHORT", splice, (splice, a)))
+        nodes.append(splice)
 
     node_idx = {n: i for i, n in enumerate(nodes)}
     nn = len(nodes)

@@ -677,6 +677,68 @@ def fit_common_denominator(resps, cfg):
 
 
 # ---------------------------------------------------------------------------
+# order probe: AAA rational interpolation (Nakatsukasa, Sete & Trefethen,
+# SISC 2018)
+
+# Grid points one probe reads per port: every ceil(m / 200)-th sample.
+_AAA_SAMPLES = 200
+
+
+def _aaa_degree(resps, rms_target, max_degree):
+    """Rational degree the data reveals, or None.
+
+    Each port, divided by its peak magnitude, is sampled at s = jw/w_max on
+    every ceil(m / ``_AAA_SAMPLES``)-th grid point, plus the conjugate
+    samples at -s (s = 0 is its own mirror image).  Greedy AAA adds the
+    worst-fitted sample as a support point and takes the barycentric
+    weights from the smallest right singular vector of the Loewner matrix,
+    until the rms relative error over the samples (the order scan's
+    metric) is at most ``rms_target``; the port's degree is its
+    support-point count minus one.  Returns the largest degree of any
+    port, or None when a port has a non-finite or zero peak, an SVD fails,
+    or a port misses the target within ``max_degree + 2`` support points
+    (fewer if the Loewner matrix would have fewer rows than columns).
+    """
+    omega = resps.grid.omega
+    step = -(-omega.size // _AAA_SAMPLES)
+    s = 1j * omega[::step] / omega[-1]
+    mirror = s != 0.0
+    z = np.concatenate([s, -s[mirror]])
+    budget = min(max_degree + 2, z.size // 2)
+    degree = 0
+    for h in resps.values:
+        peak = float(np.max(np.abs(h)))
+        if not (math.isfinite(peak) and peak > 0.0):
+            return None
+        f = h[::step] / peak
+        f = np.concatenate([f, np.conj(f[mirror])])
+        fit = np.full(f.size, np.mean(f))
+        free = np.ones(f.size, dtype=bool)
+        support = []
+        for k in range(budget):
+            j = int(np.argmax(np.abs(f - fit)))
+            support.append(j)
+            free[j] = False
+            cauchy = 1.0 / (z[free, None] - z[support])
+            try:
+                vh = np.linalg.svd(cauchy * (f[free, None] - f[support]),
+                                   full_matrices=False)[2]
+            except np.linalg.LinAlgError:
+                return None
+            w = np.conj(vh[-1])
+            fit = f.copy()
+            with np.errstate(all="ignore"):
+                fit[free] = (cauchy @ (w * f[support])) / (cauchy @ w)
+                rms = float(np.sqrt(np.mean(np.abs(f - fit) ** 2)))
+            if rms <= rms_target:
+                degree = max(degree, k)
+                break
+        else:
+            return None
+    return degree
+
+
+# ---------------------------------------------------------------------------
 # pole / zero extraction
 
 _COEFF_TRIM = 1e-13

@@ -18,7 +18,7 @@ import scipy.optimize
 from .errors import UsageError
 from .freqresp import slice_band
 from .ratfit import (FitConfig, FitReport, PartialFractionModel, PolePair,
-                     fit_common_denominator, poles_and_zeros)
+                     _aaa_degree, fit_common_denominator, poles_and_zeros)
 
 __all__ = [
     "ClassifiedPole",
@@ -129,14 +129,18 @@ class ScanStep:
 
 @dataclass(frozen=True)
 class OrderScan:
-    """Scan result: ``steps`` end at the first order meeting the rms target
-    with persisting poles (``converged``), or list every order when none
-    does and ``selected`` is the lowest-rms one (first on ties)."""
+    """Scan result.  ``revealed`` is the degree the AAA probe found in the
+    data, or None; the scan starts at the largest listed order at most
+    ``revealed``, else at the lowest.  ``steps`` end at the first order
+    meeting the rms target with persisting poles (``converged``), or list
+    every scanned order when none does and ``selected`` is the lowest-rms
+    one (first on ties)."""
 
     steps: tuple[ScanStep, ...]
     selected: int
     converged: bool
     model: PartialFractionModel
+    revealed: int | None = None
 
 
 @dataclass(frozen=True)
@@ -279,11 +283,15 @@ def _poles_persist(poles_a, poles_b, floor):
 
 
 def _scan_orders(resps, orders, cfg):
-    """Fit ascending orders; select the smallest meeting the rms target
-    whose poles persist at order+2, else the lowest-rms order."""
+    """Fit ascending orders from the one the AAA probe reveals; select the
+    smallest meeting the rms target whose poles persist at order+2, else
+    the lowest-rms scanned order."""
     orders = [int(n) for n in orders]
     if not orders or any(b <= a for a, b in zip(orders, orders[1:])):
         raise UsageError("orders must be a nonempty ascending sequence")
+    revealed = _aaa_degree(resps, cfg.rms_target, orders[-1])
+    if revealed is not None:  # start at the largest order not above it
+        orders = orders[max(sum(n <= revealed for n in orders) - 1, 0):]
     floor = _omega_floor(resps.grid)
     fits = {}
 
@@ -302,9 +310,9 @@ def _scan_orders(resps, orders, cfg):
             persisted = drifted is None
         steps.append(ScanStep(n, report, persisted, drifted))
         if persisted:
-            return OrderScan(tuple(steps), n, True, model)
+            return OrderScan(tuple(steps), n, True, model, revealed)
     best = min(steps, key=lambda step: step.report.rms_rel_error)
-    return OrderScan(tuple(steps), best.order, False, fits[best.order][0])
+    return OrderScan(tuple(steps), best.order, False, fits[best.order][0], revealed)
 
 
 def subband_consistency_check(resps, suspect, widths_hz, orders, cfg=StabilityConfig()):
@@ -355,6 +363,10 @@ def auto_identify(resps, orders, cfg=StabilityConfig()):
 
     audit = []
     notes = []
+    skipped = [str(n) for n in orders if n < scan.steps[0].order]
+    if skipped:
+        notes.append(f"orders {', '.join(skipped)} not scanned: the AAA probe "
+                     f"revealed degree {scan.revealed}")
     if not scan.converged:
         notes.append(f"no order in {scan.steps[0].order}..{scan.steps[-1].order} passed "
                      f"the selection rule (rms <= {cfg.rms_target} plus pole "

@@ -5,7 +5,7 @@ import xml.dom.minidom
 import numpy as np
 import pytest
 
-from pzid import staban
+from pzid import cli, staban
 from pzid.cli import dispatch
 from pzid.freqresp import parse_csv
 from pzid.ratfit import PartialFractionModel, save_model
@@ -245,6 +245,23 @@ class TestSweepCommands:
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert dispatch(["frobnicate"]) == 2
+
+    def test_parser_is_built_once_and_survives_errors(self, tmp_path, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda build=cli.build_parser: built.append(1) or build())
+        cli._parser.cache_clear()
+        out = tmp_path / "s.csv"
+        try:
+            assert dispatch(["frobnicate"]) == 2
+            assert dispatch(["spiral", "--turns", "1", "--points", "4", "--bogus"]) == 2
+            for _ in range(2):
+                assert dispatch(["spiral", "--turns", "1", "--points", "4",
+                                 "--out", str(out)]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert out.read_text().startswith("# config: out=")
 
     def test_unknown_flag_rejected(self, capsys):
         assert dispatch(["spiral", "--turns", "1", "--points", "4",

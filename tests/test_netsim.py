@@ -77,6 +77,16 @@ class TestPencil:
         assert np.array_equal(b, [0, 0, 0, 0, 1])
         assert np.array_equal(c, [0, 0, 0, 0, 1])
 
+    @pytest.mark.parametrize("name", ["a", "x"])
+    def test_netlist_node_named_like_the_splice(self, name):
+        # a netlist node called __probe must not merge with the probe's
+        # splice node; "a" keeps the sorted node order, "x" does not
+        text = "R r1 {0} 0 50\nC c1 {0} n1 1p\nR r2 n1 0 10\n"
+        probe = voltage_probe("r2")
+        got = frequency_response(parse_netlist(text.format("__probe")), probe, GRID)
+        want = frequency_response(parse_netlist(text.format(name)), probe, GRID)
+        assert np.array_equal(got.values, want.values)
+
 
 def per_point_response(net, probe, grid):
     """Reference: one lone solve per grid point."""

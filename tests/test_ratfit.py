@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from fixtures import (flat_response, random_pf_model, sample_model, wideband_model,
-                      wideband_net)
+from fixtures import (flat_response, oracle_grid, random_oracle_net, random_pf_model,
+                      sample_model, wideband_model, wideband_net)
 from pzid.errors import NumericError, UsageError
 from pzid.freqresp import FrequencyGrid, FrequencyResponseSet, PortLabel
-from pzid.netsim import analytic_poles, current_probe, frequency_response
+from pzid.netsim import analytic_poles, current_probe, frequency_response, frequency_responses
 from pzid.ratfit import (_QR_NB, _SIGMA_TOL, FitConfig, FitReport, PartialFractionModel,
-                         PolynomialRatioModel, RankDeficiencyError, _canonical_order,
+                         PolynomialRatioModel, RankDeficiencyError, _aaa_degree,
+                         _canonical_order,
                          _canonical_pf, _coeffs_to_residues, _initial_poles, _pf_basis,
                          _qr_r, _real_realization, _relocate_poles, evaluate_model,
                          fit_common_denominator, fit_error, fit_polynomial_ratio,
@@ -675,3 +677,75 @@ class TestRelocationQr:
         with pytest.raises(NumericError, match="info -2"):
             fit_common_denominator(sample_model(model, f_lo, f_hi),
                                    FitConfig(order=model.order))
+
+
+def nodal_impedances(seed):
+    """Every node's impedance of a random oracle net, whether each grows
+    like s far above the band, and the pencil's pole count."""
+    net, poles = random_oracle_net(seed)
+    grid = oracle_grid(poles)
+    probes = [current_probe(node) for node in net.nodes]
+    far = FrequencyGrid(1e3 * grid.f_hi * np.arange(1.0, 5.0))
+    grows = [abs(z[1]) > 1.5 * abs(z[0])
+             for z in frequency_responses(net, probes, far).values]
+    return frequency_responses(net, probes, grid), grows, poles.size
+
+
+def port_subset(resps, rows):
+    return FrequencyResponseSet(resps.grid, tuple(resps.ports[i] for i in rows),
+                                tuple(resps.values[i] for i in rows),
+                                tuple(resps.kinds[i] for i in rows))
+
+
+class TestOrderProbe:
+    @pytest.mark.parametrize("seed", range(200, 212))
+    def test_reveals_the_pencil_pole_count(self, seed):
+        # a bounded nodal impedance has the pencil's degree; one growing
+        # like s has one degree more (no partial-fraction order fits it)
+        resps, grows, n = nodal_impedances(seed)
+        for k, grow in enumerate(grows):
+            assert _aaa_degree(port_subset(resps, [k]), 1e-10, n + 4) == n + grow, k
+        assert _aaa_degree(resps, 1e-10, n + 4) == n + any(grows)
+
+    def test_multiport_takes_the_largest_port_degree(self):
+        grid = FrequencyGrid(np.linspace(1e9, 10e9, 300))
+        rows = []
+        for n_pairs in (1, 3, 2):
+            w = 2 * np.pi * 1e9 * np.arange(2.0, 2.0 + 2 * n_pairs, 2.0)
+            poles = np.concatenate([-0.05 * w + 1j * w, -0.05 * w - 1j * w])
+            model = PartialFractionModel(poles, np.ones((1, poles.size)) * 1e9, [0.5])
+            rows.append(evaluate_model(model, grid))
+        names = (PortLabel("a"), PortLabel("b"), PortLabel("c"))
+        resps = FrequencyResponseSet(grid, names, rows)
+        assert [_aaa_degree(port_subset(resps, [k]), 1e-10, 10) for k in range(3)] == [2, 6, 4]
+        assert _aaa_degree(resps, 1e-10, 10) == 6
+        assert _aaa_degree(port_subset(resps, [2, 0]), 1e-10, 10) == 4
+
+    @pytest.mark.parametrize("scale", [1e30, 1e-30])
+    def test_rescaling_keeps_the_degree(self, scale):
+        resps, _, n = nodal_impedances(201)
+        scaled = FrequencyResponseSet(resps.grid, resps.ports, scale * resps.values,
+                                      resps.kinds)
+        assert _aaa_degree(scaled, 1e-6, n + 4) == _aaa_degree(resps, 1e-6, n + 4)
+
+    def test_noise_above_the_target_reveals_nothing(self):
+        assert _aaa_degree(flat_response(noise=1e-5), 1e-6, 8) is None
+        assert _aaa_degree(flat_response(), 1e-6, 8) == 0
+
+    def test_degree_beyond_the_budget_reveals_nothing(self):
+        resps, grows, n = nodal_impedances(211)
+        bounded = port_subset(resps, [k for k, grow in enumerate(grows) if not grow])
+        assert _aaa_degree(bounded, 1e-10, n - 1) == n  # n + 1 support points
+        assert _aaa_degree(bounded, 1e-10, n - 2) is None
+
+    def test_dc_sample_is_not_mirrored(self):
+        # s = 0 is its own mirror image; a second copy would put a zero
+        # distance into the Cauchy matrix once it becomes a support point
+        model = PartialFractionModel(np.array([-1e9 + 0j]), np.array([[1e9 + 0j]]), [0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _aaa_degree(sample_model(model, 0.0, 10e9), 1e-8, 8) == 1
+
+    def test_overflowing_peak_reveals_nothing(self):
+        f = np.linspace(1e8, 1e9, 200)
+        assert _aaa_degree(single_port(f, np.full(f.size, 1e308 + 1e308j)), 1e-6, 8) is None

@@ -235,8 +235,25 @@ class TestAutoIdentify:
 
 class TestOrderScanRecord:
     def test_steps_carry_each_orders_own_fit(self):
+        # the AAA probe reveals degree 4, so orders 2 and 3 are not fitted
         resp = overmodel_response(seed=0)
-        scan = auto_identify(resp, range(2, 9), StabilityConfig(rms_target=1e-4)).scan
+        v = auto_identify(resp, range(2, 9), StabilityConfig(rms_target=1e-4))
+        scan = v.scan
+        assert scan.revealed == 4
+        assert [step.order for step in scan.steps] == [4]
+        model, report = fit_common_denominator(resp, FitConfig(order=4))
+        assert scan.steps[0].report == report and scan.model == model
+        assert scan.converged and scan.selected == 4
+        assert scan.steps[0].persisted is True and scan.steps[0].drifted is None
+        assert v.notes == ("orders 2, 3 not scanned: the AAA probe revealed degree 4",)
+
+    def test_without_a_revealed_degree_the_scan_walks_up(self, monkeypatch):
+        monkeypatch.setattr(staban, "_aaa_degree",
+                            lambda resps, rms_target, max_degree: None)
+        resp = overmodel_response(seed=0)
+        v = auto_identify(resp, range(2, 9), StabilityConfig(rms_target=1e-4))
+        scan = v.scan
+        assert scan.revealed is None and v.notes == ()
         assert [step.order for step in scan.steps] == [2, 3, 4]
         for step in scan.steps:
             _, report = fit_common_denominator(resp, FitConfig(order=step.order))
@@ -245,6 +262,15 @@ class TestOrderScanRecord:
         assert scan.steps[-1].persisted is True and scan.steps[-1].drifted is None
         assert all(step.persisted is not True for step in scan.steps[:-1])
         assert scan.model == fit_common_denominator(resp, FitConfig(order=4))[0]
+
+    @pytest.mark.parametrize("revealed, first", [(1, 2), (2, 2), (4, 3), (6, 6), (20, 8)])
+    def test_scan_starts_at_the_largest_order_within_the_degree(self, monkeypatch,
+                                                                revealed, first):
+        monkeypatch.setattr(staban, "_aaa_degree", lambda resps, rms_target,
+                            max_degree: revealed)
+        scan = auto_identify(overmodel_response(seed=0), (2, 3, 6, 8),
+                             StabilityConfig(rms_target=1e-4)).scan
+        assert scan.revealed == revealed and scan.steps[0].order == first
 
     def test_flat_response_fails_persistence(self, monkeypatch):
         resp = flat_response()
@@ -374,7 +400,8 @@ class TestSerialization:
         v = auto_identify(resp, range(2, 9), StabilityConfig(rms_target=1e-4))
         doc = json.loads(serialize_verdict(v))
         assert doc["stable"] is False
-        assert doc["order_scan"][0]["order"] == 2
+        assert [step["order"] for step in doc["order_scan"]] == [4]
+        assert doc["notes"] == ["orders 2, 3 not scanned: the AAA probe revealed degree 4"]
         assert "rho" in doc and "cancellations" in doc and "audit" in doc
         assert all("rad_s" in p for p in doc["poles"])
 
