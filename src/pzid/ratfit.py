@@ -442,20 +442,31 @@ def fit_polynomial_ratio(resp, cfg):
 # ---------------------------------------------------------------------------
 # vector fitting with a common denominator
 
-def _initial_poles(n, w_lo, w_hi):
-    """N/2 conjugate pairs spaced linearly over the band, Re = -Im/100;
-    odd orders add one real pole at the band center."""
-    w_lo = max(w_lo, 1e-3 * w_hi)
-    poles = []
-    if n % 2:
-        poles.append(complex(-0.5 * (w_lo + w_hi), 0.0))
-    n_pairs = n // 2
-    if n_pairs:
-        betas = np.linspace(w_lo, w_hi, n_pairs) if n_pairs > 1 else [0.5 * (w_lo + w_hi)]
-        for b in betas:
-            poles.append(complex(-b / 100.0, b))
-            poles.append(complex(-b / 100.0, -b))
-    return np.asarray(poles, dtype=complex)
+def _initial_poles(n, w):
+    """Start poles that follow the normalised sample grid ``w`` (w[-1] = 1).
+
+    Pair k of the N/2 pairs gets Im = the grid frequency at the evenly
+    spaced sample position k (m - 1) / (N/2 - 1), interpolated over the
+    sample index, and Re = -Im/100.  A lone pair sits at the middle sample
+    position, and an odd order adds one real pole -w there, first in
+    canonical order.  On a linear grid the pairs are spaced linearly over
+    the band, on a log grid geometrically, as Gustavsen & Semlyen (IEEE
+    TPWRD 1999) recommend for wide bands.  A pole that would land on w = 0
+    (a DC sample) goes to 1e-3 w[-1].
+    """
+    n_real, n_pairs = n % 2, n // 2
+    last = w.size - 1
+    at = [0.5 * last] * (n_real + (n_pairs == 1))
+    if n_pairs > 1:  # np.linspace(0, last, n_pairs) bit for bit, without its 8 us per call
+        step = last / (n_pairs - 1)
+        at += [k * step for k in range(n_pairs - 1)] + [last]
+    beta = np.interp(at, np.arange(w.size), w)
+    beta[beta == 0.0] = 1e-3 * w[-1]
+    poles = np.empty(n, dtype=complex)
+    poles[:n_real] = -beta[:n_real]
+    poles[n_real::2] = -beta[n_real:] / 100.0 + 1j * beta[n_real:]
+    poles[n_real + 1::2] = np.conj(poles[n_real::2])
+    return poles
 
 
 def _pf_basis(poles, s):
@@ -608,15 +619,18 @@ def _relocate_poles(poles, s, f_mat):
 def fit_common_denominator(resps, cfg):
     """Vector-fit all ports of a response set against one shared pole set.
 
-    Initial poles are conjugate pairs spread over the band; each iteration
-    relocates them to the zeros of the fitted scaling function under the
-    relaxed nontriviality constraint, until the poles stop moving, the
-    scaling function settles (``_SIGMA_TOL``), the relocation least squares
-    keeps one rank below n + 1 on two consecutive steps (an over-modeled
-    fit whose spare poles would wander to the cap; the step just taken is
-    kept) or ``cfg.iters`` runs out.  The first steps off the initial poles
-    are often rank-deficient by a deficit that shrinks as the poles move,
-    so one deficient step alone never stops the loop.
+    The initial poles follow the sample grid (``_initial_poles``): pairs
+    sit at evenly spaced sample positions, so a log grid gets geometrically
+    spaced pairs.  Each iteration relocates them to the zeros of the fitted
+    scaling function under the relaxed nontriviality constraint, until the
+    poles stop moving, the scaling function settles (``_SIGMA_TOL``), the
+    relocation least squares keeps one rank below n + 1 on two consecutive
+    steps (an over-modeled fit whose spare poles would wander to the cap;
+    the step just taken is kept) or ``cfg.iters`` runs out.  The first
+    steps off the initial poles can be rank-deficient by a deficit that
+    shrinks as the poles move (a wide band on a linear grid, where the
+    start pairs miss its lowest decades), so one deficient step alone never
+    stops the loop.
     Final residues and one real direct term per port are solved against the
     fixed relocated poles.  Unstable poles are preserved at every stage.
     """
@@ -634,7 +648,7 @@ def fit_common_denominator(resps, cfg):
         poles = np.zeros(0, dtype=complex)
         stop = "no-poles"
     else:
-        poles = _initial_poles(n, float(omega[0]) / w_scale, float(omega[-1]) / w_scale)
+        poles = _initial_poles(n, omega / w_scale)
         stop = "iteration-cap"
         prev_rank = n + 1
         for it in range(cfg.iters):
@@ -691,13 +705,14 @@ def _aaa_degree(resps, rms_target, max_degree):
     every ceil(m / ``_AAA_SAMPLES``)-th grid point, plus the conjugate
     samples at -s (s = 0 is its own mirror image).  Greedy AAA adds the
     worst-fitted sample as a support point and takes the barycentric
-    weights from the smallest right singular vector of the Loewner matrix,
+    weights from the smallest right singular vector of the Loewner matrix
+    (read off its R factor, which has the same right singular vectors),
     until the rms relative error over the samples (the order scan's
     metric) is at most ``rms_target``; the port's degree is its
     support-point count minus one.  Returns the largest degree of any
-    port, or None when a port has a non-finite or zero peak, an SVD fails,
-    or a port misses the target within ``max_degree + 2`` support points
-    (fewer if the Loewner matrix would have fewer rows than columns).
+    port, or None when a port has a non-finite or zero peak, a QR or SVD
+    fails, or a port misses the target within ``max_degree + 2`` support
+    points (fewer if the Loewner matrix would have fewer rows than columns).
     """
     omega = resps.grid.omega
     step = -(-omega.size // _AAA_SAMPLES)
@@ -721,8 +736,8 @@ def _aaa_degree(resps, rms_target, max_degree):
             free[j] = False
             cauchy = 1.0 / (z[free, None] - z[support])
             try:
-                vh = np.linalg.svd(cauchy * (f[free, None] - f[support]),
-                                   full_matrices=False)[2]
+                loewner_r = np.linalg.qr(cauchy * (f[free, None] - f[support]), mode="r")
+                vh = np.linalg.svd(loewner_r)[2]
             except np.linalg.LinAlgError:
                 return None
             w = np.conj(vh[-1])

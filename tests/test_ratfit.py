@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from fixtures import (flat_response, oracle_grid, random_oracle_net, random_pf_model,
-                      sample_model, wideband_model, wideband_net)
+                      sample_model, wideband_model)
 from pzid.errors import NumericError, UsageError
 from pzid.freqresp import FrequencyGrid, FrequencyResponseSet, PortLabel
 from pzid.netsim import analytic_poles, current_probe, frequency_response, frequency_responses
@@ -132,15 +132,83 @@ class TestCommonDenominatorFit:
 
 
 
+def reference_initial_poles(n, w_lo, w_hi):
+    """Start poles as they were before they followed the grid: pairs
+    spaced linearly over [max(w_lo, 1e-3 w_hi), w_hi]."""
+    w_lo = max(w_lo, 1e-3 * w_hi)
+    poles = []
+    if n % 2:
+        poles.append(complex(-0.5 * (w_lo + w_hi), 0.0))
+    n_pairs = n // 2
+    if n_pairs:
+        betas = np.linspace(w_lo, w_hi, n_pairs) if n_pairs > 1 else [0.5 * (w_lo + w_hi)]
+        for b in betas:
+            poles.append(complex(-b / 100.0, b))
+            poles.append(complex(-b / 100.0, -b))
+    return np.asarray(poles, dtype=complex)
+
+
+class TestInitialPoles:
+    @pytest.mark.parametrize("m", [5, 200, 401, 2000])
+    @pytest.mark.parametrize("f_lo", [10e6, 0.3e9, 5e9])
+    def test_linear_grid_keeps_linear_spacing(self, m, f_lo):
+        w = np.linspace(f_lo, 10e9, m) / 10e9
+        for n in range(1, min(m, 41)):
+            ref = reference_initial_poles(n, w[0], 1.0)
+            assert np.all(np.abs(_initial_poles(n, w) - ref) <= 1e-15 * np.abs(ref)), n
+
+    def test_log_grid_spaces_pairs_geometrically(self):
+        # 9 (n_pairs - 1) divides m - 1, so every pair sits on a sample
+        w = np.geomspace(1e6, 40e9, 451) / 40e9
+        poles = _initial_poles(20, w)
+        im = poles.imag[::2]
+        assert np.all(poles.real[::2] == -im / 100.0)
+        ratios = im[1:] / im[:-1]
+        assert np.allclose(ratios, (40e9 / 1e6) ** (1 / 9), rtol=1e-12, atol=0.0)
+        assert im[0] == w[0] and im[-1] == 1.0
+
+    @pytest.mark.parametrize("n", [1, 3, 7, 21])
+    def test_odd_order_puts_real_pole_first(self, n):
+        w = np.geomspace(1e6, 40e9, 400) / 40e9
+        poles = _initial_poles(n, w)
+        assert _canonical_order(poles) == (list(range(n)), 1)
+        assert poles[0] == -np.interp(199.5, np.arange(400), w)
+
+    @pytest.mark.parametrize("w", [np.linspace(0.0, 1.0, 200),
+                                   np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 199)])])
+    def test_dc_sample_gives_no_pole_at_zero(self, w):
+        for n in range(1, 21):
+            poles = _initial_poles(n, w)
+            assert np.all(poles != 0.0), n
+            if n >= 4:  # the first of two or more pairs reads the DC sample
+                assert poles[n % 2] == complex(-1e-5, 1e-3), n
+
+    def test_fit_on_a_dc_grid_raises_no_warning(self):
+        model, _, f_hi = random_pf_model(300)
+        resp = sample_model(model, 0.0, f_hi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit, _ = fit_common_denominator(resp, FitConfig(order=model.order))
+        assert np.all(fit.poles != 0.0)
+
+    def test_wideband_fit_converges_in_two_steps(self):
+        # criterion 1's 4.6-decade fixture: log-spaced start pairs reach
+        # the pole-move stop on the 2nd step (linearly spaced ones took 4)
+        wide = wideband_model()
+        resp = sample_model(wide, 1e6, 40e9, n=400, log=True)
+        fit, report = fit_common_denominator(resp, FitConfig(order=20))
+        assert report.converged and report.iters_used == 2
+        assert worst_pole_error(fit.poles, wide.poles) <= 1e-6
+
+
 class TestRelocationStop:
-    def test_wideband_fit_stops_on_settled_sigma(self):
-        # at the 4th step the poles still move by 6e-9 of the band edge,
-        # 60x the pole-move threshold, while sigma has settled to 7e-9
-        net = wideband_net()
-        truth = analytic_poles(net)
+    def test_fit_stops_on_settled_sigma(self):
+        # at the 2nd step the poles still move by 8e-10 of the band edge,
+        # 8x the pole-move threshold, while sigma has settled to 9e-10
+        model, f_lo, f_hi = random_pf_model(7)
+        truth = model.poles
         assert truth.size == 20
-        resp = frequency_response(net, current_probe("t0"),
-                                  FrequencyGrid(np.geomspace(1e6, 40e9, 400)))
+        resp = sample_model(model, f_lo, f_hi)
         cfg = FitConfig(order=20)
         fit, report = fit_common_denominator(resp, cfg)
         assert report.stop == "sigma-settled" and report.converged
@@ -152,7 +220,7 @@ class TestRelocationStop:
         w = 2 * np.pi * np.linspace(f_lo, f_hi, 400)
         s = 1j * w / w[-1]
         f_mat = evaluate_model(model, FrequencyGrid(w / (2 * np.pi)), 0)[None, :]
-        _, far, _ = _relocate_poles(_initial_poles(model.order, w[0] / w[-1], 1.0), s, f_mat)
+        _, far, _ = _relocate_poles(_initial_poles(model.order, w / w[-1]), s, f_mat)
         _, at_truth, _ = _relocate_poles(model.poles / w[-1], s, f_mat)
         assert far > _SIGMA_TOL
         assert at_truth < 1e-3 * _SIGMA_TOL
@@ -171,8 +239,12 @@ class TestRelocationStop:
         assert worst_pole_error(fit.poles, model.poles) <= 1e-9
 
     def test_shrinking_rank_deficit_does_not_stop(self, monkeypatch):
-        # the first steps off the initial poles are rank-deficient by a
-        # deficit that shrinks to zero; the fit runs on to the true poles
+        # on a linear grid the start pairs sit 4.4 GHz apart, and 8 of this
+        # model's 10 resonances lie below the second pair.  The first steps
+        # are rank-deficient by a deficit that shrinks to zero (ranks 16,
+        # 19, 21, 21), and the fit runs on to the true poles.  On 6000
+        # points the worst pole error is 2e-9 to 6e-9; on 4000 it is 3e-7
+        # or 1.1e-6, depending on the BLAS thread count
         ranks = []
 
         def recording_relocate(poles, s, f_mat):
@@ -182,7 +254,7 @@ class TestRelocationStop:
 
         monkeypatch.setattr("pzid.ratfit._relocate_poles", recording_relocate)
         wide = wideband_model()
-        fit, report = fit_common_denominator(sample_model(wide, 1e6, 40e9, n=400, log=True),
+        fit, report = fit_common_denominator(sample_model(wide, 1e6, 40e9, n=6000),
                                              FitConfig(order=20, iters=30))
         assert ranks[0] < 21
         assert report.stop in ("pole-move", "sigma-settled") and report.converged
@@ -616,7 +688,7 @@ def normalized_samples(seed, n_ports, real_pole):
     """Relocation inputs in the fitter's units: s = jw / w_max and one row
     of f per port, each port with its own conjugate-symmetric residues.
     ``real_pole`` adds a real pole to the data, giving it an odd order.
-    Returns (order, s, f_mat, w_lo)."""
+    Returns (order, s, f_mat, w) with w the normalised linear grid."""
     model, f_lo, f_hi = random_pf_model(seed)
     w = 2 * np.pi * np.linspace(f_lo, f_hi, 400)
     w_scale = float(w[-1])
@@ -632,7 +704,7 @@ def normalized_samples(seed, n_ports, real_pole):
         if real_pole:
             h += rng.uniform(0.1, 1.0) / (s + rng.uniform(0.2, 0.8))
         rows.append(h)
-    return model.order + real_pole, s, np.array(rows), float(w[0]) / w_scale
+    return model.order + real_pole, s, np.array(rows), w / w_scale
 
 
 class TestRelocationQr:
@@ -657,13 +729,14 @@ class TestRelocationQr:
 
     @pytest.mark.parametrize("n_ports", [1, 3])
     def test_relocation_matches_numpy_qr_reference(self, n_ports):
-        # data orders 2..11.  From order 14 up, the first step off the
-        # initial poles is so ill-conditioned that two backward-stable QRs
-        # agree only to 1e-11..1e-8; the steps after it agree to ~1e-13.
+        # data orders 2..11 on linear grids, where the start poles are
+        # spaced linearly.  From order 14 up, the first step off them is so
+        # ill-conditioned that two backward-stable QRs agree only to
+        # 1e-11..1e-8; the steps after it agree to ~1e-13.
         for seed in (300, 301, 303, 305):
             for real_pole in (False, True):
-                n, s, f_mat, w_lo = normalized_samples(seed, n_ports, real_pole)
-                poles = _initial_poles(n, w_lo, 1.0)
+                n, s, f_mat, w = normalized_samples(seed, n_ports, real_pole)
+                poles = _initial_poles(n, w)
                 for _ in range(3):
                     ref = reference_relocate_poles(poles, s, f_mat)
                     got, _, _ = _relocate_poles(poles, s, f_mat)
