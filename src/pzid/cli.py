@@ -4,7 +4,8 @@ Subcommands: synth, fit, stability, rho, locus, threshold, mc, spiral,
 proviso.  Exit codes: 0 success, 1 instability declared with
 --fail-on-unstable set, 2 usage error, 3 numeric failure.  Every report
 embeds the fully resolved configuration, and reruns with identical inputs,
-flags and seed produce byte-identical outputs.
+flags and seed produce byte-identical outputs at a fixed BLAS thread count
+(an ill-conditioned fit can round differently under another count).
 """
 
 from __future__ import annotations
@@ -80,10 +81,10 @@ def _write(path, text):
         fh.write(text)
 
 
-def _config_echo(args, skip=("func",)):
+def _config_echo(args):
     out = {}
     for k, v in sorted(vars(args).items()):
-        if k in skip or v is None:
+        if k == "func" or v is None:
             continue
         out[k.replace("_", "-")] = v if isinstance(v, (int, float, bool, str)) else str(v)
     return out
@@ -233,7 +234,7 @@ def _cmd_proviso(args):
 def _add_fit_opts(p):
     """Fit order and relocation-iteration cap of the sweep subcommands."""
     p.add_argument("--order", type=int, default=8)
-    p.add_argument("--iters", type=int, default=12)
+    p.add_argument("--iters", type=int, default=ratfit.FitConfig.iters)
 
 
 def _add_grid_opts(p, points_flag="--points"):
@@ -269,16 +270,17 @@ def build_parser():
     p.add_argument("--in", required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--method", choices=("vf", "poly"), default="vf")
-    p.add_argument("--iters", type=int, default=12)
+    p.add_argument("--iters", type=int, default=ratfit.FitConfig.iters)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("stability", help="auto-identify and classify stability")
     p.add_argument("--in", required=True)
     p.add_argument("--orders", required=True, help="LO:HI order scan range")
-    p.add_argument("--rho-floor", type=float, default=1e-4)
-    p.add_argument("--cancel-tol", type=float, default=0.05)
-    p.add_argument("--rms-target", type=float, default=1e-6)
+    defaults = staban.StabilityConfig
+    p.add_argument("--rho-floor", type=float, default=defaults.rho_floor)
+    p.add_argument("--cancel-tol", type=float, default=defaults.cancel_threshold)
+    p.add_argument("--rms-target", type=float, default=defaults.rms_target)
     p.add_argument("--report", required=True)
     p.add_argument("--fail-on-unstable", action="store_true")
     _add_svg_opts(p)

@@ -6,7 +6,7 @@ H(-jw) = conj(H(jw)) is assumed by every fitter downstream, never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,17 +201,21 @@ def parse_probe(text):
 class PortLabel:
     """Named observation port, optionally recording how it was excited.
 
-    The name heads CSV columns and keys directives, so it follows the
-    probe-name rules: no ``,``, ``=``, surrounding whitespace or
-    unprintable character."""
+    ``kind`` is the physical unit of the port's samples: impedance (ohm),
+    admittance (siemens) or a dimensionless transfer.  The name heads CSV
+    columns and keys directives, so it follows the probe-name rules: no
+    ``,``, ``=``, surrounding whitespace or unprintable character."""
 
     name: str
     excitation: str | None = None
+    kind: str = "transfer"
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("port name must be nonempty")
         _check_name("port name", self.name, ",=")
+        if self.kind not in RESPONSE_KINDS:
+            raise ValueError(f"unknown response kind {self.kind!r}")
         if self.excitation is not None:
             object.__setattr__(self, "excitation", parse_probe(self.excitation).descriptor())
 
@@ -222,14 +226,11 @@ class FrequencyResponseSet:
 
     ``values`` is one read-only complex array of shape (n_ports, len(grid)),
     a row per port in port order; any sequence of per-port rows builds it.
-    ``kinds`` records the physical unit per port: impedance (ohm),
-    admittance (siemens) or a dimensionless transfer.
     """
 
     grid: FrequencyGrid
     ports: tuple[PortLabel, ...]
     values: np.ndarray
-    kinds: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         ports = tuple(self.ports)
@@ -238,12 +239,6 @@ class FrequencyResponseSet:
         names = [p.name for p in ports]
         if len(set(names)) != len(names):
             raise ValueError("duplicate port names")
-        kinds = tuple(self.kinds) or ("transfer",) * len(ports)
-        if len(kinds) != len(ports):
-            raise ValueError("kinds length does not match ports")
-        for k in kinds:
-            if k not in RESPONSE_KINDS:
-                raise ValueError(f"unknown response kind {k!r}")
         values = np.empty((len(ports), len(self.grid)), dtype=complex)
         for p, row, v in zip(ports, values, self.values, strict=True):
             v = np.asarray(v, dtype=complex)
@@ -254,7 +249,6 @@ class FrequencyResponseSet:
             row[:] = v
         object.__setattr__(self, "ports", ports)
         object.__setattr__(self, "values", _readonly(values))
-        object.__setattr__(self, "kinds", kinds)
 
     def __eq__(self, other):
         if not isinstance(other, FrequencyResponseSet):
@@ -262,7 +256,6 @@ class FrequencyResponseSet:
         return (
             self.grid == other.grid
             and self.ports == other.ports
-            and self.kinds == other.kinds
             and np.array_equal(self.values, other.values)
         )
 
@@ -366,19 +359,19 @@ def parse_csv(text):
         unknown = sorted(set(named) - set(port_names))
         if unknown:
             raise ResponseParseError(f"{label} directive for unknown port {unknown[0]!r}")
-    kinds = tuple(kinds_map.get(n, "transfer") for n in port_names)
-    for k in kinds:
-        if k not in RESPONSE_KINDS:
-            raise ResponseParseError(f"unknown kind {k!r} in directive")
-    ports = tuple(PortLabel(n, excit_map.get(n)) for n in port_names)
-    return FrequencyResponseSet(FrequencyGrid(np.asarray(freqs)), ports, values, kinds)
+    try:
+        ports = tuple(PortLabel(n, excit_map.get(n), kinds_map.get(n, "transfer"))
+                      for n in port_names)
+    except ValueError as exc:
+        raise ResponseParseError(str(exc)) from None
+    return FrequencyResponseSet(FrequencyGrid(np.asarray(freqs)), ports, values)
 
 
 def emit_csv(rset):
     """Serialize to the CSV schema; ``parse_csv`` round-trips bit-identically."""
     lines = []
-    if any(k != "transfer" for k in rset.kinds):
-        pairs = ",".join(f"{p.name}={k}" for p, k in zip(rset.ports, rset.kinds))
+    if any(p.kind != "transfer" for p in rset.ports):
+        pairs = ",".join(f"{p.name}={p.kind}" for p in rset.ports)
         lines.append(f"# kind: {pairs}")
     if any(p.excitation for p in rset.ports):
         pairs = ",".join(f"{p.name}={p.excitation}" for p in rset.ports if p.excitation)
@@ -468,8 +461,7 @@ def parse_touchstone(text):
     if len(freqs) < MIN_POINTS:
         raise ResponseParseError(f"fewer than {MIN_POINTS} points")
     ports = tuple(PortLabel(n) for n in labels)
-    return FrequencyResponseSet(FrequencyGrid(np.asarray(freqs)), ports,
-                                cols, ("transfer",) * len(labels))
+    return FrequencyResponseSet(FrequencyGrid(np.asarray(freqs)), ports, cols)
 
 
 def slice_band(rset, f_lo, f_hi):
@@ -483,7 +475,7 @@ def slice_band(rset, f_lo, f_hi):
         raise ValueError(
             f"sub-band [{f_lo}, {f_hi}] Hz has {n} grid points (< {MIN_POINTS})")
     return FrequencyResponseSet(
-        FrequencyGrid(f[mask]), rset.ports, rset.values[:, mask], rset.kinds)
+        FrequencyGrid(f[mask]), rset.ports, rset.values[:, mask])
 
 
 def merge_sets(sets):
@@ -496,5 +488,4 @@ def merge_sets(sets):
         raise ValueError("sets do not share a frequency grid")
     return FrequencyResponseSet(
         grid, tuple(p for s in sets for p in s.ports),
-        np.vstack([s.values for s in sets]),
-        tuple(k for s in sets for k in s.kinds))
+        np.vstack([s.values for s in sets]))

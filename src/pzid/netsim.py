@@ -99,13 +99,6 @@ class Element:
         if self.kind in ("L", "C") and self.value < 0.0:
             raise ValueError(f"element {self.name!r} value must be positive")
 
-    @property
-    def described_kind(self):
-        if self.kind == "R" and self.value < 0.0:
-            return "negative-resistor"
-        return {"R": "resistor", "L": "inductor", "C": "capacitor",
-                "G": "vccs", "SHORT": "short"}[self.kind]
-
 
 def resistor(name, n1, n2, ohms):
     return Element("R", name, (n1, n2), float(ohms))
@@ -397,8 +390,8 @@ def frequency_response(net, probe, grid, port_name=None):
     # the default name is the descriptor with ';' between modal terms, so
     # that it can head a CSV column
     name = port_name or probe.descriptor().replace(",", ";")
-    label = PortLabel(name, excitation=probe.descriptor())
-    return FrequencyResponseSet(grid, (label,), (out,), (probe.response_kind,))
+    label = PortLabel(name, probe.descriptor(), probe.response_kind)
+    return FrequencyResponseSet(grid, (label,), (out,))
 
 
 def _raise_first_singular(A, b, freqs_hz):

@@ -44,13 +44,11 @@ def _collect(report):
     """(poles, zeros, polylines, translucent) complex-plane content."""
     poles, zeros, lines, cloud = [], [], [], []
     if isinstance(report, StabilityVerdict):
-        if report.model is not None:
-            poles = list(report.model.poles)
-            for name in report.model.port_names:
-                _, zz = poles_and_zeros(report.model, name)
-                zeros.extend(zz)
-        else:
-            poles = [cp.value for cp in report.critical_poles]
+        model = report.scan.model
+        poles = list(model.poles)
+        for name in model.port_names:
+            _, zz = poles_and_zeros(model, name)
+            zeros.extend(zz)
     elif isinstance(report, PoleTrajectory):
         for track in report.tracks:
             pts = [complex(p) for p in track if not np.isnan(p)]

@@ -133,11 +133,10 @@ class OrderScan:
     data, or None; the scan starts at the largest listed order at most
     ``revealed``, else at the lowest.  ``steps`` end at the first order
     meeting the rms target with persisting poles (``converged``), or list
-    every scanned order when none does and ``selected`` is the lowest-rms
-    one (first on ties)."""
+    every scanned order when none does and ``model`` is the fit of the
+    lowest-rms one (first on ties); ``model.order`` is the selected order."""
 
     steps: tuple[ScanStep, ...]
-    selected: int
     converged: bool
     model: PartialFractionModel
     revealed: int | None = None
@@ -148,9 +147,7 @@ class StabilityVerdict:
     stable: bool
     critical_poles: tuple[ClassifiedPole, ...]
     cancellations: tuple[QuasiCancellation, ...]
-    rho: RhoMatrix | None
-    model: PartialFractionModel | None
-    selected_order: int | None
+    rho: RhoMatrix
     scan: OrderScan
     audit: tuple[str, ...] = ()
     notes: tuple[str, ...] = ()
@@ -257,7 +254,7 @@ def rho_factor(model, port, pair):
 def rank_ports(verdict, pair_index):
     """Ports ordered by descending rho for one pair; ties keep declaration order."""
     rho = verdict.rho
-    if rho is None or not 0 <= pair_index < len(rho.pair_poles):
+    if not 0 <= pair_index < len(rho.pair_poles):
         raise UsageError(f"no pair {pair_index} in the verdict")
     col = rho.values[:, pair_index]
     order = sorted(range(len(rho.port_names)), key=lambda i: (-col[i], i))
@@ -310,9 +307,9 @@ def _scan_orders(resps, orders, cfg):
             persisted = drifted is None
         steps.append(ScanStep(n, report, persisted, drifted))
         if persisted:
-            return OrderScan(tuple(steps), n, True, model, revealed)
+            return OrderScan(tuple(steps), True, model, revealed)
     best = min(steps, key=lambda step: step.report.rms_rel_error)
-    return OrderScan(tuple(steps), best.order, False, fits[best.order][0], revealed)
+    return OrderScan(tuple(steps), False, fits[best.order][0], revealed)
 
 
 def subband_consistency_check(resps, suspect, widths_hz, orders, cfg=StabilityConfig()):
@@ -322,6 +319,7 @@ def subband_consistency_check(resps, suspect, widths_hz, orders, cfg=StabilityCo
     over-modeling artifacts drift.  Returns 'physical' only if the suspect
     persists (within the location tolerance) in every sub-band.
     """
+    orders = list(orders)
     suspect = complex(suspect)
     f_r = abs(suspect.imag) / (2.0 * np.pi)
     g = resps.grid
@@ -353,6 +351,7 @@ def auto_identify(resps, orders, cfg=StabilityConfig()):
     routed to sub-band consistency checking; artifacts classified numerical
     are pruned before the stability verdict is read off the pole map.
     """
+    orders = list(orders)
     scan = _scan_orders(resps, orders, cfg)
     model = scan.model
     margin_tol = _MARGIN_TOL_REL * float(np.max(resps.grid.omega))
@@ -370,7 +369,7 @@ def auto_identify(resps, orders, cfg=StabilityConfig()):
     if not scan.converged:
         notes.append(f"no order in {scan.steps[0].order}..{scan.steps[-1].order} passed "
                      f"the selection rule (rms <= {cfg.rms_target} plus pole "
-                     f"persistence); best attempt order {scan.selected}")
+                     f"persistence); best attempt order {model.order}")
 
     tested = ", ".join(f"{w:.4g} Hz" for w in widths)
     kept_poles = []
@@ -415,8 +414,6 @@ def auto_identify(resps, orders, cfg=StabilityConfig()):
         critical_poles=critical,
         cancellations=tuple(cancellations),
         rho=rho,
-        model=model,
-        selected_order=scan.selected,
         scan=scan,
         audit=tuple(audit),
         notes=tuple(notes),
@@ -449,7 +446,7 @@ def serialize_verdict(verdict):
         "schema": 1,
         "stable": verdict.stable,
         "converged": verdict.scan.converged,
-        "selected_order": verdict.selected_order,
+        "selected_order": verdict.scan.model.order,
         "margin_tol_rad_s": verdict.margin_tol,
         "critical_poles": [pole(cp) for cp in verdict.critical_poles],
         "cancellations": [
@@ -460,10 +457,8 @@ def serialize_verdict(verdict):
                        for step in verdict.scan.steps],
         "audit": list(verdict.audit),
         "notes": list(verdict.notes),
+        "rho": rho_table(verdict.rho),
+        "poles": [pole(cp) for cp in classify_poles(verdict.scan.model.poles,
+                                                    verdict.margin_tol)],
     }
-    if verdict.rho is not None:
-        doc["rho"] = rho_table(verdict.rho)
-    if verdict.model is not None:
-        doc["poles"] = [pole(cp) for cp in classify_poles(verdict.model.poles,
-                                                          verdict.margin_tol)]
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

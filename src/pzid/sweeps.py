@@ -333,6 +333,7 @@ def proviso_scan(net, port, probe, spiral, grid, orders, cfg=StabilityConfig()):
     declared port at gamma = +r_max, -r_max and every spiral sample, running
     the identification pipeline at an internal probe each time.
     """
+    orders = list(orders)
     net.port(port)
     f_ref = math.sqrt(grid.f_lo * grid.f_hi) if grid.f_lo > 0 else grid.f_hi / 2.0
     cases = [("open-like", complex(spiral.r_max), None),

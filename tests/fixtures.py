@@ -151,7 +151,7 @@ def sample_model(model, f_lo, f_hi, n=400, log=False, port_name="p1"):
     f = np.geomspace(f_lo, f_hi, n) if log else np.linspace(f_lo, f_hi, n)
     grid = FrequencyGrid(f)
     h = evaluate_model(model, grid, 0)
-    return FrequencyResponseSet(grid, (PortLabel(port_name),), (h,), ("transfer",))
+    return FrequencyResponseSet(grid, (PortLabel(port_name),), (h,))
 
 
 def flat_response(noise=0.0, seed=0):
@@ -225,8 +225,7 @@ def overmodel_response(seed, sigma=1e-5):
     rng = np.random.default_rng(seed)
     noise = 1.0 + sigma * (rng.standard_normal(len(OVERMODEL_GRID))
                            + 1j * rng.standard_normal(len(OVERMODEL_GRID)))
-    return FrequencyResponseSet(OVERMODEL_GRID, (PortLabel("p1"),),
-                                (h0 * noise,), ("transfer",))
+    return FrequencyResponseSet(OVERMODEL_GRID, (PortLabel("p1"),), (h0 * noise,))
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ def test_criterion_05_order_scan_and_overmodeling():
     v4 = auto_identify(resp0, [4], cfg)
     assert not v4.stable and len(v4.critical_poles) == 2
     vscan = auto_identify(resp0, range(2, 9), cfg)
-    assert vscan.selected_order == 4 and not vscan.stable
+    assert vscan.scan.model.order == 4 and not vscan.stable
 
     n_numerical = 0
     n_physical = 0

@@ -8,7 +8,7 @@ import pytest
 from pzid import cli, staban
 from pzid.cli import dispatch
 from pzid.freqresp import parse_csv
-from pzid.ratfit import PartialFractionModel, save_model
+from pzid.ratfit import FitConfig, PartialFractionModel, save_model
 
 NETLIST = """\
 # unstable parallel tank behind a port
@@ -46,7 +46,7 @@ class TestSynthAndFit:
         from pzid.freqresp import parse_csv
         with open(resp_file) as fh:
             rset = parse_csv(fh.read())
-        assert rset.kinds == ("impedance",)
+        assert [p.kind for p in rset.ports] == ["impedance"]
         assert len(rset.grid) == 200
 
     def test_fit_then_rho(self, tmp_path, resp_file):
@@ -70,8 +70,8 @@ class TestSynthAndFit:
         rho_out = tmp_path / "rho.json"
         assert dispatch(["rho", "--model", str(path), "--out", str(rho_out)]) == 0
         doc = json.loads(rho_out.read_text())
-        verdict = staban.StabilityVerdict(True, (), (), staban.rho_matrix(model), model, 3,
-                                          staban.OrderScan((), 3, True, model))
+        verdict = staban.StabilityVerdict(True, (), (), staban.rho_matrix(model),
+                                          staban.OrderScan((), True, model))
         block = json.loads(staban.serialize_verdict(verdict))["rho"]
         assert doc["rho"][0][1] == "inf"
         assert doc["rho"] == block["values"]
@@ -242,6 +242,21 @@ class TestSweepCommands:
         assert doc["n_scanned"] == 10
 
 
+class TestParserDefaults:
+    def test_defaults_are_the_library_defaults(self):
+        parser = cli.build_parser()
+        stability = parser.parse_args(["stability", "--in", "r.csv", "--orders", "2:4",
+                                       "--report", "v.json"])
+        cfg = staban.StabilityConfig()
+        assert stability.rho_floor == cfg.rho_floor
+        assert stability.cancel_tol == cfg.cancel_threshold
+        assert stability.rms_target == cfg.rms_target
+        fit = parser.parse_args(["fit", "--in", "r.csv", "--order", "2", "--out", "m.json"])
+        locus = parser.parse_args(["locus", "--netlist", "n.cir", "--probe", "inode:n1",
+                                   "--param", "r1", "--values", "1:2:3", "--out", "l.csv"])
+        assert fit.iters == locus.iters == FitConfig(order=2).iters
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert dispatch(["frobnicate"]) == 2
@@ -327,9 +342,11 @@ class TestExitCodes:
 class TestSvgRendering:
     def test_empty_pole_map_is_valid(self):
         from pzid.polemap import render_pole_map
-        from pzid.staban import OrderScan, StabilityVerdict
-        doc = render_pole_map(StabilityVerdict(True, (), (), None, None, None,
-                                               OrderScan((), None, False, None)))
+        from pzid.staban import OrderScan, StabilityVerdict, rho_matrix
+        model = PartialFractionModel(np.zeros(0, complex), np.zeros((1, 0), complex),
+                                     np.array([1.0]))
+        doc = render_pole_map(StabilityVerdict(True, (), (), rho_matrix(model),
+                                               OrderScan((), True, model)))
         xml.dom.minidom.parseString(doc)
 
     def test_upper_half_plane_filter(self):
@@ -337,8 +354,8 @@ class TestSvgRendering:
         model = PartialFractionModel(
             np.array([complex(-1e9, 2e10), complex(-1e9, -2e10)]),
             np.array([[1e9 + 0j, 1e9 - 0j]]), np.array([1.0]))
-        v = staban.StabilityVerdict(True, (), (), None, model, 2,
-                                    staban.OrderScan((), 2, True, model))
+        v = staban.StabilityVerdict(True, (), (), staban.rho_matrix(model),
+                                    staban.OrderScan((), True, model))
         half = render_pole_map(v)
         full = render_pole_map(v, PoleMapStyle(full_plane=True))
         assert half.count("<line") < full.count("<line")

@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -16,7 +17,7 @@ def make_set(freqs, **ports):
     grid = FrequencyGrid(np.asarray(freqs, dtype=float))
     labels = tuple(PortLabel(n) for n in ports)
     values = tuple(np.asarray(v, dtype=complex) for v in ports.values())
-    return FrequencyResponseSet(grid, labels, values, ("transfer",) * len(ports))
+    return FrequencyResponseSet(grid, labels, values)
 
 
 class TestFrequencyGrid:
@@ -46,7 +47,7 @@ class TestParseCsv:
         assert rset.port_names == ("p1",)
         assert rset.values[0][0] == 0.5 - 0.1j
         assert rset.grid.freqs_hz[0] == 1e9
-        assert rset.kinds == ("transfer",)
+        assert rset.ports[0].kind == "transfer"
 
     def test_duplicate_frequency_reports_line(self):
         text = "freq_hz,p1_re,p1_im\n1e9,1,0\n1e9,1,0\n3e9,1,0\n4e9,1,0\n"
@@ -71,7 +72,13 @@ class TestParseCsv:
     def test_kind_directive(self):
         text = ("# kind: p1=impedance\n"
                 "freq_hz,p1_re,p1_im\n1e9,1,0\n2e9,1,0\n3e9,1,0\n4e9,1,0\n")
-        assert parse_csv(text).kinds == ("impedance",)
+        assert parse_csv(text).ports[0].kind == "impedance"
+
+    def test_unknown_kind_in_directive(self):
+        text = ("# kind: p1=capacitance\n"
+                "freq_hz,p1_re,p1_im\n1e9,1,0\n2e9,1,0\n3e9,1,0\n4e9,1,0\n")
+        with pytest.raises(ResponseParseError, match="unknown response kind 'capacitance'"):
+            parse_csv(text)
 
     def test_excitation_directive_for_unknown_port(self):
         text = ("# excitation: p1=inode:n1,q=inode:n2\n"
@@ -97,9 +104,8 @@ class TestCsvRoundTrip:
             b = rng.standard_normal(n) * 10 ** rng.uniform(-8, 8)
             rset = FrequencyResponseSet(
                 FrequencyGrid(freqs),
-                (PortLabel("z1", "inode:n1"), PortLabel("t2")),
-                (a + 1j * b, b + 1j * a),
-                ("impedance", "transfer"))
+                (PortLabel("z1", "inode:n1", "impedance"), PortLabel("t2")),
+                (a + 1j * b, b + 1j * a))
             again = parse_csv(emit_csv(rset))
             assert again == rset
             assert parse_csv(emit_csv(again)) == again
@@ -108,7 +114,7 @@ class TestCsvRoundTrip:
         rset = make_set([1e9, 2e9, 3e9, 4e9], p1=[1, 2j, 3, 4])
         rset = FrequencyResponseSet(rset.grid, (PortLabel("modal:a@0;b@180",
                                                           "modal:a@0,b@180"),),
-                                    rset.values, rset.kinds)
+                                    rset.values)
         assert parse_csv(emit_csv(rset)) == rset
 
     def test_comma_in_port_name_rejected(self):
@@ -128,9 +134,7 @@ class TestCsvRoundTrip:
     def test_equals_in_port_name_rejected(self):
         # "# kind: a=b=impedance" would not parse back
         with pytest.raises(ValueError, match="'='"):
-            rset = make_set([1e9, 2e9, 3e9, 4e9], **{"a=b": [1, 2, 3, 4]})
-            rset = FrequencyResponseSet(rset.grid, rset.ports, rset.values, ("impedance",))
-            emit_csv(rset)
+            PortLabel("a=b", kind="impedance")
 
 
 class TestTouchstone:
@@ -139,7 +143,7 @@ class TestTouchstone:
         rset = parse_touchstone(text)
         assert rset.values[0][0] == 0.5 - 0.1j
         assert rset.grid.freqs_hz[0] == 1e9
-        assert rset.kinds == ("transfer",)
+        assert rset.ports[0].kind == "transfer"
 
     def test_ma_polar_conversion(self):
         text = "# MHz S MA R 50\n100 1.0 90\n200 1.0 0\n300 1.0 0\n400 1.0 0\n"
@@ -226,6 +230,24 @@ class TestMergeAndValidation:
         with pytest.raises(ValueError):
             PortLabel("m", excitation)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown response kind 'x'"):
+            PortLabel("p", kind="x")
+
+    def test_mixed_kinds_survive_slice_merge_and_csv(self):
+        grid = FrequencyGrid(np.arange(1.0, 7.0) * 1e9)
+        z = FrequencyResponseSet(grid, (PortLabel("z", "inode:n1", "impedance"),),
+                                 (np.arange(6) + 1j,))
+        y = FrequencyResponseSet(grid, (PortLabel("y", "vbranch:r1", "admittance"),
+                                        PortLabel("t")), (np.ones(6), np.arange(6) * 1j))
+        merged = merge_sets([z, y])
+        assert [p.kind for p in merged.ports] == ["impedance", "admittance", "transfer"]
+        sub = slice_band(merged, 2e9, 5e9)
+        assert sub.ports == merged.ports
+        text = emit_csv(sub)
+        assert text.startswith("# kind: z=impedance,y=admittance,t=transfer\n")
+        assert parse_csv(text) == sub
+
     def test_modal_label_validation(self):
         assert PortLabel("m", "modal:a@0,b@180").excitation == "modal:a@0,b@180"
         with pytest.raises(ValueError):
@@ -243,6 +265,9 @@ def accepted(build, *strategies):
         except ValueError:
             return None
     return st.builds(attempt, *strategies).filter(lambda spec: spec is not None)
+
+
+IMPEDANCE_PORT = functools.partial(PortLabel, kind="impedance")
 
 
 # Names draw on every character the grammar and the CSV directive treat
@@ -311,12 +336,12 @@ class TestProbeGrammar:
         assert parse_csv(emit_csv(rset)).ports == (label,)
 
     @settings(max_examples=300, derandomize=True)
-    @given(st.one_of(accepted(PortLabel, NAMES), accepted(PortLabel, st.text(min_size=1))))
+    @given(st.one_of(accepted(IMPEDANCE_PORT, NAMES),
+                     accepted(IMPEDANCE_PORT, st.text(min_size=1))))
     def test_every_accepted_port_name_survives_the_csv(self, label):
         rset = FrequencyResponseSet(FrequencyGrid(np.array([1.0, 2.0, 3.0, 4.0])),
-                                    (label,), (np.ones(4, dtype=complex),), ("impedance",))
-        again = parse_csv(emit_csv(rset))
-        assert again.ports == (label,) and again.kinds == ("impedance",)
+                                    (label,), (np.ones(4, dtype=complex),))
+        assert parse_csv(emit_csv(rset)).ports == (label,)
 
     @pytest.mark.parametrize("node", ["a,b", "a@b", "a=b", " a", "a ", "a\nb", ""])
     def test_unparseable_modal_node_rejected(self, node):

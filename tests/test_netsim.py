@@ -28,7 +28,7 @@ class TestFrequencyResponse:
         f0 = 1.0 / (2 * np.pi * np.sqrt(1e-9 * 1e-12))
         grid = FrequencyGrid(np.array([f0 / 2, f0 * 0.9, f0, f0 * 2]))
         resp = frequency_response(parallel_rlc(50.0), current_probe("n1"), grid)
-        assert resp.kinds == ("impedance",)
+        assert resp.ports[0].kind == "impedance"
         assert abs(resp.values[0][2] - 50.0) < 1e-9
 
     def test_two_shunt_resistors_parallel(self):
@@ -40,7 +40,7 @@ class TestFrequencyResponse:
     def test_series_branch_admittance_blocks_dc(self):
         grid = FrequencyGrid(np.array([1e3, 1e4, 1e5, 1e6]))
         resp = frequency_response(series_rlc_loop(), voltage_probe("rs"), grid)
-        assert resp.kinds == ("admittance",)
+        assert resp.ports[0].kind == "admittance"
         assert abs(resp.values[0][0]) < 1e-7
 
     def test_series_admittance_at_resonance(self):
@@ -52,7 +52,7 @@ class TestFrequencyResponse:
     def test_modal_probe_kind_and_output_node(self):
         net = parallel_rlc(50.0)
         resp = frequency_response(net, modal_probe(["n1"], [0.0]), GRID)
-        assert resp.kinds == ("transfer",)
+        assert resp.ports[0].kind == "transfer"
         ref = frequency_response(net, current_probe("n1"), GRID)
         # inode:n1 and modal:n1@0 are one stamp, a unit drive read at n1
         assert np.array_equal(resp.values[0], ref.values[0])
@@ -317,7 +317,6 @@ class TestNetlistParsing:
             "R r2 n2 0 1k\n"
             "PORT out n1 50\n")
         assert net.element("r1").value == -50.0
-        assert net.element("r1").described_kind == "negative-resistor"
         assert net.element("g1").value == 0.01
         assert net.port("out").z0 == 50.0
 

@@ -24,7 +24,7 @@ from pzid.ratfit import (_QR_NB, _SIGMA_TOL, FitConfig, FitReport, PartialFracti
 
 def single_port(freqs_hz, samples, name="p1"):
     return FrequencyResponseSet(FrequencyGrid(freqs_hz), (PortLabel(name),),
-                                (np.asarray(samples, dtype=complex),), ("transfer",))
+                                (np.asarray(samples, dtype=complex),))
 
 
 def worst_pole_error(fitted, truth):
@@ -88,7 +88,7 @@ class TestCommonDenominatorFit:
         h2 = (r2 / (s[:, None] - truth)).sum(1) + 3.0
         rset = FrequencyResponseSet(FrequencyGrid(f),
                                     (PortLabel("a"), PortLabel("b")),
-                                    (h1, h2), ("transfer",) * 2)
+                                    (h1, h2))
         model, report = fit_common_denominator(rset, FitConfig(order=2, iters=15))
         assert worst_pole_error(model.poles, truth) < 1e-8
         assert model.port_names == ("a", "b")
@@ -346,7 +346,7 @@ class TestEvaluateAndErrors:
         resp = sample_model(model, f_lo, f_hi)
         values = resp.values[0].copy()
         values[200] *= (1 + 0.01j)
-        bumped = FrequencyResponseSet(resp.grid, resp.ports, (values,), resp.kinds)
+        bumped = FrequencyResponseSet(resp.grid, resp.ports, (values,))
         rep = fit_error(model, bumped)
         assert abs(rep.max_phase_err_deg - np.degrees(np.arctan(0.01))) < 1e-9
 
@@ -766,8 +766,7 @@ def nodal_impedances(seed):
 
 def port_subset(resps, rows):
     return FrequencyResponseSet(resps.grid, tuple(resps.ports[i] for i in rows),
-                                tuple(resps.values[i] for i in rows),
-                                tuple(resps.kinds[i] for i in rows))
+                                tuple(resps.values[i] for i in rows))
 
 
 class TestOrderProbe:
@@ -797,8 +796,7 @@ class TestOrderProbe:
     @pytest.mark.parametrize("scale", [1e30, 1e-30])
     def test_rescaling_keeps_the_degree(self, scale):
         resps, _, n = nodal_impedances(201)
-        scaled = FrequencyResponseSet(resps.grid, resps.ports, scale * resps.values,
-                                      resps.kinds)
+        scaled = FrequencyResponseSet(resps.grid, resps.ports, scale * resps.values)
         assert _aaa_degree(scaled, 1e-6, n + 4) == _aaa_degree(resps, 1e-6, n + 4)
 
     def test_noise_above_the_target_reveals_nothing(self):

@@ -138,6 +138,14 @@ class TestSubbandConsistency:
                                         range(2, 9), cfg)
         assert out == "physical"
 
+    def test_orders_may_be_a_generator(self):
+        # every width scans the orders, so a one-shot iterable is read once
+        resp = overmodel_response(seed=0)
+        out = subband_consistency_check(resp, complex(+2e8, 2 * np.pi * 6e9),
+                                        (9e9, 4.5e9), (n for n in range(2, 9)),
+                                        StabilityConfig(rms_target=1e-4))
+        assert out == "physical"
+
     def test_out_of_band_suspect_rejected(self):
         resp = overmodel_response(seed=0)
         with pytest.raises(UsageError, match="outside the grid"):
@@ -169,17 +177,27 @@ class TestAutoIdentify:
         resp = overmodel_response(seed=0)
         cfg = StabilityConfig(rms_target=1e-4)
         v = auto_identify(resp, range(2, 9), cfg)
-        assert v.selected_order == 4 and not v.stable
+        assert v.scan.model.order == 4 and not v.stable
         assert len(v.critical_poles) == 2
+
+    @pytest.mark.parametrize("rho_floor", [1e-4, 1e300])
+    def test_orders_may_be_a_generator(self, rho_floor):
+        # the scan, the skipped-order note and the sub-band check (every
+        # RHP pair under a floor of 1e300) each read the orders
+        resp = overmodel_response(seed=0)
+        cfg = StabilityConfig(rms_target=1e-4, rho_floor=rho_floor)
+        v = auto_identify(resp, (n for n in range(2, 9)), cfg)
+        assert v.notes == ("orders 2, 3 not scanned: the AAA probe revealed degree 4",)
+        assert serialize_verdict(v) == serialize_verdict(auto_identify(resp, range(2, 9), cfg))
 
     def test_constant_response_selects_order_zero(self):
         from pzid.freqresp import FrequencyResponseSet, PortLabel
         f = np.linspace(1e8, 1e9, 100)
         resp = FrequencyResponseSet(FrequencyGrid(f), (PortLabel("p1"),),
-                                    (np.full(100, 2.0 + 0j),), ("transfer",))
+                                    (np.full(100, 2.0 + 0j),))
         v = auto_identify(resp, range(0, 5), StabilityConfig())
-        assert v.selected_order == 0 and v.stable
-        assert v.model.poles.size == 0
+        assert v.scan.model.order == 0 and v.stable
+        assert v.scan.model.poles.size == 0
 
     def test_netsim_fixture_matches_oracle(self):
         net = two_stage()
@@ -188,7 +206,7 @@ class TestAutoIdentify:
                                    TWO_STAGE_GRID, port_names=["stage1", "stage2"])
         v = auto_identify(mimo, range(2, 9), StabilityConfig())
         assert not v.stable
-        worst = max(np.min(np.abs(v.model.poles - p)) / abs(p) for p in truth)
+        worst = max(np.min(np.abs(v.scan.model.poles - p)) / abs(p) for p in truth)
         assert worst < 1e-6
 
     def test_overmodeled_fit_prunes_rhp_artifact(self):
@@ -215,10 +233,10 @@ class TestAutoIdentify:
         resp = overmodel_response(seed=0)
         idx = np.linspace(0, len(resp.grid) - 1, n_points).round().astype(int)
         short = FrequencyResponseSet(FrequencyGrid(resp.grid.freqs_hz[idx]), resp.ports,
-                                     (resp.values[0][idx],), resp.kinds)
+                                     (resp.values[0][idx],))
         v = auto_identify(short, range(2, 9),
                           StabilityConfig(rms_target=1e-4, rho_floor=1e300))
-        assert not v.stable and v.selected_order == 4
+        assert not v.stable and v.scan.model.order == 4
 
     def test_deterministic(self):
         resp = overmodel_response(seed=3)
@@ -243,7 +261,7 @@ class TestOrderScanRecord:
         assert [step.order for step in scan.steps] == [4]
         model, report = fit_common_denominator(resp, FitConfig(order=4))
         assert scan.steps[0].report == report and scan.model == model
-        assert scan.converged and scan.selected == 4
+        assert scan.converged and scan.model.order == 4
         assert scan.steps[0].persisted is True and scan.steps[0].drifted is None
         assert v.notes == ("orders 2, 3 not scanned: the AAA probe revealed degree 4",)
 
@@ -258,7 +276,7 @@ class TestOrderScanRecord:
         for step in scan.steps:
             _, report = fit_common_denominator(resp, FitConfig(order=step.order))
             assert step.report == report
-        assert scan.converged and scan.selected == 4
+        assert scan.converged and scan.model.order == 4
         assert scan.steps[-1].persisted is True and scan.steps[-1].drifted is None
         assert all(step.persisted is not True for step in scan.steps[:-1])
         assert scan.model == fit_common_denominator(resp, FitConfig(order=4))[0]
@@ -307,7 +325,7 @@ class TestOrderScanRecord:
 
         monkeypatch.setattr(staban, "fit_common_denominator", recording_fit)
         v = auto_identify(resp, range(2, 7))
-        assert v.selected_order == 4 and not v.stable
+        assert v.scan.model.order == 4 and not v.stable
         truth = analytic_poles(net)
         unstable = truth[truth.real > 0]
         crit = np.array([cp.value for cp in v.critical_poles])
@@ -327,7 +345,7 @@ class TestOrderScanRecord:
     def test_report_renders_the_scan(self):
         v = auto_identify(flat_response(), range(2, 7))
         doc = json.loads(serialize_verdict(v))
-        assert doc["converged"] is False and doc["selected_order"] == v.scan.selected
+        assert doc["converged"] is False and doc["selected_order"] == v.scan.model.order
         assert doc["order_scan"] == [
             {"order": step.order, "rms_rel_error": step.report.rms_rel_error}
             for step in v.scan.steps]
@@ -358,7 +376,7 @@ class TestRankPorts:
             np.array([[1 + 0j, 1 - 0j], [1 + 0j, 1 - 0j]]),
             np.array([1.0, 1.0]), ("pa", "pb"))
         from pzid.staban import StabilityVerdict
-        v = StabilityVerdict(True, (), (), rho_matrix(m), m, 2, OrderScan((), 2, True, m))
+        v = StabilityVerdict(True, (), (), rho_matrix(m), OrderScan((), True, m))
         assert [name for name, _ in rank_ports(v, 0)] == ["pa", "pb"]
 
 

@@ -231,6 +231,13 @@ class TestProvisoScan:
         matched = with_termination(masked_loop(), "out", 0.0)
         assert analytic_poles(matched).real.max() < 0
 
+    def test_orders_may_be_a_generator(self):
+        # every termination case runs auto_identify over the same orders
+        args = (masked_loop(), "out", current_probe("I"), spiral_path(11, 4), PROVISO_GRID)
+        rep = proviso_scan(*args, (n for n in range(2, 7)), StabilityConfig())
+        assert rep.failures == () and rep.findings
+        assert rep == proviso_scan(*args, range(2, 7), StabilityConfig())
+
     def test_single_sample_spiral_is_matched_case(self):
         sp = spiral_path(11, 2)
         rep = proviso_scan(passive_loop(), "out", current_probe("I"),
