@@ -130,7 +130,7 @@ def _cmd_stability(args):
                                  cancel_threshold=args.cancel_tol,
                                  rms_target=args.rms_target)
     verdict = staban.auto_identify(resp, _parse_range(args.orders), cfg)
-    doc = json.loads(staban.serialize_verdict(verdict))
+    doc = staban.verdict_report(verdict)
     doc["config"] = _config_echo(args)
     _write(args.report, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     if args.svg:

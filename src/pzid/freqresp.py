@@ -292,6 +292,14 @@ def _parse_directive(body, lineno, label):
     return out
 
 
+def _raise_if_non_monotone(freqs, row_lines):
+    """Raise at the first data row whose frequency is not above the one before."""
+    freqs = np.asarray(freqs, dtype=float)
+    down = np.flatnonzero(freqs[1:] <= freqs[:-1])
+    if down.size:
+        raise ResponseParseError("non-monotone grid", row_lines[down[0] + 1])
+
+
 def parse_csv(text):
     """Parse the canonical CSV interchange format.
 
@@ -303,58 +311,68 @@ def parse_csv(text):
     excit_map = {}
     header = None
     port_names = []
-    freqs = []
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("kind:"):
-                kinds_map.update(_parse_directive(body[len("kind:"):], lineno, "kind"))
-            elif body.startswith("excitation:"):
-                excit_map.update(_parse_directive(body[len("excitation:"):], lineno, "excitation"))
-            continue
-        if header is None:
-            header = _split_csv_line(line)
-            if not header or header[0] != "freq_hz":
-                raise ResponseParseError("header must start with freq_hz", lineno)
-            cols = header[1:]
-            if not cols or len(cols) % 2 != 0:
-                raise ResponseParseError("header needs <port>_re,<port>_im column pairs", lineno)
-            for re_col, im_col in zip(cols[0::2], cols[1::2]):
-                if not re_col.endswith("_re") or not im_col.endswith("_im"):
-                    raise ResponseParseError(
-                        f"column pair {re_col!r},{im_col!r} must end in _re,_im", lineno)
-                if re_col[:-3] != im_col[:-3]:
-                    raise ResponseParseError(
-                        f"column pair {re_col!r},{im_col!r} names disagree", lineno)
-                try:
-                    port_names.append(PortLabel(re_col[:-3]).name)
-                except ValueError as exc:
-                    raise ResponseParseError(str(exc), lineno) from None
-            continue
-        toks = _split_csv_line(line)
-        if len(toks) != 1 + 2 * len(port_names):
-            raise ResponseParseError(
-                f"ragged row: expected {1 + 2 * len(port_names)} fields, got {len(toks)}", lineno)
-        nums = []
-        for tok in toks:
+    row_lines = []
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("kind:"):
+                    kinds_map.update(_parse_directive(body[len("kind:"):], lineno, "kind"))
+                elif body.startswith("excitation:"):
+                    excit_map.update(_parse_directive(body[len("excitation:"):], lineno,
+                                                      "excitation"))
+                continue
+            if header is None:
+                header = _split_csv_line(line)
+                if not header or header[0] != "freq_hz":
+                    raise ResponseParseError("header must start with freq_hz", lineno)
+                cols = header[1:]
+                if not cols or len(cols) % 2 != 0:
+                    raise ResponseParseError("header needs <port>_re,<port>_im column pairs",
+                                             lineno)
+                for re_col, im_col in zip(cols[0::2], cols[1::2]):
+                    if not re_col.endswith("_re") or not im_col.endswith("_im"):
+                        raise ResponseParseError(
+                            f"column pair {re_col!r},{im_col!r} must end in _re,_im", lineno)
+                    if re_col[:-3] != im_col[:-3]:
+                        raise ResponseParseError(
+                            f"column pair {re_col!r},{im_col!r} names disagree", lineno)
+                    try:
+                        port_names.append(PortLabel(re_col[:-3]).name)
+                    except ValueError as exc:
+                        raise ResponseParseError(str(exc), lineno) from None
+                width = 1 + 2 * len(port_names)
+                continue
+            toks = line.split(",")  # float() strips the whitespace str.strip() would
+            if len(toks) != width:
+                raise ResponseParseError(
+                    f"ragged row: expected {width} fields, got {len(toks)}", lineno)
             try:
-                nums.append(float(tok))
+                rows.append([float(tok) for tok in toks])
             except ValueError:
-                raise ResponseParseError(f"unparseable number {tok!r}", lineno) from None
-        if freqs and nums[0] <= freqs[-1]:
-            raise ResponseParseError("non-monotone grid", lineno)
-        freqs.append(nums[0])
-        rows.append(nums[1:])
+                for tok in toks:
+                    try:
+                        float(tok)
+                    except ValueError:
+                        raise ResponseParseError(f"unparseable number {tok.strip()!r}",
+                                                 lineno) from None
+            row_lines.append(lineno)
+    except ResponseParseError:
+        # a non-monotone row above the failing line is the first error
+        _raise_if_non_monotone([row[0] for row in rows], row_lines)
+        raise
+    data = np.array(rows, dtype=float).reshape(len(rows), 1 + 2 * len(port_names))
+    _raise_if_non_monotone(data[:, 0], row_lines)
     if header is None:
         raise ResponseParseError("no header row found")
-    if len(freqs) < MIN_POINTS:
+    if len(rows) < MIN_POINTS:
         raise ResponseParseError(f"fewer than {MIN_POINTS} points")
-    data = np.asarray(rows)
-    values = (data[:, 0::2] + 1j * data[:, 1::2]).T
+    freqs = np.ascontiguousarray(data[:, 0])
+    values = (data[:, 1::2] + 1j * data[:, 2::2]).T
     for label, named in (("kind", kinds_map), ("excitation", excit_map)):
         unknown = sorted(set(named) - set(port_names))
         if unknown:
@@ -364,7 +382,7 @@ def parse_csv(text):
                       for n in port_names)
     except ValueError as exc:
         raise ResponseParseError(str(exc)) from None
-    return FrequencyResponseSet(FrequencyGrid(np.asarray(freqs)), ports, values)
+    return FrequencyResponseSet(FrequencyGrid(freqs), ports, values)
 
 
 def emit_csv(rset):

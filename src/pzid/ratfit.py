@@ -616,6 +616,80 @@ def _relocate_poles(poles, s, f_mat):
     return new_poles, settled, int(rank)
 
 
+class _PoleWalk:
+    """The pole relocation of one vector fit, one step at a time.
+
+    Iterating yields the pole set in rad/s after each relocation step and
+    ends on the first stop :func:`fit_common_denominator` names; ``stop``
+    and ``iters_used`` then say how it ended (``stop`` is None while the
+    walk is unfinished).  ``finish()`` solves the residues and direct
+    terms against the poles reached so far and returns (model, report).
+    A walk is iterated once.
+    """
+
+    def __init__(self, resps, cfg):
+        n = cfg.order
+        m = len(resps.grid)
+        if 2 * m < 2 * (n + 1):
+            raise UsageError(f"order {n} exceeds the point budget of {m} samples")
+        omega = resps.grid.omega
+        self.resps = resps
+        self.iters = cfg.iters
+        self.w_scale = float(omega[-1])
+        self.s = 1j * omega / self.w_scale
+        self.iters_used = 0
+        if n == 0:
+            self.poles = np.zeros(0, dtype=complex)
+            self.stop = "no-poles"
+        else:
+            self.poles = _initial_poles(n, omega / self.w_scale)
+            self.stop = None
+
+    def __iter__(self):
+        n = self.poles.size
+        prev_rank = n + 1
+        while self.stop is None:
+            new_poles, settled, rank = _relocate_poles(self.poles, self.s, self.resps.values)
+            move = np.max(np.abs(np.sort_complex(new_poles) - np.sort_complex(self.poles)))
+            self.poles = new_poles
+            self.iters_used += 1
+            if move < 1e-10 * max(1.0, float(np.max(np.abs(new_poles)))):
+                self.stop = "pole-move"
+            elif settled <= _SIGMA_TOL:
+                self.stop = "sigma-settled"
+            elif rank <= n and rank == prev_rank:
+                self.stop = "rank-deficient"
+            elif self.iters_used == self.iters:
+                self.stop = "iteration-cap"
+            prev_rank = rank
+            yield new_poles * self.w_scale
+
+    def finish(self):
+        poles, s, f_mat = self.poles, self.s, self.resps.values
+        n, m = poles.size, s.size
+        # residues per port against the fixed poles
+        phi = _pf_basis(poles, s)
+        phi1 = np.hstack([phi, np.ones((m, 1))])
+        residues = np.empty((f_mat.shape[0], n), dtype=complex)
+        direct = np.empty(f_mat.shape[0])
+        a_ri = np.vstack([phi1.real, phi1.imag])
+        for kport, f in enumerate(f_mat):
+            b_ri = np.concatenate([f.real, f.imag])
+            try:
+                x, *_ = np.linalg.lstsq(a_ri, b_ri, rcond=None)
+            except np.linalg.LinAlgError as exc:
+                raise NumericError(f"residue least squares failed: {exc}") from None
+            residues[kport] = _coeffs_to_residues(poles, x[:n])
+            direct[kport] = x[n]
+
+        model = PartialFractionModel(poles * self.w_scale, residues * self.w_scale, direct,
+                                     self.resps.port_names)
+        err = fit_error(model, self.resps)
+        report = FitReport(err.rms_rel_error, err.max_phase_err_deg, self.iters_used,
+                           self.stop in ("pole-move", "sigma-settled", "no-poles"), self.stop)
+        return model, report
+
+
 def fit_common_denominator(resps, cfg):
     """Vector-fit all ports of a response set against one shared pole set.
 
@@ -633,61 +707,14 @@ def fit_common_denominator(resps, cfg):
     stops the loop.
     Final residues and one real direct term per port are solved against the
     fixed relocated poles.  Unstable poles are preserved at every stage.
+    The relocation runs to its stop here; the order scan's persistence
+    test walks the same steps and may leave off earlier
+    (``staban._scan_orders``).
     """
-    n = cfg.order
-    m = len(resps.grid)
-    if 2 * m < 2 * (n + 1):
-        raise UsageError(f"order {n} exceeds the point budget of {m} samples")
-    omega = resps.grid.omega
-    w_scale = float(omega[-1])
-    s = 1j * omega / w_scale
-    f_mat = resps.values
-
-    iters_used = 0
-    if n == 0:
-        poles = np.zeros(0, dtype=complex)
-        stop = "no-poles"
-    else:
-        poles = _initial_poles(n, omega / w_scale)
-        stop = "iteration-cap"
-        prev_rank = n + 1
-        for it in range(cfg.iters):
-            iters_used = it + 1
-            new_poles, settled, rank = _relocate_poles(poles, s, f_mat)
-            move = np.max(np.abs(np.sort_complex(new_poles) - np.sort_complex(poles)))
-            poles = new_poles
-            if move < 1e-10 * max(1.0, float(np.max(np.abs(poles)))):
-                stop = "pole-move"
-                break
-            if settled <= _SIGMA_TOL:
-                stop = "sigma-settled"
-                break
-            if rank <= n and rank == prev_rank:
-                stop = "rank-deficient"
-                break
-            prev_rank = rank
-
-    # residues per port against the fixed poles
-    phi = _pf_basis(poles, s)
-    phi1 = np.hstack([phi, np.ones((m, 1))])
-    residues = np.empty((f_mat.shape[0], n), dtype=complex)
-    direct = np.empty(f_mat.shape[0])
-    a_ri = np.vstack([phi1.real, phi1.imag])
-    for kport, f in enumerate(f_mat):
-        b_ri = np.concatenate([f.real, f.imag])
-        try:
-            x, *_ = np.linalg.lstsq(a_ri, b_ri, rcond=None)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"residue least squares failed: {exc}") from None
-        residues[kport] = _coeffs_to_residues(poles, x[:n])
-        direct[kport] = x[n]
-
-    model = PartialFractionModel(poles * w_scale, residues * w_scale, direct,
-                                 resps.port_names)
-    err = fit_error(model, resps)
-    report = FitReport(err.rms_rel_error, err.max_phase_err_deg, iters_used,
-                       stop in ("pole-move", "sigma-settled", "no-poles"), stop)
-    return model, report
+    walk = _PoleWalk(resps, cfg)
+    for _ in walk:
+        pass
+    return walk.finish()
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,15 @@ class TestStability:
         a, b = r1.read_text(), r2.read_text()
         assert a.replace(str(r1), "X") == b.replace(str(r2), "X")
 
+    def test_report_is_the_serialized_verdict_plus_config(self, tmp_path, resp_file):
+        report = tmp_path / "verdict.json"
+        dispatch(["stability", "--in", resp_file, "--orders", "2:6", "--report", str(report)])
+        with open(resp_file, encoding="utf-8") as fh:
+            verdict = staban.auto_identify(parse_csv(fh.read()), range(2, 7))
+        doc = json.loads(staban.serialize_verdict(verdict))
+        doc["config"] = json.loads(report.read_text())["config"]
+        assert report.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
 
 class TestModalProbeFiles:
     def test_synth_then_stability(self, tmp_path):

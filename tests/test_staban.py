@@ -5,8 +5,9 @@ import pytest
 
 from fixtures import (COMBINER_GRID, DOUBLE_RESONATOR_GRID, TWO_STAGE_GRID, combiner,
                       double_resonator, flat_response, overmodel_response,
-                      random_pf_model, two_stage)
-from pzid import staban
+                      random_pf_model, sample_model, two_stage, wideband_model,
+                      wideband_net)
+from pzid import ratfit, staban
 from pzid.errors import UsageError
 from pzid.freqresp import FrequencyGrid, FrequencyResponseSet, PortLabel
 from pzid.netsim import (analytic_poles, current_probe, frequency_response,
@@ -251,6 +252,31 @@ class TestAutoIdentify:
             auto_identify(resp, [4, 2], StabilityConfig())
 
 
+def record_walks(monkeypatch, resp):
+    """Record every pole-relocation walk over ``resp``, fits and persistence
+    tests alike; returns the list the walks are appended to."""
+    walks = []
+
+    class RecordingWalk(ratfit._PoleWalk):
+        def __init__(self, resps, cfg):
+            super().__init__(resps, cfg)
+            if resps is resp:
+                walks.append(self)
+
+    monkeypatch.setattr(ratfit, "_PoleWalk", RecordingWalk)
+    monkeypatch.setattr(staban, "_PoleWalk", RecordingWalk)
+    return walks
+
+
+def persistence_from_full_fits(monkeypatch):
+    """Make the scan read persistence off a full order+2 fit instead."""
+    def full_fit(resps, poles, floor, fits):
+        model, _ = fit_common_denominator(resps, FitConfig(order=poles.size + 2))
+        return staban._poles_persist(poles, model.poles, floor)
+
+    monkeypatch.setattr(staban, "_persistence_walk", full_fit)
+
+
 class TestOrderScanRecord:
     def test_steps_carry_each_orders_own_fit(self):
         # the AAA probe reveals degree 4, so orders 2 and 3 are not fitted
@@ -292,16 +318,11 @@ class TestOrderScanRecord:
 
     def test_flat_response_fails_persistence(self, monkeypatch):
         resp = flat_response()
-        fitted = []
-
-        def recording_fit(resps, cfg):
-            if resps is resp:
-                fitted.append(cfg.order)
-            return fit_common_denominator(resps, cfg)
-
-        monkeypatch.setattr(staban, "fit_common_denominator", recording_fit)
+        walks = record_walks(monkeypatch, resp)
         v = auto_identify(resp, range(2, 7))
-        assert sorted(fitted) == list(range(2, 9))  # orders 2..6 and their +2, once each
+        # orders 2..6 and their +2, each relocated by one walk: orders 4..6
+        # reuse the finished walks of the persistence tests at 2..4
+        assert sorted(w.poles.size for w in walks) == list(range(2, 9))
         assert [step.order for step in v.scan.steps] == [2, 3, 4, 5, 6]
         assert all(step.report.rms_rel_error <= 1e-6 for step in v.scan.steps)
         assert all(step.persisted is False for step in v.scan.steps)
@@ -311,19 +332,11 @@ class TestOrderScanRecord:
                            "plus pole persistence); best attempt order 2",)
 
     def test_overmodeled_persistence_fit_stops_rank_deficient(self, monkeypatch):
-        # exact data of true order 4: the order-6 persistence fit has two
+        # exact data of true order 4: the order-6 persistence walk has two
         # spare poles, so it ends on the settled rank deficit, not the cap
         net = double_resonator()
         resp = frequency_response(net, current_probe("A"), DOUBLE_RESONATOR_GRID)
-        reports = {}
-
-        def recording_fit(resps, cfg):
-            model, report = fit_common_denominator(resps, cfg)
-            if resps is resp:
-                reports[cfg.order] = report
-            return model, report
-
-        monkeypatch.setattr(staban, "fit_common_denominator", recording_fit)
+        walks = record_walks(monkeypatch, resp)
         v = auto_identify(resp, range(2, 7))
         assert v.scan.model.order == 4 and not v.stable
         truth = analytic_poles(net)
@@ -331,7 +344,8 @@ class TestOrderScanRecord:
         crit = np.array([cp.value for cp in v.critical_poles])
         assert crit.size == 2
         assert max(np.min(np.abs(crit - p)) / abs(p) for p in unstable) <= 1e-6
-        assert reports[6].stop == "rank-deficient" and reports[6].iters_used <= 4
+        (walk6,) = [w for w in walks if w.poles.size == 6]
+        assert walk6.stop == "rank-deficient" and walk6.iters_used <= 4
 
     def test_noise_misses_the_rms_target(self):
         v = auto_identify(flat_response(noise=1e-4), range(2, 9))
@@ -349,6 +363,73 @@ class TestOrderScanRecord:
         assert doc["order_scan"] == [
             {"order": step.order, "rms_rel_error": step.report.rms_rel_error}
             for step in v.scan.steps]
+
+
+class TestPersistenceWalk:
+    @pytest.mark.parametrize("source", ["model", "net"])
+    def test_wideband_poles_persist_after_two_steps(self, monkeypatch, source):
+        # every order-20 pole has a mate on the first two order-22 steps.
+        # On exact samples of wideband_model() the full order-22 fit stops
+        # rank-deficient on that step too; on the simulated tank network
+        # it runs on to sigma-settled after 9 steps
+        if source == "model":
+            resp = sample_model(wideband_model(), 1e6, 40e9, n=400, log=True)
+        else:
+            resp = frequency_response(wideband_net(), current_probe("t0"),
+                                      FrequencyGrid(np.geomspace(1e6, 40e9, 2000)))
+        walks = record_walks(monkeypatch, resp)
+        v = auto_identify(resp, range(16, 25))
+        assert v.scan.converged and v.scan.model.order == 20
+        (walk,) = [w for w in walks if w.poles.size == 22]
+        assert walk.iters_used == 2
+        if source == "net":
+            _, full = fit_common_denominator(resp, FitConfig(order=22))
+            assert walk.stop is None and full.iters_used > 2
+        persistence_from_full_fits(monkeypatch)
+        ref = auto_identify(resp, range(16, 25))
+        assert v.scan == ref.scan
+        assert serialize_verdict(v) == serialize_verdict(ref)
+
+    @pytest.mark.parametrize("case", ["flat", "linear-grid wideband"])
+    def test_drifted_is_read_off_the_full_fit(self, monkeypatch, case):
+        # "drifted" is never decided early: each failing order's first
+        # drifting pole is the one a full order+2 fit leaves without a
+        # mate.  On 1000 linear points wideband_model() meets the rms
+        # target from order 16; the order-19 walk agrees on its 2nd step
+        # only, the order-20 walk on its 3rd and 4th (after two drifting
+        # steps), so order 17 drifts and order 18 persists
+        if case == "flat":
+            resp, orders, persisted = flat_response(), range(2, 7), [False] * 5
+        else:
+            resp = sample_model(wideband_model(), 1e6, 40e9, n=1000)
+            orders, persisted = range(16, 25), [False, False, True]
+        v = auto_identify(resp, orders)
+        floor = staban._omega_floor(resp.grid)
+        assert [step.persisted for step in v.scan.steps] == persisted
+        for step in v.scan.steps:
+            model, _ = fit_common_denominator(resp, FitConfig(order=step.order))
+            wider, _ = fit_common_denominator(resp, FitConfig(order=step.order + 2))
+            assert step.drifted == staban._poles_persist(model.poles, wider.poles, floor)
+        persistence_from_full_fits(monkeypatch)
+        assert v.scan == auto_identify(resp, orders).scan
+
+    def test_scanned_order_reuses_the_finished_walk(self, monkeypatch):
+        # the persistence walks at 4..6 ran to their stops, so scanning
+        # orders 4..6 fits nothing anew, and their fits are bit-identical
+        resp = flat_response()
+        fitted = []
+
+        def recording_fit(resps, cfg):
+            fitted.append(cfg.order)
+            return fit_common_denominator(resps, cfg)
+
+        monkeypatch.setattr(staban, "fit_common_denominator", recording_fit)
+        v = auto_identify(resp, range(2, 7))
+        assert fitted == [2, 3]
+        for step in v.scan.steps:
+            assert step.report == fit_common_denominator(resp, FitConfig(order=step.order))[1]
+        persistence_from_full_fits(monkeypatch)
+        assert v.scan == auto_identify(resp, range(2, 7)).scan
 
 
 class TestRankPorts:
