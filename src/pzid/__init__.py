@@ -6,6 +6,16 @@ parametric stabilization studies — with a built-in linear-circuit engine
 whose generalized-eigenvalue pencil serves as an analytic oracle.
 """
 
+import os
+
+# One BLAS thread unless the caller chose otherwise: pzid's dense problems
+# are small, and the thread count changes the rounding of every fit, so
+# reports would differ between machines.  Set before numpy is first
+# imported; a process that imported numpy earlier keeps its own setting.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .errors import NumericError, PzidError, UsageError
 from .freqresp import (FrequencyGrid, FrequencyResponseSet, PortLabel,
                        ProbeSpec, ResponseParseError, current_probe, emit_csv,

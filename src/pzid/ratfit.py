@@ -805,9 +805,17 @@ def poles_and_zeros(model, port=None):
 
     For polynomial models both sets are companion-matrix eigenvalues of the
     de-normalized coefficient polynomials.  For partial-fraction models the
-    poles are stored; zeros come from the single-port state-space
-    realization when the direct term is significant, else from the roots of
-    the expanded numerator.
+    poles are stored, and the zeros are the finite generalized eigenvalues
+    of the port's Rosenbrock system-matrix pencil ([[A, b], [c, d]],
+    diag(I, 0)) on the real block-diagonal realization (Emami-Naeini & Van
+    Dooren, Automatica 1982).  An eigenvalue counts as finite when its
+    homogeneous beta is nonzero: LAPACK's QZ sets beta to exactly 0 when a
+    diagonal entry of the triangular E falls below ulp * ||E||.  So d = 0
+    gives n - 1 zeros when the residues sum to nonzero, and a direct term
+    lost in the rounding of the system matrix adds no zero near infinity.
+    The pencil is left unbalanced for that reason: scaling b against c
+    would resolve such a d into a far zero.  Complex zeros come back as
+    exact conjugate pairs, each Im > 0 member mirrored.
     """
     if isinstance(model, PolynomialRatioModel):
         poles = _trimmed_roots(model.den_coeffs)
@@ -819,24 +827,26 @@ def poles_and_zeros(model, port=None):
 
     k = model.port_index(port)
     poles = model.poles
-    r = model.residues[k]
-    d = float(model.direct[k])
-    if poles.size == 0:
-        return poles.copy(), np.zeros(0, dtype=complex)
-    if abs(d) > 1e-12 * float(np.max(np.abs(r)) if r.size else 0.0):
-        # zeros = eig(A - B D^-1 C) on the real block-diagonal realization
-        amat, bvec, cvec = _real_realization(poles, r)
-        try:
-            zeros = np.linalg.eigvals(amat - np.outer(bvec, cvec) / d)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"zero eigenproblem failed: {exc}") from None
-    else:
-        # expanded numerator sum_k r_k prod_{j != k} (s - p_j)
-        num = np.zeros(poles.size, dtype=complex)
-        for i in range(poles.size):
-            rest = np.delete(poles, i)
-            num += model.residues[k, i] * np.poly(rest)
-        zeros = np.roots(num.real) if np.any(np.abs(num.real) > 0) else np.zeros(0, dtype=complex)
+    n = poles.size
+    amat, bvec, cvec = _real_realization(poles, model.residues[k])
+    system = np.empty((n + 1, n + 1))
+    system[:n, :n] = amat
+    system[:n, n] = bvec
+    system[n, :n] = cvec
+    system[n, n] = model.direct[k]
+    e_mat = np.eye(n + 1)
+    e_mat[n, n] = 0.0
+    # LAPACK's dggev directly: scipy.linalg.eigvals computes the same
+    # (alpha, beta) but adds input checks and a workspace query that cost
+    # more than the QZ itself on small models
+    alpha_re, alpha_im, beta, _, _, _, info = lapack.dggev(
+        system, e_mat, compute_vl=0, compute_vr=0, overwrite_a=1)
+    if info != 0:
+        raise NumericError(f"zero eigenproblem failed (LAPACK dggev info {info})")
+    finite = beta != 0.0
+    lam = (alpha_re[finite] + 1j * alpha_im[finite]) / beta[finite]
+    upper = lam[lam.imag > 0.0]
+    zeros = np.concatenate([lam[lam.imag == 0.0], upper, upper.conj()])
     return _sorted_c(poles), _sorted_c(zeros)
 
 

@@ -1,13 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 import xml.dom.minidom
 
 import numpy as np
 import pytest
 
+from fixtures import sample_model, wideband_model
 from pzid import cli, staban
 from pzid.cli import dispatch
-from pzid.freqresp import parse_csv
+from pzid.freqresp import emit_csv, parse_csv
 from pzid.ratfit import FitConfig, PartialFractionModel, save_model
 
 NETLIST = """\
@@ -127,6 +131,45 @@ class TestStability:
         doc = json.loads(staban.serialize_verdict(verdict))
         doc["config"] = json.loads(report.read_text())["config"]
         assert report.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_python(code, args, cwd, **threads):
+    """Run ``code`` in a fresh interpreter that imports pzid from this
+    checkout, with the BLAS thread variables unset except those given."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(threads)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+class TestBlasThreads:
+    def test_default_is_one_blas_thread(self, tmp_path):
+        # on 2000 points a wideband fit rounds differently on two BLAS
+        # threads, so the output bytes show which thread count ran
+        resp = tmp_path / "wide.csv"
+        resp.write_text(emit_csv(sample_model(wideband_model(), 1e6, 40e9, n=2000, log=True)))
+        outputs = []
+        for threads in ({}, dict.fromkeys(THREAD_VARS, "1")):
+            run_dir = tmp_path / f"run-{len(outputs)}"
+            run_dir.mkdir()
+            done = run_python("from pzid.cli import main; main()",
+                              ["stability", "--in", str(resp), "--orders", "16:24",
+                               "--report", "report.json", "--svg", "map.svg"],
+                              run_dir, **threads)
+            assert done.returncode == 0, done.stderr
+            outputs.append([(run_dir / name).read_bytes() for name in ("report.json", "map.svg")])
+        assert outputs[0] == outputs[1]
+
+    def test_user_setting_wins(self, tmp_path):
+        code = f"import json, os, pzid; print(json.dumps([os.environ[v] for v in {THREAD_VARS}]))"
+        done = run_python(code, [], tmp_path, OMP_NUM_THREADS="3")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == ["1", "3", "1"]
 
 
 class TestModalProbeFiles:

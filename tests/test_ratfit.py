@@ -358,6 +358,22 @@ class TestEvaluateAndErrors:
         assert abs(rep.max_phase_err_deg - 0.01) < 1e-9
 
 
+def reference_expanded_zeros(model, k=0):
+    """Zeros as they were computed before the system-matrix pencil: roots of
+    the expanded numerator sum_i r_i prod_{j != i} (s - p_j), the direct
+    term ignored."""
+    num = np.zeros(model.poles.size, dtype=complex)
+    for i in range(model.poles.size):
+        num += model.residues[k, i] * np.poly(np.delete(model.poles, i))
+    return np.roots(num.real)
+
+
+def with_direct(model, frac):
+    """``model`` with its direct term set to ``frac`` times its largest residue."""
+    d = frac * float(np.max(np.abs(model.residues[0])))
+    return PartialFractionModel(model.poles, model.residues, np.array([d]))
+
+
 class TestPolesAndZeros:
     def test_quadratic_formula(self):
         model = PolynomialRatioModel(np.array([1.0]), np.array([101.0, 2.0, 1.0]), 1.0)
@@ -388,6 +404,50 @@ class TestPolesAndZeros:
                       for z in s])
         scale = np.abs(model.direct[0]) + np.max(np.abs(model.residues))
         assert np.all(np.abs(h) < 1e-6 * scale)
+
+    def test_zero_count_follows_the_direct_term(self):
+        # d at rounding level of the residues puts its zero at infinity, as d = 0 does
+        model, _, _ = random_pf_model(41)
+        n = model.order
+        counts = [poles_and_zeros(with_direct(model, frac), 0)[1].size
+                  for frac in (0.0, 1e-24, 1e-3)]
+        assert counts == [n - 1, n - 1, n]
+
+    @pytest.mark.parametrize("direct", [0.0, 2.0])
+    def test_order_zero_model_has_no_zeros(self, direct):
+        model = PartialFractionModel(np.zeros(0, dtype=complex), np.zeros((1, 0), dtype=complex),
+                                     np.array([direct]))
+        poles, zeros = poles_and_zeros(model, 0)
+        assert poles.size == 0 and zeros.size == 0
+
+    @pytest.mark.parametrize("frac", [0.0, 1e-24, 1e-3, None])
+    def test_pf_zeros_are_exact_conjugate_pairs(self, frac):
+        for seed in range(25):
+            model, _, _ = random_pf_model(seed)
+            if frac is not None:
+                model = with_direct(model, frac)
+            _, zeros = poles_and_zeros(model, 0)
+            assert np.array_equal(np.sort_complex(zeros), np.sort_complex(zeros.conj())), seed
+
+    def test_pf_zeros_match_the_expanded_numerator(self):
+        for seed in range(25):
+            model = with_direct(random_pf_model(seed)[0], 0.0)
+            _, zeros = poles_and_zeros(model, 0)
+            ref = reference_expanded_zeros(model)
+            assert zeros.size == ref.size == model.order - 1, seed
+            cost = np.abs(zeros[:, None] - ref[None, :]) / np.abs(ref)[None, :]
+            rows, cols = linear_sum_assignment(cost)
+            assert cost[rows, cols].max() < 1e-9, seed
+            h = np.array([np.sum(model.residues[0] / (z - model.poles)) for z in zeros])
+            assert np.all(np.abs(h) <= 1e-6 * np.sum(np.abs(model.residues[0]))), seed
+
+    def test_qz_failure_is_a_numeric_error(self, monkeypatch):
+        def failing_dggev(a, b, **kwargs):
+            n = a.shape[0]
+            return np.zeros(n), np.zeros(n), np.zeros(n), None, None, None, n
+        monkeypatch.setattr("pzid.ratfit.lapack.dggev", failing_dggev)
+        with pytest.raises(NumericError, match="dggev info"):
+            poles_and_zeros(random_pf_model(41)[0], 0)
 
     def test_single_port_default(self):
         model, _, _ = random_pf_model(41)
