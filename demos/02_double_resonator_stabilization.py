@@ -4,7 +4,8 @@ Two weakly coupled tanks, one destabilized by a negative resistance.  The
 pole locus versus a shunt resistor tells the story: at node A the unstable
 pair creeps toward nearby zeros and never leaves the right half-plane; at
 node B it crosses into the left half-plane below a threshold value, which
-the bisection driver pins against the exact eigenvalue oracle.
+the threshold driver finds by a Brent root search and confirms against the
+exact eigenvalue oracle.
 """
 
 import pathlib

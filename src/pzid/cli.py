@@ -302,13 +302,16 @@ def build_parser():
     _add_svg_opts(p)
     p.set_defaults(func=_cmd_locus)
 
-    p = sub.add_parser("threshold", help="bisect the stabilizing element value")
+    p = sub.add_parser("threshold", help="find the stabilizing element value "
+                       "(Brent root search, confirmed by the analytic oracle)")
     p.add_argument("--netlist", required=True)
     p.add_argument("--probe", required=True)
     p.add_argument("--param", required=True)
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
-    p.add_argument("--tol", type=float, required=True, help="relative width")
+    p.add_argument("--tol", type=float, required=True,
+                   help="relative tolerance: the value lies within tol/2*|value| "
+                        "of the fitted crossing")
     _add_fit_opts(p)
     _add_grid_opts(p)
     p.set_defaults(func=_cmd_threshold)

@@ -1,12 +1,14 @@
 """Parametric analyses on top of the circuit engine and the fitters.
 
-Pole loci versus a stabilization element, bisection for the stabilization
-threshold, Monte Carlo pole clouds under element tolerances, the spiral
-Smith-chart path, and termination scans for hidden internal instabilities.
+Pole loci versus a stabilization element, a Brent root search for the
+stabilization threshold, Monte Carlo pole clouds under element tolerances,
+the spiral Smith-chart path, and termination scans for hidden internal
+instabilities.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -191,11 +193,14 @@ def _refine_crossing(net, param, v_lo, v_hi, p_lo, p_hi, t_lin, scale):
 
 
 def stabilization_threshold(net, probe, grid, param, lo, hi, tol_rel, cfg):
-    """Bisect the parameter value where the dominant fitted pole crosses Re=0.
+    """Find the parameter value where the dominant fitted pole crosses Re=0.
 
-    Requires opposite stability at the bracket ends.  The result is verified
-    against the analytic pole oracle of the patched netlist; disagreement
-    raises rather than returning a silently wrong threshold.
+    Requires opposite stability at the bracket ends.  Brent's method on the
+    largest fitted real part keeps a sign-change bracket and returns a value
+    within tol_rel/2 * |value| of the fitted crossing (or as tight as floats
+    allow, for tol_rel below 8.9e-16).  The result is verified against the
+    analytic pole oracle of the patched netlist; disagreement raises rather
+    than returning a silently wrong threshold.
     """
     if not (lo < hi):
         raise UsageError("need lo < hi")
@@ -203,6 +208,7 @@ def stabilization_threshold(net, probe, grid, param, lo, hi, tol_rel, cfg):
         raise UsageError("tol_rel must be positive")
     net.element(param)
 
+    @functools.cache  # brentq's first calls reuse the bracket-end fits
     def max_re(v):
         poles = _fit_poles(set_element_value(net, param, v), probe, grid, cfg)
         if poles.size == 0:
@@ -214,23 +220,19 @@ def stabilization_threshold(net, probe, grid, param, lo, hi, tol_rel, cfg):
         raise UsageError(
             f"max Re(poles) has the same sign at both ends "
             f"({r_lo:.3g} at {lo}, {r_hi:.3g} at {hi}); no threshold inside")
-    a, b = lo, hi
-    while (b - a) > tol_rel * 0.5 * (a + b):
-        mid = 0.5 * (a + b)
-        if mid in (a, b):
-            break
-        r_mid = max_re(mid)
-        if (r_mid > 0) == (r_lo > 0):
-            a = mid
-        else:
-            b = mid
-    value = 0.5 * (a + b)
+    # brentq rejects an rtol below 4 eps; the tiny xtol only keeps it positive
+    rtol = max(0.5 * tol_rel, 4.0 * np.finfo(float).eps)
+    try:
+        value = scipy.optimize.brentq(max_re, lo, hi, xtol=np.finfo(float).tiny,
+                                      rtol=rtol)
+    except RuntimeError as exc:
+        raise NumericError(f"threshold search for {param} did not converge: {exc}") from exc
 
     def oracle_re(v):
         poles = analytic_poles(set_element_value(net, param, v))
         return float(np.max(poles.real)) if poles.size else -math.inf
 
-    span = max(4.0 * tol_rel * value, 1e-12 * value)
+    span = max(4.0 * tol_rel, 1e-12) * abs(value)
     o_lo, o_hi = oracle_re(value - span), oracle_re(value + span)
     if o_lo == 0.0 or o_hi == 0.0:
         return value

@@ -101,6 +101,48 @@ class TestStabilizationThreshold:
         expect = oracle_threshold(net, "rstab", 50.0, 1000.0)
         assert abs(got - expect) / expect < 1e-3
 
+    @pytest.mark.parametrize("param, lo, hi, tol", [
+        ("rstab", 50.0, 1000.0, 1e-2),
+        ("rstab", 50.0, 1000.0, 1e-4),
+        ("rneg", -1e4, -100.0, 1e-2),  # a negative bracket
+    ])
+    def test_few_fits(self, monkeypatch, param, lo, hi, tol):
+        calls = []
+        fit = pzid.sweeps._fit_poles
+
+        def counted(*args):
+            calls.append(args)
+            return fit(*args)
+
+        monkeypatch.setattr(pzid.sweeps, "_fit_poles", counted)
+        net = double_resonator("B")
+        got = stabilization_threshold(net, current_probe("B"),
+                                      DOUBLE_RESONATOR_GRID, param, lo, hi, tol, CFG)
+        expect = oracle_threshold(net, param, lo, hi)
+        assert abs(got - expect) / abs(expect) < tol
+        assert len(calls) <= 8
+
+    def test_tolerance_below_float_floor(self):
+        def run(tol):
+            return stabilization_threshold(double_resonator("B"), current_probe("B"),
+                                           DOUBLE_RESONATOR_GRID, "rstab",
+                                           50.0, 1000.0, tol, CFG)
+
+        floor = run(8 * np.finfo(float).eps)
+        assert run(1e-20) == floor
+        expect = oracle_threshold(double_resonator("B"), "rstab", 50.0, 1000.0)
+        assert abs(floor - expect) / expect < 1e-6
+
+    def test_root_search_failure_is_numeric(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise RuntimeError("Failed to converge after 100 iterations")
+
+        monkeypatch.setattr(pzid.sweeps.scipy.optimize, "brentq", no_convergence)
+        with pytest.raises(NumericError, match="did not converge"):
+            stabilization_threshold(double_resonator("B"), current_probe("B"),
+                                    DOUBLE_RESONATOR_GRID, "rstab",
+                                    50.0, 1000.0, 1e-2, CFG)
+
     def test_unconfirmed_by_oracle_raises(self, monkeypatch):
         monkeypatch.setattr(pzid.sweeps, "analytic_poles",
                             lambda net: np.array([-1e9 + 1e10j, -1e9 - 1e10j]))
