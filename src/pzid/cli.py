@@ -54,9 +54,11 @@ def _parse_values(text):
     return np.linspace(lo, hi, n)
 
 
-def _load_netlist(path):
-    with open(path, encoding="utf-8") as fh:
-        return netsim.parse_netlist(fh.read())
+def _circuit(args):
+    """The ``--netlist`` circuit and its ``--probe``."""
+    with open(args.netlist, encoding="utf-8") as fh:
+        net = netsim.parse_netlist(fh.read())
+    return net, netsim.parse_probe(args.probe)
 
 
 def _load_responses(path):
@@ -79,6 +81,10 @@ def _grid(args):
 def _write(path, text):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
+
+
+def _write_json(path, doc):
+    _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _config_echo(args):
@@ -109,8 +115,7 @@ def _fit_config(args):
 # subcommand handlers
 
 def _cmd_synth(args):
-    net = _load_netlist(args.netlist)
-    probe = netsim.parse_probe(args.probe)
+    net, probe = _circuit(args)
     resp = netsim.frequency_response(net, probe, _grid(args))
     _write(args.out, _config_comment(args) + emit_csv(resp))
     return 0
@@ -132,7 +137,7 @@ def _cmd_stability(args):
     verdict = staban.auto_identify(resp, _parse_range(args.orders), cfg)
     doc = staban.verdict_report(verdict)
     doc["config"] = _config_echo(args)
-    _write(args.report, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(args.report, doc)
     if args.svg:
         _render_svg(args.svg, verdict, args)
     if args.fail_on_unstable and not verdict.stable:
@@ -147,13 +152,12 @@ def _cmd_rho(args):
         raise UsageError("rho needs a partial-fraction (vf) model")
     doc = staban.rho_table(staban.rho_matrix(model))
     doc.update(schema=1, config=_config_echo(args), rho=doc.pop("values"))
-    _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(args.out, doc)
     return 0
 
 
 def _cmd_locus(args):
-    net = _load_netlist(args.netlist)
-    probe = netsim.parse_probe(args.probe)
+    net, probe = _circuit(args)
     traj = sweeps.trace_pole_locus(net, probe, _grid(args), args.param,
                                    _parse_values(args.values), _fit_config(args))
     lines = [_config_comment(args),
@@ -171,8 +175,7 @@ def _cmd_locus(args):
 
 
 def _cmd_threshold(args):
-    net = _load_netlist(args.netlist)
-    probe = netsim.parse_probe(args.probe)
+    net, probe = _circuit(args)
     value = sweeps.stabilization_threshold(net, probe, _grid(args), args.param,
                                            args.lo, args.hi, args.tol, _fit_config(args))
     print(repr(float(value)))
@@ -180,8 +183,7 @@ def _cmd_threshold(args):
 
 
 def _cmd_mc(args):
-    net = _load_netlist(args.netlist)
-    probe = netsim.parse_probe(args.probe)
+    net, probe = _circuit(args)
     cloud = sweeps.monte_carlo_cloud(net, probe, _grid(args), args.sigma,
                                      args.trials, args.seed, _fit_config(args))
     lines = [_config_comment(args)]
@@ -209,12 +211,11 @@ def _cmd_spiral(args):
 
 
 def _cmd_proviso(args):
-    net = _load_netlist(args.netlist)
-    probe = netsim.parse_probe(args.probe)
+    net, probe = _circuit(args)
     spiral = sweeps.spiral_path(args.turns, args.points, args.rmax)
     report = sweeps.proviso_scan(net, args.port, probe, spiral, _grid(args),
                                  _parse_range(args.orders), staban.StabilityConfig())
-    doc = {
+    _write_json(args.report, {
         "schema": 1,
         "config": _config_echo(args),
         "n_scanned": report.n_scanned,
@@ -224,12 +225,18 @@ def _cmd_proviso(args):
              "poles": [[p.real, p.imag] for p in f.poles]}
             for f in report.findings],
         "failures": list(report.failures),
-    }
-    _write(args.report, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    })
     return 0
 
 
 # ---------------------------------------------------------------------------
+
+def _add_circuit_opts(p):
+    """Circuit file and probe descriptor of the netlist subcommands."""
+    p.add_argument("--netlist", required=True)
+    p.add_argument("--probe", required=True,
+                   help="inode:<n> | vbranch:<e> | modal:<n1>@<deg1>,<n2>@<deg2>")
+
 
 def _add_fit_opts(p):
     """Fit order and relocation-iteration cap of the sweep subcommands."""
@@ -257,9 +264,7 @@ def build_parser():
     sub = top.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("synth", help="simulate a probed frequency response")
-    p.add_argument("--netlist", required=True)
-    p.add_argument("--probe", required=True,
-                   help="inode:<n> | vbranch:<e> | modal:<n1>@<deg1>,<n2>@<deg2>")
+    _add_circuit_opts(p)
     p.add_argument("--fstart", type=float, required=True)
     p.add_argument("--fstop", type=float, required=True)
     p.add_argument("--points", type=int, required=True)
@@ -292,8 +297,7 @@ def build_parser():
     p.set_defaults(func=_cmd_rho)
 
     p = sub.add_parser("locus", help="pole trajectory versus an element value")
-    p.add_argument("--netlist", required=True)
-    p.add_argument("--probe", required=True)
+    _add_circuit_opts(p)
     p.add_argument("--param", required=True, help="element name to sweep")
     p.add_argument("--values", required=True, help="LO:HI:N[:log]")
     _add_fit_opts(p)
@@ -304,8 +308,7 @@ def build_parser():
 
     p = sub.add_parser("threshold", help="find the stabilizing element value "
                        "(Brent root search, confirmed by the analytic oracle)")
-    p.add_argument("--netlist", required=True)
-    p.add_argument("--probe", required=True)
+    _add_circuit_opts(p)
     p.add_argument("--param", required=True)
     p.add_argument("--lo", type=float, required=True)
     p.add_argument("--hi", type=float, required=True)
@@ -317,9 +320,9 @@ def build_parser():
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("mc", help="Monte Carlo pole cloud under element tolerances")
-    p.add_argument("--netlist", required=True)
-    p.add_argument("--probe", required=True)
-    p.add_argument("--sigma", type=float, required=True, help="relative element tolerance")
+    _add_circuit_opts(p)
+    p.add_argument("--sigma", type=float, required=True,
+                   help="relative element tolerance in [0, 1)")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     _add_fit_opts(p)
@@ -336,9 +339,8 @@ def build_parser():
     p.set_defaults(func=_cmd_spiral)
 
     p = sub.add_parser("proviso", help="termination scan for hidden internal instability")
-    p.add_argument("--netlist", required=True)
+    _add_circuit_opts(p)
     p.add_argument("--port", required=True)
-    p.add_argument("--probe", required=True)
     p.add_argument("--turns", type=int, required=True)
     p.add_argument("--points", type=int, required=True)
     p.add_argument("--rmax", type=float, default=0.999)

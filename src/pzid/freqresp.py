@@ -268,10 +268,6 @@ class FrequencyResponseSet:
         return tuple(p.name for p in self.ports)
 
 
-def _split_csv_line(line):
-    return [tok.strip() for tok in line.split(",")]
-
-
 def _parse_directive(body, lineno, label):
     """``name=value,...`` entries; an entry without ``=`` continues the
     previous value, so a modal excitation keeps its comma-separated terms."""
@@ -298,6 +294,13 @@ def _raise_if_non_monotone(freqs, row_lines):
     down = np.flatnonzero(freqs[1:] <= freqs[:-1])
     if down.size:
         raise ResponseParseError("non-monotone grid", row_lines[down[0] + 1])
+
+
+def _complex_columns(table):
+    """(ports, rows) samples from the (re, im) column pairs after a float
+    table's first column; the view keeps signed zeros, which ``re + 1j * im``
+    does not (it turns an imaginary -0.0 into +0.0)."""
+    return table[:, 1:].view(complex).T
 
 
 def parse_csv(text):
@@ -327,8 +330,8 @@ def parse_csv(text):
                                                       "excitation"))
                 continue
             if header is None:
-                header = _split_csv_line(line)
-                if not header or header[0] != "freq_hz":
+                header = [tok.strip() for tok in line.split(",")]
+                if header[0] != "freq_hz":
                     raise ResponseParseError("header must start with freq_hz", lineno)
                 cols = header[1:]
                 if not cols or len(cols) % 2 != 0:
@@ -372,7 +375,6 @@ def parse_csv(text):
     if len(rows) < MIN_POINTS:
         raise ResponseParseError(f"fewer than {MIN_POINTS} points")
     freqs = np.ascontiguousarray(data[:, 0])
-    values = (data[:, 1::2] + 1j * data[:, 2::2]).T
     for label, named in (("kind", kinds_map), ("excitation", excit_map)):
         unknown = sorted(set(named) - set(port_names))
         if unknown:
@@ -382,11 +384,12 @@ def parse_csv(text):
                       for n in port_names)
     except ValueError as exc:
         raise ResponseParseError(str(exc)) from None
-    return FrequencyResponseSet(FrequencyGrid(freqs), ports, values)
+    return FrequencyResponseSet(FrequencyGrid(freqs), ports, _complex_columns(data))
 
 
 def emit_csv(rset):
-    """Serialize to the CSV schema; ``parse_csv`` round-trips bit-identically."""
+    """Serialize to the CSV schema; ``parse_csv`` round-trips it bit for bit,
+    signed zeros included (every float is written as its shortest repr)."""
     lines = []
     if any(p.kind != "transfer" for p in rset.ports):
         pairs = ",".join(f"{p.name}={p.kind}" for p in rset.ports)
@@ -395,91 +398,75 @@ def emit_csv(rset):
         pairs = ",".join(f"{p.name}={p.excitation}" for p in rset.ports if p.excitation)
         lines.append(f"# excitation: {pairs}")
     lines.append("freq_hz," + ",".join(f"{p.name}_re,{p.name}_im" for p in rset.ports))
-    for i, f in enumerate(rset.grid.freqs_hz):
-        cells = [repr(float(f))]
-        for v in rset.values:
-            cells.append(repr(float(v[i].real)))
-            cells.append(repr(float(v[i].imag)))
-        lines.append(",".join(cells))
+    re_im = np.ascontiguousarray(rset.values.T).view(float)  # each port's (re, im)
+    table = np.column_stack((rset.grid.freqs_hz, re_im))
+    lines.extend(",".join(map(repr, row)) for row in table.tolist())
     return "\n".join(lines) + "\n"
 
 
 _TS_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
+_TS_PORTS = {3: ("s11",), 9: ("s11", "s21", "s12", "s22")}
 
 
 def parse_touchstone(text):
     """Parse a Touchstone v1.x one- or two-port S-parameter file.
 
-    Only the S parameter type is supported; formats RI, MA and DB.  Each
-    S_ij becomes one transfer-kind port named ``s11``, ``s21``, ...
+    Only the S parameter type is supported; formats RI, MA and DB, with the
+    option line's omitted fields taken from ``# GHz S MA R 50``.  Each S_ij
+    becomes one transfer-kind port named ``s11``, ``s21``, ...
     """
-    unit = None
-    fmt = None
-    option_line_no = None
-    data_rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("!", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if option_line_no is not None:
+    unit = fmt = None
+    rows, row_lines = [], []
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("!", 1)[0].strip()
+            if not line:
                 continue
-            toks = line[1:].strip().split()
-            toks = [t.lower() for t in toks]
-            toks.extend(["ghz", "s", "ma", "r", "50"][len(toks):])
-            if toks[0] not in _TS_UNITS:
-                raise ResponseParseError(f"unknown frequency unit {toks[0]!r}", lineno)
-            if toks[1] != "s":
+            if line.startswith("#"):
+                if unit is not None:
+                    continue
+                toks = line[1:].lower().split()
+                toks.extend(["ghz", "s", "ma", "r", "50"][len(toks):])
+                if toks[0] not in _TS_UNITS:
+                    raise ResponseParseError(f"unknown frequency unit {toks[0]!r}", lineno)
+                if toks[1] != "s":
+                    raise ResponseParseError(
+                        f"unsupported parameter type {toks[1].upper()}", lineno)
+                if toks[2] not in ("ri", "ma", "db"):
+                    raise ResponseParseError(f"unknown format {toks[2]!r}", lineno)
+                unit, fmt = _TS_UNITS[toks[0]], toks[2]
+                continue
+            if unit is None:
+                raise ResponseParseError("data before option line (missing option line?)", lineno)
+            try:
+                nums = [float(t) for t in line.split()]
+            except ValueError:
+                raise ResponseParseError(f"unparseable number in {line!r}", lineno) from None
+            width = len(rows[0]) if rows else len(nums)
+            if width not in _TS_PORTS:
+                raise ResponseParseError(f"unsupported row layout ({width} values; "
+                                         f"expected 3 for 1-port or 9 for 2-port)", lineno)
+            if len(nums) != width:
                 raise ResponseParseError(
-                    f"unsupported parameter type {toks[1].upper()}", lineno)
-            if toks[2] not in ("ri", "ma", "db"):
-                raise ResponseParseError(f"unknown format {toks[2]!r}", lineno)
-            unit, fmt = _TS_UNITS[toks[0]], toks[2]
-            option_line_no = lineno
-            continue
-        if option_line_no is None:
-            raise ResponseParseError("data before option line (missing option line?)", lineno)
-        toks = line.split()
-        try:
-            nums = [float(t) for t in toks]
-        except ValueError:
-            raise ResponseParseError(f"unparseable number in {line!r}", lineno) from None
-        data_rows.append((lineno, nums))
-    if option_line_no is None:
-        raise ResponseParseError("missing option line")
-    if not data_rows:
-        raise ResponseParseError("no data rows")
-    width = len(data_rows[0][1])
-    if width == 3:
-        labels = ["s11"]
-    elif width == 9:
-        labels = ["s11", "s21", "s12", "s22"]
-    else:
-        raise ResponseParseError(
-            f"unsupported row layout ({width} values; expected 3 for 1-port or 9 for 2-port)",
-            data_rows[0][0])
-    freqs = []
-    cols = [[] for _ in labels]
-    for lineno, nums in data_rows:
-        if len(nums) != width:
-            raise ResponseParseError(f"ragged row: expected {width} values, got {len(nums)}", lineno)
-        f = nums[0] * unit
-        if freqs and f <= freqs[-1]:
-            raise ResponseParseError("non-monotone grid", lineno)
-        freqs.append(f)
-        for k in range(len(labels)):
-            a, b = nums[1 + 2 * k], nums[2 + 2 * k]
-            if fmt == "ri":
-                val = complex(a, b)
-            elif fmt == "ma":
-                val = a * np.exp(1j * np.deg2rad(b))
-            else:  # db
-                val = 10.0 ** (a / 20.0) * np.exp(1j * np.deg2rad(b))
-            cols[k].append(val)
-    if len(freqs) < MIN_POINTS:
+                    f"ragged row: expected {width} values, got {len(nums)}", lineno)
+            rows.append(nums)
+            row_lines.append(lineno)
+    except ResponseParseError:
+        # a non-monotone row above the failing line is the first error
+        _raise_if_non_monotone([row[0] * unit for row in rows], row_lines)
+        raise
+    if not rows:  # a data row before the option line has raised in the loop
+        raise ResponseParseError("missing option line" if unit is None else "no data rows")
+    data = np.array(rows)
+    _raise_if_non_monotone(data[:, 0] * unit, row_lines)
+    if len(rows) < MIN_POINTS:
         raise ResponseParseError(f"fewer than {MIN_POINTS} points")
-    ports = tuple(PortLabel(n) for n in labels)
-    return FrequencyResponseSet(FrequencyGrid(np.asarray(freqs)), ports, cols)
+    values = _complex_columns(data)
+    if fmt != "ri":  # the pairs hold magnitude (linear or dB) and angle in degrees
+        mag = values.real if fmt == "ma" else np.float_power(10.0, values.real / 20.0)
+        values = mag * np.exp(1j * np.deg2rad(values.imag))
+    ports = tuple(PortLabel(n) for n in _TS_PORTS[data.shape[1]])
+    return FrequencyResponseSet(FrequencyGrid(data[:, 0] * unit), ports, values)
 
 
 def slice_band(rset, f_lo, f_hi):

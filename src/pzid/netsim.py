@@ -222,6 +222,9 @@ def parse_value(text):
     raise ValueError(f"unparseable value {text!r}")
 
 
+_FIELDS = {"R": 5, "L": 5, "C": 5, "G": 7, "PORT": 4}  # tokens per card, the card included
+
+
 def parse_netlist(text):
     """Parse the line-based netlist format.
 
@@ -237,20 +240,14 @@ def parse_netlist(text):
         toks = line.split()
         card = toks[0].upper()
         try:
-            if card in ("R", "L", "C"):
-                if len(toks) != 5:
-                    raise ValueError(f"{card} line needs 5 fields")
-                elements.append(Element(card, toks[1], (toks[2], toks[3]), parse_value(toks[4])))
-            elif card == "G":
-                if len(toks) != 7:
-                    raise ValueError("G line needs 7 fields")
-                elements.append(Element("G", toks[1], tuple(toks[2:6]), parse_value(toks[6])))
-            elif card == "PORT":
-                if len(toks) != 4:
-                    raise ValueError("PORT line needs 4 fields")
+            if card not in _FIELDS:
+                raise ValueError(f"unknown card {toks[0]!r}")
+            if len(toks) != _FIELDS[card]:
+                raise ValueError(f"{card} line needs {_FIELDS[card]} fields")
+            if card == "PORT":
                 ports.append(TerminationPort(toks[1], toks[2], parse_value(toks[3])))
             else:
-                raise ValueError(f"unknown card {toks[0]!r}")
+                elements.append(Element(card, toks[1], tuple(toks[2:-1]), parse_value(toks[-1])))
         except ValueError as exc:
             raise NetlistParseError(str(exc), lineno) from None
     if not elements:

@@ -248,16 +248,19 @@ def monte_carlo_cloud(net, probe, grid, sigma, trials, seed, cfg):
 
     Per trial every element value is scaled by (1 + sigma*u) with u drawn
     uniformly from [-1, 1] by a seeded generator; sigma may be one number or
-    a mapping per element kind ({'R': .., 'L': .., 'C': .., 'G': ..}).
+    a mapping per element kind ({'R': .., 'L': .., 'C': .., 'G': ..}), each
+    in [0, 1) so that no scaled value reaches zero or changes sign.
     Trials whose fit fails are skipped and counted.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    sig = dict(sigma) if isinstance(sigma, dict) else \
-        {k: float(sigma) for k in ("R", "L", "C", "G")}
-    for v in sig.values():
-        if v < 0:
-            raise UsageError("sigma must be >= 0")
+    kinds = ("R", "L", "C", "G")
+    sig = dict(sigma) if isinstance(sigma, dict) else dict.fromkeys(kinds, float(sigma))
+    for kind, v in sig.items():
+        if kind not in kinds:
+            raise UsageError(f"sigma key {kind!r} is not an element kind (R, L, C, G)")
+        if not 0.0 <= v < 1.0:
+            raise UsageError(f"sigma {v!r} for {kind} is outside [0, 1)")
     rng = np.random.default_rng(seed)
     points = []
     n_failed = 0

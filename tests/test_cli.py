@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fixtures import sample_model, wideband_model
-from pzid import cli, staban
+from pzid import cli, netsim, staban
 from pzid.cli import dispatch
 from pzid.freqresp import emit_csv, parse_csv
 from pzid.ratfit import FitConfig, PartialFractionModel, save_model
@@ -248,6 +248,27 @@ class TestSweepCommands:
         assert dispatch(args) == 0
         assert out.read_text() == first
 
+    def test_mc_svg_byte_identical(self, tmp_path, net_file):
+        svg = tmp_path / "mc.svg"
+        args = ["mc", "--netlist", net_file, "--probe", "inode:n1",
+                "--sigma", "0.05", "--trials", "5", "--seed", "42",
+                "--order", "2", "--fstart", "1e9", "--fstop", "9e9",
+                "--out", str(tmp_path / "mc.csv"), "--svg", str(svg)]
+        assert dispatch(args) == 0
+        first = svg.read_bytes()
+        assert dispatch(args) == 0
+        assert svg.read_bytes() == first
+        xml.dom.minidom.parseString(first)
+        # two translucent strokes per plotted pole: the upper-half-plane pole
+        # of each of the 5 trials
+        assert first.count(b'stroke-opacity="0.35"') == 2 * 5
+
+    def test_mc_sigma_outside_unit_interval_is_usage_error(self, tmp_path, net_file, capsys):
+        assert dispatch(["mc", "--netlist", net_file, "--probe", "inode:n1",
+                         "--sigma", "1.5", "--trials", "3", "--seed", "1",
+                         "--out", str(tmp_path / "mc.csv")]) == 2
+        assert "sigma 1.5 for R is outside [0, 1)" in capsys.readouterr().err
+
     def test_locus_csv_and_svg(self, tmp_path):
         net = tmp_path / "dr.cir"
         net.write_text(
@@ -292,6 +313,31 @@ class TestSweepCommands:
         doc = json.loads(report.read_text())
         assert doc["clean"] is True
         assert doc["n_scanned"] == 10
+
+    def test_proviso_findings(self, tmp_path):
+        # the masked twin of the loop above: stable matched, unstable shorted
+        text = ("C c1 I 0 1p\nL l1 I 0 1n\nR r1 I 0 -150\n"
+                "L lc I P 0.3n\nR rleak P 0 1M\nPORT out P 50\n")
+        net = tmp_path / "masked.cir"
+        net.write_text(text)
+        report = tmp_path / "proviso.json"
+        assert dispatch(["proviso", "--netlist", str(net), "--port", "out",
+                         "--probe", "inode:I", "--turns", "3", "--points", "8",
+                         "--fstart", "0.5e9", "--fstop", "12e9",
+                         "--grid-points", "300", "--orders", "2:6",
+                         "--report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert doc["clean"] is False and doc["failures"] == []
+        found = {f["label"]: f for f in doc["findings"]}
+        short = found["short-like"]
+        assert short["gamma"] == [-0.999, 0.0] and short["h"] is None
+        truth = netsim.analytic_poles(netsim.with_termination(
+            netsim.parse_netlist(text), "out", -0.999, f_ref=(0.5e9 * 12e9) ** 0.5))
+        truth = truth[truth.real > 0]
+        poles = np.array([complex(*p) for p in short["poles"]])
+        assert poles.size == truth.size == 2
+        for p in truth:
+            assert np.min(np.abs(poles - p)) / abs(p) < 1e-6
 
 
 class TestParserDefaults:

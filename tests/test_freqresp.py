@@ -170,6 +170,118 @@ class TestTouchstone:
             parse_touchstone("1 0 0\n2 0 0\n3 0 0\n4 0 0\n")
 
 
+TS_HEAD = "# GHz S RI R 50\n"
+TS_ROWS = "1 0.5 -0.1\n2 0.4 0\n3 0.3 0.1\n4 0.2 0.2\n"
+CSV_HEAD = "freq_hz,p_re,p_im\n"
+CSV_ROWS = "1,1,0\n2,1,0\n3,1,0\n4,1,0\n"
+
+
+class TestReaderErrors:
+    """Each error either reader raises, with its message and line; a file
+    holding several errors reports the one on the earliest line."""
+
+    @pytest.mark.parametrize("parse, text, message, line", [
+        (parse_touchstone, "# THz S RI R 50\n" + TS_ROWS,
+         "unknown frequency unit 'thz'", 1),
+        (parse_touchstone, "! comment\n# GHz Z RI R 50\n" + TS_ROWS,
+         "unsupported parameter type Z", 2),
+        (parse_touchstone, "# GHz S XY R 50\n" + TS_ROWS, "unknown format 'xy'", 1),
+        (parse_touchstone, TS_HEAD + "1 0.5 -0.1\n2 0.4 x\n3 0 0\n4 0 0\n",
+         "unparseable number in '2 0.4 x'", 3),
+        (parse_touchstone, "! no option line, no data\n", "missing option line", None),
+        (parse_touchstone, "1 0 0\n# GHz S RI R 50\n" + TS_ROWS,
+         "data before option line (missing option line?)", 1),
+        (parse_touchstone, TS_HEAD + "! only comments\n", "no data rows", None),
+        (parse_touchstone, TS_HEAD + "1 0 0 0 0\n2 0 0 0 0\n3 0 0 0 0\n4 0 0 0 0\n",
+         "unsupported row layout (5 values; expected 3 for 1-port or 9 for 2-port)", 2),
+        (parse_touchstone, TS_HEAD + "1 0 0\n2 0 0\n3 0\n4 0 0\n",
+         "ragged row: expected 3 values, got 2", 4),
+        (parse_touchstone, TS_HEAD + "1 0 0\n3 0 0\n2 0 0\n4 0 0\n", "non-monotone grid", 4),
+        (parse_touchstone, TS_HEAD + "1 0 0\n2 0 0\n3 0 0\n", "fewer than 4 points", None),
+        # several errors: the earliest line wins (a second option line is ignored)
+        (parse_touchstone, "# HZ S RI R 50\n1 0 0\n3 0 0\n2 0 0\n4 0 0\n5 x 0\n",
+         "non-monotone grid", 4),
+        (parse_touchstone, TS_HEAD + "1 0 0\n3 0 0\n2 0 0\n4 0\n", "non-monotone grid", 4),
+        (parse_touchstone, TS_HEAD + "1 0 0\n3 0\n2 0 0\n4 x 0\n",
+         "ragged row: expected 3 values, got 2", 3),
+        (parse_touchstone, TS_HEAD + "1 0 0\n2 x 0\n1 0 0\n4 0\n",
+         "unparseable number in '2 x 0'", 3),
+        (parse_touchstone, TS_HEAD + "2 0 0\n1 0 0\n# GHz Y RI R 50\n", "non-monotone grid", 3),
+        (parse_csv, "p_re,p_im\n" + CSV_ROWS, "header must start with freq_hz", 1),
+        (parse_csv, "# comment\nfreq_hz\n" + CSV_ROWS,
+         "header needs <port>_re,<port>_im column pairs", 2),
+        (parse_csv, "freq_hz,p_re,p_im,q_re\n" + CSV_ROWS,
+         "header needs <port>_re,<port>_im column pairs", 1),
+        (parse_csv, "freq_hz,p_re,p_imag\n" + CSV_ROWS,
+         "column pair 'p_re','p_imag' must end in _re,_im", 1),
+        (parse_csv, "freq_hz,p_re,q_im\n" + CSV_ROWS,
+         "column pair 'p_re','q_im' names disagree", 1),
+        (parse_csv, "# only a comment\n", "no header row found", None),
+        (parse_csv, "# kind: impedance\n" + CSV_HEAD + CSV_ROWS,
+         "malformed kind directive entry 'impedance'", 1),
+        (parse_csv, CSV_HEAD + "1,1,0\n3,1,0\n2,1,0\n4,1\n", "non-monotone grid", 4),
+    ])
+    def test_message_and_line(self, parse, text, message, line):
+        with pytest.raises(ResponseParseError) as info:
+            parse(text)
+        assert info.value.line == line
+        assert str(info.value) == (message if line is None else f"{message} at line {line}")
+
+
+def reference_touchstone(text):
+    """Per-value reading of a Touchstone file without comments, the
+    conversion written out one complex sample at a time."""
+    head, *rows = text.splitlines()
+    unit, _, fmt = head[1:].split()[:3]
+    scale = {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6, "GHz": 1e9}[unit]
+    freqs, samples = [], []
+    for row in rows:
+        nums = [float(tok) for tok in row.split()]
+        freqs.append(nums[0] * scale)
+        pairs = zip(nums[1::2], nums[2::2])
+        if fmt == "RI":
+            samples.append([complex(a, b) for a, b in pairs])
+        elif fmt == "MA":
+            samples.append([a * np.exp(1j * np.deg2rad(b)) for a, b in pairs])
+        else:
+            samples.append([10.0 ** (a / 20.0) * np.exp(1j * np.deg2rad(b)) for a, b in pairs])
+    return np.array(freqs), np.array(samples, dtype=complex).T
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestCrossFormat:
+    """A table of numbers written as RI, MA or DB Touchstone reads back bit for
+    bit as the per-value reference converts it, and again through the CSV,
+    signed zeros and a 0 Hz row included."""
+
+    @pytest.mark.parametrize("fmt", ["RI", "MA", "DB"])
+    @pytest.mark.parametrize("n_values", [3, 9])
+    def test_formats_read_back_bit_for_bit(self, fmt, n_values):
+        rng = np.random.default_rng(n_values)
+        n = 12
+        table = rng.standard_normal((n, n_values)) * 10.0 ** rng.uniform(-6, 3, (n, n_values))
+        table[:, 0] = np.concatenate(([0.0], np.cumsum(rng.uniform(0.01, 2.0, n - 1))))
+        table[1, 1:3] = (0.25, -0.0)
+        table[2, 1:3] = (-0.0, -0.0)
+        table[3, 1:3] = (0.0, 180.0)
+        table[4, 1:3] = (-0.0, -90.0)
+        text = f"# GHz S {fmt} R 50\n" + "".join(
+            " ".join(map(repr, row)) + "\n" for row in table.tolist())
+        freqs, values = reference_touchstone(text)
+        rset = parse_touchstone(text)
+        assert same_bits(rset.grid.freqs_hz, freqs)
+        assert same_bits(rset.values, values)
+        assert rset.grid.freqs_hz[0] == 0.0
+        again = parse_csv(emit_csv(rset))
+        assert same_bits(again.grid.freqs_hz, freqs)
+        assert same_bits(again.values, values)
+        if fmt == "RI":
+            assert np.signbit(rset.values[0, 1].imag) and np.signbit(rset.values[0, 2].real)
+
+
 class TestSliceBand:
     def setup_method(self):
         self.rset = make_set(np.arange(1, 11) * 1e9, p1=np.arange(10) + 1j)

@@ -324,6 +324,18 @@ class TestNetlistParsing:
         with pytest.raises(NetlistParseError, match="line 2"):
             parse_netlist("R r1 n1 0 50\nX bogus\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("R r1 n1 0\n", "R line needs 5 fields at line 2"),
+        ("c c1 n1 0 1p 2p\n", "C line needs 5 fields at line 2"),
+        ("G g1 n1 0 n2 0\n", "G line needs 7 fields at line 2"),
+        ("PORT out n1\n", "PORT line needs 4 fields at line 2"),
+        ("X bogus\n", "unknown card 'X' at line 2"),
+    ])
+    def test_field_count_per_card(self, text, message):
+        with pytest.raises(NetlistParseError) as info:
+            parse_netlist("R r0 n1 0 50\n" + text)
+        assert str(info.value) == message
+
     def test_floating_node_rejected(self):
         with pytest.raises(ValueError, match="floating"):
             Netlist((resistor("r1", "n1", "0", 50.0),

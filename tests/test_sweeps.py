@@ -198,6 +198,18 @@ class TestMonteCarlo:
                                   3, seed=3, cfg=SweepConfig(order=2))
         assert len({p for _, p in cloud.points}) == 2
 
+    @pytest.mark.parametrize("sigma", [1.0, 1.5, -0.01, float("nan"), {"C": 1.0}])
+    def test_sigma_outside_unit_interval_rejected_up_front(self, sigma, monkeypatch):
+        monkeypatch.setattr(pzid.sweeps, "_fit_poles", None)  # no trial may run
+        with pytest.raises(UsageError, match=r"outside \[0, 1\)"):
+            monte_carlo_cloud(parallel_rlc(50.0), current_probe("n1"), self.GRID,
+                              sigma, 5, seed=1, cfg=SweepConfig(order=2))
+
+    def test_sigma_key_not_an_element_kind_rejected(self):
+        with pytest.raises(UsageError, match="sigma key 'r' is not an element kind"):
+            monte_carlo_cloud(parallel_rlc(50.0), current_probe("n1"), self.GRID,
+                              {"r": 0.05}, 5, seed=1, cfg=SweepConfig(order=2))
+
     def test_trials_match_oracle_of_same_draw(self):
         # rebuild each trial's circuit from the documented draw: one uniform
         # per element, in declaration order, scaled by its kind's sigma
