@@ -56,7 +56,7 @@ class FrequencyGrid:
     freqs_hz: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.freqs_hz, dtype=float)
+        f = np.array(self.freqs_hz, dtype=float)  # a copy: the caller's array stays writable
         if f.ndim != 1 or f.size < MIN_POINTS:
             raise ValueError(f"grid needs at least {MIN_POINTS} points, got {f.size}")
         if not np.all(np.isfinite(f)):
@@ -288,12 +288,46 @@ def _parse_directive(body, lineno, label):
     return out
 
 
-def _raise_if_non_monotone(freqs, row_lines):
-    """Raise at the first data row whose frequency is not above the one before."""
-    freqs = np.asarray(freqs, dtype=float)
+def _nonblank_lines(text, comment=""):
+    """(line number, stripped line) of each line that holds more than
+    whitespace and does not start with a ``comment`` character."""
+    return [(n, s) for n, raw in enumerate(text.splitlines(), start=1)
+            if (s := raw.strip()) and s[0] not in comment]
+
+
+def _float_table(lines, delimiter, comments):
+    """The float64 table of text rows, converted in one C-level call, or None
+    when a field is not a number or the rows differ in width.
+
+    ``np.loadtxt`` reads a field bit for bit as ``float()`` does, but
+    without ``_`` separators or non-ASCII digits.  It skips blank lines, so
+    callers pass none: the table has one row per line."""
+    try:
+        return np.loadtxt(lines, delimiter=delimiter, comments=comments, ndmin=2)
+    except ValueError:
+        return None
+
+
+def _raise_if_non_monotone(freqs, rows):
+    """Raise at the first data row (line, text) whose frequency is not above
+    the one before."""
     down = np.flatnonzero(freqs[1:] <= freqs[:-1])
     if down.size:
-        raise ResponseParseError("non-monotone grid", row_lines[down[0] + 1])
+        raise ResponseParseError("non-monotone grid", rows[down[0] + 1][0])
+
+
+def _raise_first_row_error(rows, read_row, width, scale=1.0):
+    """Rescan data rows (line, text) one at a time and raise the first error
+    in file order: the one ``read_row(text, line, width)`` raises, or a
+    frequency not above the row before.  It runs only after the one-call
+    conversion or a check on its table failed, to name the line; a table
+    that fails to convert has a row that fails alone."""
+    prev = np.nan
+    for lineno, line in rows:
+        f = read_row(line, lineno, width)[0] * scale
+        if f <= prev:
+            raise ResponseParseError("non-monotone grid", lineno)
+        prev = f
 
 
 def _complex_columns(table):
@@ -303,78 +337,83 @@ def _complex_columns(table):
     return table[:, 1:].view(complex).T
 
 
+def _csv_port_names(line, lineno):
+    """Port names from a ``freq_hz,<port>_re,<port>_im,...`` header row."""
+    header = [tok.strip() for tok in line.split(",")]
+    if header[0] != "freq_hz":
+        raise ResponseParseError("header must start with freq_hz", lineno)
+    cols = header[1:]
+    if not cols or len(cols) % 2 != 0:
+        raise ResponseParseError("header needs <port>_re,<port>_im column pairs", lineno)
+    names = []
+    for re_col, im_col in zip(cols[0::2], cols[1::2]):
+        if not re_col.endswith("_re") or not im_col.endswith("_im"):
+            raise ResponseParseError(
+                f"column pair {re_col!r},{im_col!r} must end in _re,_im", lineno)
+        if re_col[:-3] != im_col[:-3]:
+            raise ResponseParseError(
+                f"column pair {re_col!r},{im_col!r} names disagree", lineno)
+        try:
+            names.append(PortLabel(re_col[:-3]).name)
+        except ValueError as exc:
+            raise ResponseParseError(str(exc), lineno) from None
+    return names
+
+
+def _read_csv_row(line, lineno, width):
+    """One CSV data row as floats, or its error: a ragged row before an
+    unparseable number."""
+    toks = line.split(",")
+    if len(toks) != width:
+        raise ResponseParseError(f"ragged row: expected {width} fields, got {len(toks)}", lineno)
+    row = _float_table([line], ",", None)
+    if row is None:
+        bad = next(tok for tok in map(str.strip, toks)
+                   if not tok or _float_table([tok], ",", None) is None)
+        raise ResponseParseError(f"unparseable number {bad!r}", lineno)
+    return row[0]
+
+
 def parse_csv(text):
     """Parse the canonical CSV interchange format.
 
-    Header row is ``freq_hz,<port>_re,<port>_im,...``.  ``#``-prefixed lines
-    are comments; ``# kind: p=impedance,...`` and ``# excitation: p=...,...``
-    directives override the per-port defaults (kind defaults to transfer).
+    Header row is ``freq_hz,<port>_re,<port>_im,...``.  A line starting with
+    ``#`` is a comment (a ``#`` after a value is not); ``# kind:
+    p=impedance,...`` and ``# excitation: p=...,...`` directives override
+    the per-port defaults (kind defaults to transfer).  Blank and
+    whitespace-only lines are skipped.  Numbers are plain decimal floats,
+    read bit for bit as ``float()`` reads them, without ``_`` separators.
     """
+    lines = _nonblank_lines(text)
     kinds_map = {}
     excit_map = {}
-    header = None
-    port_names = []
-    rows = []
-    row_lines = []
+    bad_directive = None  # raised unless a row above it fails first
     try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("kind:"):
-                    kinds_map.update(_parse_directive(body[len("kind:"):], lineno, "kind"))
-                elif body.startswith("excitation:"):
-                    excit_map.update(_parse_directive(body[len("excitation:"):], lineno,
-                                                      "excitation"))
-                continue
-            if header is None:
-                header = [tok.strip() for tok in line.split(",")]
-                if header[0] != "freq_hz":
-                    raise ResponseParseError("header must start with freq_hz", lineno)
-                cols = header[1:]
-                if not cols or len(cols) % 2 != 0:
-                    raise ResponseParseError("header needs <port>_re,<port>_im column pairs",
-                                             lineno)
-                for re_col, im_col in zip(cols[0::2], cols[1::2]):
-                    if not re_col.endswith("_re") or not im_col.endswith("_im"):
-                        raise ResponseParseError(
-                            f"column pair {re_col!r},{im_col!r} must end in _re,_im", lineno)
-                    if re_col[:-3] != im_col[:-3]:
-                        raise ResponseParseError(
-                            f"column pair {re_col!r},{im_col!r} names disagree", lineno)
-                    try:
-                        port_names.append(PortLabel(re_col[:-3]).name)
-                    except ValueError as exc:
-                        raise ResponseParseError(str(exc), lineno) from None
-                width = 1 + 2 * len(port_names)
-                continue
-            toks = line.split(",")  # float() strips the whitespace str.strip() would
-            if len(toks) != width:
-                raise ResponseParseError(
-                    f"ragged row: expected {width} fields, got {len(toks)}", lineno)
-            try:
-                rows.append([float(tok) for tok in toks])
-            except ValueError:
-                for tok in toks:
-                    try:
-                        float(tok)
-                    except ValueError:
-                        raise ResponseParseError(f"unparseable number {tok.strip()!r}",
-                                                 lineno) from None
-            row_lines.append(lineno)
-    except ResponseParseError:
-        # a non-monotone row above the failing line is the first error
-        _raise_if_non_monotone([row[0] for row in rows], row_lines)
-        raise
-    data = np.array(rows, dtype=float).reshape(len(rows), 1 + 2 * len(port_names))
-    _raise_if_non_monotone(data[:, 0], row_lines)
-    if header is None:
-        raise ResponseParseError("no header row found")
+        for lineno, line in [r for r in lines if r[1][0] == "#"]:
+            body = line[1:].strip()
+            if body.startswith("kind:"):
+                kinds_map.update(_parse_directive(body[len("kind:"):], lineno, "kind"))
+            elif body.startswith("excitation:"):
+                excit_map.update(_parse_directive(body[len("excitation:"):], lineno,
+                                                  "excitation"))
+    except ResponseParseError as exc:
+        bad_directive = exc
+    rows = [r for r in lines if r[1][0] != "#"]
+    if not rows:
+        raise bad_directive or ResponseParseError("no header row found")
+    (head_line, head), rows = rows[0], rows[1:]
+    if bad_directive and bad_directive.line < head_line:
+        raise bad_directive
+    port_names = _csv_port_names(head, head_line)
+    width = 1 + 2 * len(port_names)
+    data = _float_table([s for _, s in rows], ",", None) if rows else np.empty((0, width))
+    if bad_directive or data is None or data.shape[1] != width:
+        above = [r for r in rows if not bad_directive or r[0] < bad_directive.line]
+        _raise_first_row_error(above, _read_csv_row, width)
+        raise bad_directive  # else the rescan has raised: a table that fails, fails on a row
+    _raise_if_non_monotone(data[:, 0], rows)
     if len(rows) < MIN_POINTS:
         raise ResponseParseError(f"fewer than {MIN_POINTS} points")
-    freqs = np.ascontiguousarray(data[:, 0])
     for label, named in (("kind", kinds_map), ("excitation", excit_map)):
         unknown = sorted(set(named) - set(port_names))
         if unknown:
@@ -384,7 +423,7 @@ def parse_csv(text):
                       for n in port_names)
     except ValueError as exc:
         raise ResponseParseError(str(exc)) from None
-    return FrequencyResponseSet(FrequencyGrid(freqs), ports, _complex_columns(data))
+    return FrequencyResponseSet(FrequencyGrid(data[:, 0]), ports, _complex_columns(data))
 
 
 def emit_csv(rset):
@@ -408,57 +447,57 @@ _TS_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _TS_PORTS = {3: ("s11",), 9: ("s11", "s21", "s12", "s22")}
 
 
+def _read_touchstone_row(line, lineno, width):
+    """One Touchstone data row as floats, or its error: an unparseable
+    number, then a first row of neither 3 nor 9 values, then a ragged row."""
+    row = _float_table([line], None, "!")
+    if row is None:
+        raise ResponseParseError(
+            f"unparseable number in {line.split('!', 1)[0].strip()!r}", lineno)
+    if width not in _TS_PORTS:
+        raise ResponseParseError(f"unsupported row layout ({width} values; "
+                                 f"expected 3 for 1-port or 9 for 2-port)", lineno)
+    if row.shape[1] != width:
+        raise ResponseParseError(
+            f"ragged row: expected {width} values, got {row.shape[1]}", lineno)
+    return row[0]
+
+
 def parse_touchstone(text):
     """Parse a Touchstone v1.x one- or two-port S-parameter file.
 
     Only the S parameter type is supported; formats RI, MA and DB, with the
     option line's omitted fields taken from ``# GHz S MA R 50``.  Each S_ij
-    becomes one transfer-kind port named ``s11``, ``s21``, ...
+    becomes one transfer-kind port named ``s11``, ``s21``, ...  ``!`` starts
+    a comment anywhere in a line, and blank and whitespace-only lines are
+    skipped.  Values are separated by spaces or tabs and are plain decimal
+    floats, read bit for bit as ``float()`` reads them, without ``_``
+    separators.
     """
-    unit = fmt = None
-    rows, row_lines = [], []
-    try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("!", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if unit is not None:
-                    continue
-                toks = line[1:].lower().split()
-                toks.extend(["ghz", "s", "ma", "r", "50"][len(toks):])
-                if toks[0] not in _TS_UNITS:
-                    raise ResponseParseError(f"unknown frequency unit {toks[0]!r}", lineno)
-                if toks[1] != "s":
-                    raise ResponseParseError(
-                        f"unsupported parameter type {toks[1].upper()}", lineno)
-                if toks[2] not in ("ri", "ma", "db"):
-                    raise ResponseParseError(f"unknown format {toks[2]!r}", lineno)
-                unit, fmt = _TS_UNITS[toks[0]], toks[2]
-                continue
-            if unit is None:
-                raise ResponseParseError("data before option line (missing option line?)", lineno)
-            try:
-                nums = [float(t) for t in line.split()]
-            except ValueError:
-                raise ResponseParseError(f"unparseable number in {line!r}", lineno) from None
-            width = len(rows[0]) if rows else len(nums)
-            if width not in _TS_PORTS:
-                raise ResponseParseError(f"unsupported row layout ({width} values; "
-                                         f"expected 3 for 1-port or 9 for 2-port)", lineno)
-            if len(nums) != width:
-                raise ResponseParseError(
-                    f"ragged row: expected {width} values, got {len(nums)}", lineno)
-            rows.append(nums)
-            row_lines.append(lineno)
-    except ResponseParseError:
-        # a non-monotone row above the failing line is the first error
-        _raise_if_non_monotone([row[0] * unit for row in rows], row_lines)
-        raise
-    if not rows:  # a data row before the option line has raised in the loop
-        raise ResponseParseError("missing option line" if unit is None else "no data rows")
-    data = np.array(rows)
-    _raise_if_non_monotone(data[:, 0] * unit, row_lines)
+    lines = _nonblank_lines(text, comment="!")
+    if not lines:
+        raise ResponseParseError("missing option line")
+    lineno, line = lines[0]
+    if line[0] != "#":
+        raise ResponseParseError("data before option line (missing option line?)", lineno)
+    toks = line.split("!", 1)[0][1:].lower().split()
+    toks.extend(["ghz", "s", "ma", "r", "50"][len(toks):])
+    if toks[0] not in _TS_UNITS:
+        raise ResponseParseError(f"unknown frequency unit {toks[0]!r}", lineno)
+    if toks[1] != "s":
+        raise ResponseParseError(f"unsupported parameter type {toks[1].upper()}", lineno)
+    if toks[2] not in ("ri", "ma", "db"):
+        raise ResponseParseError(f"unknown format {toks[2]!r}", lineno)
+    unit, fmt = _TS_UNITS[toks[0]], toks[2]
+    rows = [r for r in lines[1:] if r[1][0] != "#"]  # a second option line is ignored
+    if not rows:
+        raise ResponseParseError("no data rows")
+    data = _float_table([s for _, s in rows], None, "!")
+    if data is None or data.shape[1] not in _TS_PORTS:
+        width = len(rows[0][1].split("!", 1)[0].split())
+        _raise_first_row_error(rows, _read_touchstone_row, width, unit)
+    freqs = data[:, 0] * unit
+    _raise_if_non_monotone(freqs, rows)
     if len(rows) < MIN_POINTS:
         raise ResponseParseError(f"fewer than {MIN_POINTS} points")
     values = _complex_columns(data)
@@ -466,7 +505,7 @@ def parse_touchstone(text):
         mag = values.real if fmt == "ma" else np.float_power(10.0, values.real / 20.0)
         values = mag * np.exp(1j * np.deg2rad(values.imag))
     ports = tuple(PortLabel(n) for n in _TS_PORTS[data.shape[1]])
-    return FrequencyResponseSet(FrequencyGrid(data[:, 0] * unit), ports, values)
+    return FrequencyResponseSet(FrequencyGrid(freqs), ports, values)
 
 
 def slice_band(rset, f_lo, f_hi):

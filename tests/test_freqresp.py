@@ -39,6 +39,14 @@ class TestFrequencyGrid:
         g = FrequencyGrid(np.array([1.0, 2.0, 3.0, 4.0]))
         assert np.allclose(g.omega, 2 * np.pi * g.freqs_hz)
 
+    def test_caller_array_stays_writable(self):
+        a = np.linspace(1e9, 4e9, 4)
+        g = FrequencyGrid(a)
+        assert a.flags.writeable
+        assert g.freqs_hz is not a and not g.freqs_hz.flags.writeable
+        a[0] = 0.5e9
+        assert g.freqs_hz[0] == 1e9
+
 
 class TestParseCsv:
     def test_single_sample_mapping(self):
@@ -226,6 +234,107 @@ class TestReaderErrors:
             parse(text)
         assert info.value.line == line
         assert str(info.value) == (message if line is None else f"{message} at line {line}")
+
+
+ROWS_RE_IM = [(1.0, 0.5, -0.1), (2.0, 0.4, -0.0), (3.0, 0.3, 0.1), (4.0, 0.2, 0.2)]
+CSV_BODY = [",".join(map(repr, row)) for row in ROWS_RE_IM]
+TS_BODY = [" ".join(map(repr, row)) for row in ROWS_RE_IM]
+ONE_PORT = np.array([[complex(re, im) for _, re, im in ROWS_RE_IM]])
+
+
+class TestBulkConversion:
+    """Layouts where a whole-table conversion could read a file differently
+    from one number at a time: each reads the same bits, or fails with the
+    same message and line, and no numpy warning escapes (warnings are
+    errors under pytest)."""
+
+    @pytest.mark.parametrize("parse, text, scale, kind", [
+        (parse_csv, CSV_HEAD + "\n".join(CSV_BODY[:2]) + "\n\n \t \n"
+         + "\n".join(CSV_BODY[2:]) + "\n   \n", 1.0, "transfer"),
+        (parse_csv, CSV_HEAD + CSV_BODY[0] + "\n# a comment\n" + CSV_BODY[1]
+         + "\n# kind: p=impedance\n" + "\n".join(CSV_BODY[2:]) + "\n", 1.0, "impedance"),
+        (parse_csv, CSV_HEAD.replace("\n", "\r\n") + "\r\n".join(CSV_BODY), 1.0, "transfer"),
+        (parse_csv, "freq_hz, p_re ,p_im\n" + "\n".join(
+            " , ".join(map(repr, row)) for row in ROWS_RE_IM) + "\n", 1.0, "transfer"),
+        (parse_touchstone, TS_HEAD + TS_BODY[0] + " ! first row\n" + TS_BODY[1] + "!x\n"
+         + TS_BODY[2] + "\n  ! whole-line comment\n" + TS_BODY[3] + " !\n", 1e9, "transfer"),
+        (parse_touchstone, TS_HEAD + "".join(
+            "\t".join(map(repr, row)) + "\n" for row in ROWS_RE_IM), 1e9, "transfer"),
+        (parse_touchstone, TS_HEAD.replace("\n", "\r\n") + "\r\n\r\n".join(TS_BODY),
+         1e9, "transfer"),
+    ])
+    def test_layout_reads_the_same_bits(self, parse, text, scale, kind):
+        rset = parse(text)
+        assert same_bits(rset.grid.freqs_hz, np.array([1.0, 2.0, 3.0, 4.0]) * scale)
+        assert same_bits(rset.values, ONE_PORT)
+        assert rset.ports[0].kind == kind
+
+    @pytest.mark.parametrize("parse, text, message, line", [
+        (parse_csv, CSV_HEAD + "1,1,0\n2,1,0 # note\n3,1,0\n4,1,0\n",
+         "unparseable number '0 # note'", 3),
+        (parse_csv, CSV_HEAD + "1,1,0\n2,,0\n3,1,0\n4,1,0\n", "unparseable number ''", 3),
+        (parse_csv, CSV_HEAD + "1,1,0\n2, ,0\n3,1,0\n4,1,0\n", "unparseable number ''", 3),
+        (parse_csv, CSV_HEAD + "1,1,0\n2,1,0,\n3,1,0\n4,1,0\n",
+         "ragged row: expected 3 fields, got 4", 3),
+        (parse_csv, CSV_HEAD + "1,1,0\n2,1,0\n3,1\n4,x,0\n",
+         "ragged row: expected 3 fields, got 2", 4),
+        # float("1_000") is 1000.0, but the readers take no Python literal syntax
+        (parse_csv, CSV_HEAD + "1,1,0\n1_000,1,0\n3,1,0\n4,1,0\n",
+         "unparseable number '1_000'", 3),
+        (parse_touchstone, TS_HEAD + "1 0 0\n1_000 0 0 ! c\n3 0 0\n4 0 0\n",
+         "unparseable number in '1_000 0 0'", 3),
+        (parse_touchstone, TS_HEAD + "1 0 0\n2 0 0 # c\n3 0 0\n4 0 0\n",
+         "unparseable number in '2 0 0 # c'", 3),
+        (parse_csv, CSV_HEAD, "fewer than 4 points", None),
+        (parse_csv, "# kind: p=impedance\n" + CSV_HEAD + "\n \n", "fewer than 4 points", None),
+        (parse_touchstone, TS_HEAD, "no data rows", None),
+        (parse_touchstone, TS_HEAD + "\n \t\n! c\n", "no data rows", None),
+        # a malformed directive below the rows loses to a bad row above it,
+        # and wins over one below it
+        (parse_csv, CSV_HEAD + "1,1,0\n2,x,0\n# kind: p\n3,1,0\n4,1,0\n",
+         "unparseable number 'x'", 3),
+        (parse_csv, CSV_HEAD + "1,1,0\n3,1,0\n# kind: p\n2,1,0\n4,1\n",
+         "malformed kind directive entry 'p'", 4),
+        (parse_csv, CSV_HEAD + "2,1,0\n1,1,0\n# kind: p\n3,1,0\n4,1,0\n",
+         "non-monotone grid", 3),
+        (parse_csv, "# kind: p\np_re,p_im\n" + CSV_ROWS, "malformed kind directive entry 'p'", 1),
+        (parse_csv, "p_re,p_im\n# kind: p\n" + CSV_ROWS, "header must start with freq_hz", 1),
+    ])
+    def test_message_and_line(self, parse, text, message, line):
+        with pytest.raises(ResponseParseError) as info:
+            parse(text)
+        assert info.value.line == line
+        assert str(info.value) == (message if line is None else f"{message} at line {line}")
+
+    def test_numbers_read_as_float_reads_them(self):
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2**64, 3000, dtype=np.uint64).view(float)
+        bits = bits[np.isfinite(bits)].tolist()
+        tokens = [f"{x!r}" for x in bits] + [f"{x:.16e}" for x in bits] + [
+            f"{x:.25e}" for x in bits] + [f"{x!r}" for x in (5e-324, -2.2250738585072e-308)] + [
+            "1e-400", "-1e-400", "-0.0", "+0", "  .5e+3 ", "1.7976931348623157e308"]
+        tokens += ["0"] * (len(tokens) % 2)
+        rows = [f"{i + 1},{re},{im}" for i, (re, im) in enumerate(zip(tokens[0::2],
+                                                                      tokens[1::2]))]
+        rset = parse_csv(CSV_HEAD + "\n".join(rows) + "\n")
+        expect = np.array([complex(float(re), float(im))
+                           for re, im in zip(tokens[0::2], tokens[1::2])])
+        assert same_bits(rset.values[0], expect)
+        line = " ".join(tokens[:8])
+        ts = parse_touchstone("# Hz S RI\n" + "".join(f"{i} {line}\n" for i in range(1, 5)))
+        assert same_bits(ts.values[:, 0], np.array(
+            [complex(float(a), float(b)) for a, b in zip(tokens[:8:2], tokens[1:8:2])]))
+
+    def test_rows_are_rescanned_only_after_a_failure(self, monkeypatch):
+        import pzid.freqresp as freqresp
+
+        def rescan(*args):
+            raise AssertionError("a file that parses was rescanned row by row")
+        monkeypatch.setattr(freqresp, "_raise_first_row_error", rescan)
+        parse_csv("# kind: p=impedance\n" + CSV_HEAD + "\n".join(CSV_BODY) + "\n\n")
+        parse_touchstone(TS_HEAD + "\n".join(TS_BODY) + "\n! end\n")
+        with pytest.raises(ResponseParseError, match="non-monotone grid at line 3"):
+            parse_csv(CSV_HEAD + "1,1,0\n1,1,0\n3,1,0\n4,1,0\n")
 
 
 def reference_touchstone(text):
