@@ -316,6 +316,13 @@ def _raise_if_non_monotone(freqs, rows):
         raise ResponseParseError("non-monotone grid", rows[down[0] + 1][0])
 
 
+def _raise_if_non_finite(row, tokens, lineno):
+    """Raise at a converted row that holds a nan or inf, naming the first."""
+    bad = np.flatnonzero(~np.isfinite(row))
+    if bad.size:
+        raise ResponseParseError(f"non-finite number {tokens[bad[0]]!r}", lineno)
+
+
 def _raise_first_row_error(rows, read_row, width, scale=1.0):
     """Rescan data rows (line, text) one at a time and raise the first error
     in file order: the one ``read_row(text, line, width)`` raises, or a
@@ -362,15 +369,16 @@ def _csv_port_names(line, lineno):
 
 def _read_csv_row(line, lineno, width):
     """One CSV data row as floats, or its error: a ragged row before an
-    unparseable number."""
+    unparseable number before a nan or inf."""
     toks = line.split(",")
     if len(toks) != width:
         raise ResponseParseError(f"ragged row: expected {width} fields, got {len(toks)}", lineno)
+    toks = [tok.strip() for tok in toks]
     row = _float_table([line], ",", None)
     if row is None:
-        bad = next(tok for tok in map(str.strip, toks)
-                   if not tok or _float_table([tok], ",", None) is None)
+        bad = next(tok for tok in toks if not tok or _float_table([tok], ",", None) is None)
         raise ResponseParseError(f"unparseable number {bad!r}", lineno)
+    _raise_if_non_finite(row[0], toks, lineno)
     return row[0]
 
 
@@ -382,7 +390,8 @@ def parse_csv(text):
     p=impedance,...`` and ``# excitation: p=...,...`` directives override
     the per-port defaults (kind defaults to transfer).  Blank and
     whitespace-only lines are skipped.  Numbers are plain decimal floats,
-    read bit for bit as ``float()`` reads them, without ``_`` separators.
+    read bit for bit as ``float()`` reads them, without ``_`` separators;
+    a nan or inf is refused at its line.
     """
     lines = _nonblank_lines(text)
     kinds_map = {}
@@ -407,7 +416,7 @@ def parse_csv(text):
     port_names = _csv_port_names(head, head_line)
     width = 1 + 2 * len(port_names)
     data = _float_table([s for _, s in rows], ",", None) if rows else np.empty((0, width))
-    if bad_directive or data is None or data.shape[1] != width:
+    if bad_directive or data is None or data.shape[1] != width or not np.isfinite(data).all():
         above = [r for r in rows if not bad_directive or r[0] < bad_directive.line]
         _raise_first_row_error(above, _read_csv_row, width)
         raise bad_directive  # else the rescan has raised: a table that fails, fails on a row
@@ -449,7 +458,8 @@ _TS_PORTS = {3: ("s11",), 9: ("s11", "s21", "s12", "s22")}
 
 def _read_touchstone_row(line, lineno, width):
     """One Touchstone data row as floats, or its error: an unparseable
-    number, then a first row of neither 3 nor 9 values, then a ragged row."""
+    number, then a first row of neither 3 nor 9 values, then a ragged row,
+    then a nan or inf."""
     row = _float_table([line], None, "!")
     if row is None:
         raise ResponseParseError(
@@ -460,6 +470,7 @@ def _read_touchstone_row(line, lineno, width):
     if row.shape[1] != width:
         raise ResponseParseError(
             f"ragged row: expected {width} values, got {row.shape[1]}", lineno)
+    _raise_if_non_finite(row[0], line.split("!", 1)[0].split(), lineno)
     return row[0]
 
 
@@ -472,7 +483,7 @@ def parse_touchstone(text):
     a comment anywhere in a line, and blank and whitespace-only lines are
     skipped.  Values are separated by spaces or tabs and are plain decimal
     floats, read bit for bit as ``float()`` reads them, without ``_``
-    separators.
+    separators; a nan or inf is refused at its line.
     """
     lines = _nonblank_lines(text, comment="!")
     if not lines:
@@ -493,7 +504,7 @@ def parse_touchstone(text):
     if not rows:
         raise ResponseParseError("no data rows")
     data = _float_table([s for _, s in rows], None, "!")
-    if data is None or data.shape[1] not in _TS_PORTS:
+    if data is None or data.shape[1] not in _TS_PORTS or not np.isfinite(data).all():
         width = len(rows[0][1].split("!", 1)[0].split())
         _raise_first_row_error(rows, _read_touchstone_row, width, unit)
     freqs = data[:, 0] * unit

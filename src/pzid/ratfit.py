@@ -523,17 +523,18 @@ _QR_NB = 8
 
 
 def _qr_r(a):
-    """R factor of the Householder QR of a real Fortran-ordered matrix.
+    """Householder QR of a real Fortran-ordered matrix, in place.
 
-    ``a`` may be overwritten.  NumPy's QR calls LAPACK's dgeqrf, which
-    falls back to its unblocked level-2 kernel (dgeqr2) below 128 columns;
-    the recursive compact-WY dgeqrt is level-3 at every width and gives the
-    same R, diagonal signs included.
+    Returns ``a`` itself, or a copy when it is not Fortran-ordered float64,
+    holding R on and above the diagonal.  NumPy's QR calls LAPACK's dgeqrf,
+    which falls back to its unblocked level-2 kernel (dgeqr2) below 128
+    columns; the recursive compact-WY dgeqrt is level-3 at every width and
+    gives the same R, diagonal signs included.
     """
     qr, _, info = lapack.dgeqrt(min(_QR_NB, *a.shape), a, overwrite_a=True)
     if info != 0:
         raise NumericError(f"relocation QR failed (LAPACK dgeqrt info {info})")
-    return np.triu(qr[:min(a.shape)])
+    return qr
 
 
 # Relocation has reached its fixed point when the scaling function
@@ -544,76 +545,160 @@ def _qr_r(a):
 # identify jobs fail; at 1e-5 no verdict changed.
 _SIGMA_TOL = 1e-5
 
+# np.linalg's words for a failed LAPACK call, kept in pzid's error texts
+_LSTSQ_FAILED = "SVD did not converge in Linear Least Squares"
 
-def _relocate_poles(poles, s, f_mat):
-    """One pole-relocation step under the relaxed nontriviality constraint.
 
-    Returns the new pole set (never flipped), ||c_sigma|| / |d_sigma|, how
-    far the scaling function still is from its direct term, and the
-    numerical rank of the sigma least squares (at most n + 1).
+def _lstsq_sizes(rows, cols):
+    """(rcond, lwork, liwork) of np.linalg.lstsq on a rows x cols system
+    with one right-hand side: rcond = eps * max(rows, cols) and LAPACK's
+    optimal dgelsd workspace."""
+    cond = float(np.finfo(float).eps * max(rows, cols))
+    work, iwork, _ = lapack.dgelsd_lwork(rows, cols, 1, cond)
+    return cond, int(work), int(iwork)
 
-    Each port's real-stacked system [Phi, 1, -f Phi, -f] (2m x 2(n+1)) is
-    built in one preallocated buffer and reduced by ``_qr_r``; the trailing
-    (n+1) x (n+1) block of R gives that port's rows of the sigma equations,
-    with the direct term d_sigma as the last unknown.  One appended row
-    fixes the sum of Re sigma over the samples, which keeps the solution
-    nontrivial.  A response too large for the column scaling raises
-    ``NumericError`` before the least-squares solve.
+
+class _Relocation:
+    """The buffers of one walk's relocation steps and residue solve.
+
+    ``step`` and ``residues`` fill them in place and call LAPACK's dgeqrt,
+    dgelsd and dgeev directly.  Their results equal, bit for bit, those of
+    np.linalg.lstsq and eigvals on freshly built matrices: the element-wise
+    operations and reductions run on arrays of the same memory order,
+    dgelsd gets lstsq's rcond and optimal workspace, and dgeev runs without
+    eigenvectors after eigvals' finiteness check.
     """
-    n = poles.size
-    m = f_mat.shape[1]
-    k = 2 * (n + 1)
-    phi = _pf_basis(poles, s)
-    phi1_ri = np.zeros((2 * m, n + 1), order="F")
-    phi1_ri[:m, :n] = phi.real
-    phi1_ri[m:, :n] = phi.imag
-    phi1_ri[:m, n] = 1.0
-    buf = np.empty((2 * m, k), order="F")
-    blocks = []
-    for f in f_mat:
-        buf[:, :n + 1] = phi1_ri
-        fphi = -f[:, None] * phi
-        buf[:m, n + 1:k - 1] = fphi.real
-        buf[m:, n + 1:k - 1] = fphi.imag
-        buf[:m, k - 1] = -f.real
-        buf[m:, k - 1] = -f.imag
-        blocks.append(_qr_r(buf)[n + 1:, n + 1:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = float(np.linalg.norm([np.linalg.norm(f) for f in f_mat])) / m
-        relax_row = np.empty(n + 1)
-        relax_row[:n] = np.sum(phi.real, axis=0)
-        relax_row[n] = m
-        aa = np.vstack(blocks + [scale * relax_row])
-        bb = np.zeros(aa.shape[0])
-        bb[-1] = scale * m
-        col_scale = np.linalg.norm(aa, axis=0)
-    # a finite column norm bounds every entry of its column of aa
-    if not (np.isfinite(col_scale).all() and np.isfinite(bb).all()):
-        raise NumericError("relocation least squares failed: response magnitude "
-                           "overflows the column scaling")
-    col_scale[col_scale == 0.0] = 1.0
-    try:
-        x, _, rank, _ = np.linalg.lstsq(aa / col_scale, bb, rcond=None)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"relocation least squares failed: {exc}") from None
-    x = x / col_scale
-    c_sigma, d_sigma = x[:n], float(x[n])
-    if abs(d_sigma) < 1e-8:
-        d_sigma = 1e-8 if d_sigma >= 0 else -1e-8
-    settled = float(np.linalg.norm(c_sigma)) / abs(d_sigma)
 
-    # zeros of sigma: eigenvalues of the pole matrix minus the rank-one
-    # update, in real block form for conjugate pairs
-    hmat, bvec, _ = _real_realization(poles)
-    hmat -= np.outer(bvec, c_sigma) / d_sigma
-    try:
-        lam = np.linalg.eigvals(hmat)
-        order, n_real = _canonical_order(lam)
-    except ValueError as exc:  # LinAlgError, or a non-finite eigenvalue
-        raise NumericError(f"defective relocation eigenproblem: {exc}") from None
-    new_poles = lam[order].astype(complex)
-    new_poles[n_real + 1::2] = np.conj(new_poles[n_real::2])
-    return new_poles, settled, int(rank)
+    def __init__(self, s, f_mat, n):
+        m, n_ports = s.size, f_mat.shape[0]
+        self.s, self.f_mat, self.n = s, f_mat, n
+        self.neg_f = -f_mat
+        # [Phi, 1] real-stacked, refilled for each pole set
+        self.phi1_ri = np.zeros((2 * m, n + 1), order="F")
+        self.phi1_ri[:m, n] = 1.0
+        # one port's [Phi, 1, -f Phi, -f] real-stacked, reduced in place;
+        # its leading n + 1 columns hold the residue least squares
+        self.stack = np.empty((2 * m, 2 * (n + 1)), order="F")
+        self.f_phi = np.empty((m, n), dtype=complex)
+        self.rhs = np.empty((2 * m, 1), order="F")
+        # sigma least squares: n + 1 rows of R per port, then the relaxation
+        # row; C order, so its column norms add up rows as np.vstack's did
+        rows = n_ports * (n + 1) + 1
+        self.sigma_a = np.zeros((rows, n + 1))
+        self.r_rows = [self.sigma_a[i:i + n + 1] for i in range(0, rows - 1, n + 1)]
+        self.upper = np.triu(np.ones((n + 1, n + 1), dtype=bool))
+        self.relax_row = np.empty(n + 1)
+        self.relax_row[n] = m
+        self.lsq_a = np.empty((rows, n + 1), order="F")
+        self.lsq_b = np.empty((rows, 1), order="F")
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.scale = float(np.linalg.norm([np.linalg.norm(f) for f in f_mat])) / m
+            self.sigma_b = np.zeros(rows)
+            self.sigma_b[-1] = self.scale * m
+        self.sigma_b_finite = bool(np.isfinite(self.sigma_b).all())
+        self.residue_sizes = _lstsq_sizes(2 * m, n + 1)
+        if n:
+            self.sigma_sizes = _lstsq_sizes(rows, n + 1)
+            self.geev_lwork = int(lapack.dgeev_lwork(n, compute_vl=0, compute_vr=0)[0])
+
+    def step(self, poles):
+        """One pole-relocation step under the relaxed nontriviality constraint.
+
+        Returns the new pole set (never flipped), ||c_sigma|| / |d_sigma|,
+        how far the scaling function still is from its direct term, and the
+        numerical rank of the sigma least squares (at most n + 1).
+
+        Each port's real-stacked system [Phi, 1, -f Phi, -f] (2m x 2(n+1))
+        is reduced by ``_qr_r``; the trailing (n+1) x (n+1) block of R gives
+        that port's rows of the sigma equations, with the direct term
+        d_sigma as the last unknown.  One appended row fixes the sum of
+        Re sigma over the samples, which keeps the solution nontrivial.  A
+        response too large for the column scaling raises ``NumericError``
+        before the least-squares solve.
+        """
+        n, m = self.n, self.s.size
+        k = 2 * (n + 1)
+        phi = _pf_basis(poles, self.s)
+        self.phi1_ri[:m, :n] = phi.real
+        self.phi1_ri[m:, :n] = phi.imag
+        stack, f_phi = self.stack, self.f_phi
+        for r_rows, neg_f in zip(self.r_rows, self.neg_f):
+            stack[:, :n + 1] = self.phi1_ri
+            np.multiply(neg_f[:, None], phi, out=f_phi)
+            stack[:m, n + 1:k - 1] = f_phi.real
+            stack[m:, n + 1:k - 1] = f_phi.imag
+            stack[:m, k - 1] = neg_f.real
+            stack[m:, k - 1] = neg_f.imag
+            np.copyto(r_rows, _qr_r(stack)[n + 1:k, n + 1:], where=self.upper)
+        aa = self.sigma_a
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.relax_row[:n] = np.sum(phi.real, axis=0)
+            np.multiply(self.scale, self.relax_row, out=aa[-1])
+            col_scale = np.linalg.norm(aa, axis=0)
+        # a finite column norm bounds every entry of its column of aa
+        if not (np.isfinite(col_scale).all() and self.sigma_b_finite):
+            raise NumericError("relocation least squares failed: response magnitude "
+                               "overflows the column scaling")
+        col_scale[col_scale == 0.0] = 1.0
+        np.divide(aa, col_scale, out=self.lsq_a)
+        self.lsq_b[:, 0] = self.sigma_b
+        cond, lwork, liwork = self.sigma_sizes
+        x, _, rank, info = lapack.dgelsd(self.lsq_a, self.lsq_b, lwork, liwork, cond,
+                                         overwrite_a=1, overwrite_b=1)
+        if info != 0:
+            raise NumericError(f"relocation least squares failed: {_LSTSQ_FAILED}")
+        x = x[:n + 1, 0] / col_scale
+        c_sigma, d_sigma = x[:n], float(x[n])
+        if abs(d_sigma) < 1e-8:
+            d_sigma = 1e-8 if d_sigma >= 0 else -1e-8
+        settled = float(np.linalg.norm(c_sigma)) / abs(d_sigma)
+
+        # zeros of sigma: eigenvalues of the pole matrix minus the rank-one
+        # update, in real block form for conjugate pairs
+        hmat, bvec, _ = _real_realization(poles)
+        hmat -= np.outer(bvec, c_sigma) / d_sigma
+        if not np.isfinite(hmat).all():
+            raise NumericError("defective relocation eigenproblem: "
+                               "Array must not contain infs or NaNs")
+        wr, wi, _, _, info = lapack.dgeev(hmat, compute_vl=0, compute_vr=0,
+                                          lwork=self.geev_lwork, overwrite_a=1)
+        if info != 0:
+            raise NumericError("defective relocation eigenproblem: "
+                               "Eigenvalues did not converge")
+        lam = wr  # all real: eigvals returns the real parts alone
+        if wi.any():
+            lam = np.empty(n, dtype=complex)
+            lam.real, lam.imag = wr, wi
+        try:
+            order, n_real = _canonical_order(lam)
+        except ValueError as exc:
+            raise NumericError(f"defective relocation eigenproblem: {exc}") from None
+        new_poles = lam[order].astype(complex)
+        new_poles[n_real + 1::2] = np.conj(new_poles[n_real::2])
+        return new_poles, settled, int(rank)
+
+    def residues(self, poles):
+        """Per-port residues and real direct terms against fixed poles:
+        the least squares [Phi, 1] x = f, real-stacked."""
+        n, m = self.n, self.s.size
+        phi = _pf_basis(poles, self.s)
+        self.phi1_ri[:m, :n] = phi.real
+        self.phi1_ri[m:, :n] = phi.imag
+        a_ri, b_ri = self.stack[:, :n + 1], self.rhs
+        cond, lwork, liwork = self.residue_sizes
+        residues = np.empty((self.f_mat.shape[0], n), dtype=complex)
+        direct = np.empty(self.f_mat.shape[0])
+        for kport, f in enumerate(self.f_mat):
+            a_ri[...] = self.phi1_ri
+            b_ri[:m, 0] = f.real
+            b_ri[m:, 0] = f.imag
+            x, _, _, info = lapack.dgelsd(a_ri, b_ri, lwork, liwork, cond,
+                                          overwrite_a=1, overwrite_b=1)
+            if info != 0:
+                raise NumericError(f"residue least squares failed: {_LSTSQ_FAILED}")
+            residues[kport] = _coeffs_to_residues(poles, x[:n, 0])
+            direct[kport] = x[n, 0]
+        return residues, direct
 
 
 class _PoleWalk:
@@ -624,7 +709,8 @@ class _PoleWalk:
     and ``iters_used`` then say how it ended (``stop`` is None while the
     walk is unfinished).  ``finish()`` solves the residues and direct
     terms against the poles reached so far and returns (model, report).
-    A walk is iterated once.
+    A walk is iterated once.  Its buffers (``_Relocation``) are its own,
+    built at its first step, so walks may be iterated interleaved.
     """
 
     def __init__(self, resps, cfg):
@@ -638,6 +724,7 @@ class _PoleWalk:
         self.w_scale = float(omega[-1])
         self.s = 1j * omega / self.w_scale
         self.iters_used = 0
+        self._relocation = None
         if n == 0:
             self.poles = np.zeros(0, dtype=complex)
             self.stop = "no-poles"
@@ -645,11 +732,16 @@ class _PoleWalk:
             self.poles = _initial_poles(n, omega / self.w_scale)
             self.stop = None
 
+    def _buffers(self):
+        if self._relocation is None:
+            self._relocation = _Relocation(self.s, self.resps.values, self.poles.size)
+        return self._relocation
+
     def __iter__(self):
         n = self.poles.size
         prev_rank = n + 1
         while self.stop is None:
-            new_poles, settled, rank = _relocate_poles(self.poles, self.s, self.resps.values)
+            new_poles, settled, rank = self._buffers().step(self.poles)
             move = np.max(np.abs(np.sort_complex(new_poles) - np.sort_complex(self.poles)))
             self.poles = new_poles
             self.iters_used += 1
@@ -665,24 +757,8 @@ class _PoleWalk:
             yield new_poles * self.w_scale
 
     def finish(self):
-        poles, s, f_mat = self.poles, self.s, self.resps.values
-        n, m = poles.size, s.size
-        # residues per port against the fixed poles
-        phi = _pf_basis(poles, s)
-        phi1 = np.hstack([phi, np.ones((m, 1))])
-        residues = np.empty((f_mat.shape[0], n), dtype=complex)
-        direct = np.empty(f_mat.shape[0])
-        a_ri = np.vstack([phi1.real, phi1.imag])
-        for kport, f in enumerate(f_mat):
-            b_ri = np.concatenate([f.real, f.imag])
-            try:
-                x, *_ = np.linalg.lstsq(a_ri, b_ri, rcond=None)
-            except np.linalg.LinAlgError as exc:
-                raise NumericError(f"residue least squares failed: {exc}") from None
-            residues[kport] = _coeffs_to_residues(poles, x[:n])
-            direct[kport] = x[n]
-
-        model = PartialFractionModel(poles * self.w_scale, residues * self.w_scale, direct,
+        residues, direct = self._buffers().residues(self.poles)
+        model = PartialFractionModel(self.poles * self.w_scale, residues * self.w_scale, direct,
                                      self.resps.port_names)
         err = fit_error(model, self.resps)
         report = FitReport(err.rms_rel_error, err.max_phase_err_deg, self.iters_used,
@@ -754,30 +830,73 @@ def _aaa_degree(resps, rms_target, max_degree):
             return None
         f = h[::step] / peak
         f = np.concatenate([f, np.conj(f[mirror])])
-        fit = np.full(f.size, np.mean(f))
-        free = np.ones(f.size, dtype=bool)
-        support = []
-        for k in range(budget):
-            j = int(np.argmax(np.abs(f - fit)))
-            support.append(j)
-            free[j] = False
-            cauchy = 1.0 / (z[free, None] - z[support])
-            try:
-                loewner_r = np.linalg.qr(cauchy * (f[free, None] - f[support]), mode="r")
-                vh = np.linalg.svd(loewner_r)[2]
-            except np.linalg.LinAlgError:
+        for k, rms in enumerate(_aaa_errors(z, f, budget)):
+            if rms is None:
                 return None
-            w = np.conj(vh[-1])
-            fit = f.copy()
-            with np.errstate(all="ignore"):
-                fit[free] = (cauchy @ (w * f[support])) / (cauchy @ w)
-                rms = float(np.sqrt(np.mean(np.abs(f - fit) ** 2)))
             if rms <= rms_target:
                 degree = max(degree, k)
                 break
         else:
             return None
     return degree
+
+
+def _aaa_errors(z, f, budget):
+    """The rms error over the samples f at the points z after each of up to
+    ``budget`` greedy AAA steps, or None, as the last item, when a QR or SVD
+    fails.
+
+    Column k of the Cauchy and Loewner buffers is support point k's column
+    over every sample: a step appends one column of each, instead of
+    building both matrices again, and reads the rows of the samples still
+    free.
+    """
+    cauchy_cols = np.empty((z.size, budget), dtype=complex, order="F")
+    loewner_cols = np.empty((z.size, budget), dtype=complex, order="F")
+    upper = np.triu(np.ones((budget, budget), dtype=bool))
+    fit = np.full(f.size, np.mean(f))
+    free = np.ones(f.size, dtype=bool)
+    support = []
+    for k in range(budget):
+        j = int(np.argmax(np.abs(f - fit)))
+        support.append(j)
+        free[j] = False
+        column = 1.0 / (z[free] - z[j])
+        cauchy_cols[free, k] = column
+        loewner_cols[free, k] = column * (f[free] - f[j])
+        # C order: the BLAS matrix-vector product below sums in an order
+        # that depends on the layout
+        cauchy = np.ascontiguousarray(cauchy_cols[free, :k + 1])
+        qr = _zgeqrf(loewner_cols[free, :k + 1])
+        # the SVD of the R factor, as np.triu(qr[:k + 1]) would give it
+        vh = None if qr is None else _right_singular_vectors(
+            np.where(upper[:k + 1, :k + 1], qr[:k + 1], 0j))
+        if vh is None:
+            yield None
+            return
+        w = np.conj(vh[-1])
+        fit = f.copy()
+        with np.errstate(all="ignore"):
+            fit[free] = (cauchy @ (w * f[support])) / (cauchy @ w)
+            rms = float(np.sqrt(np.mean(np.abs(f - fit) ** 2)))
+        yield rms
+
+
+def _zgeqrf(a):
+    """LAPACK's zgeqrf of ``a`` with np.linalg.qr's optimal workspace: R on
+    and above the diagonal of the returned array, or None when it fails.
+    ``a`` is overwritten when Fortran-ordered."""
+    work, _ = lapack.zgeqrf_lwork(*a.shape)
+    qr, _, _, info = lapack.zgeqrf(a, lwork=int(work.real), overwrite_a=1)
+    return None if info != 0 else qr
+
+
+def _right_singular_vectors(a):
+    """V^H of np.linalg.svd(a) on LAPACK's zgesdd, or None when it fails."""
+    work, _ = lapack.zgesdd_lwork(*a.shape, compute_uv=1, full_matrices=1)
+    _, _, vh, info = lapack.zgesdd(a, compute_uv=1, full_matrices=1,
+                                   lwork=int(work.real), overwrite_a=1)
+    return None if info != 0 else vh
 
 
 # ---------------------------------------------------------------------------

@@ -384,6 +384,20 @@ class TestExitCodes:
         assert dispatch(["fit", "--in", str(tmp_path / "nope.csv"),
                          "--order", "2", "--out", str(tmp_path / "m.json")]) == 2
 
+    @pytest.mark.parametrize("name, text, message", [
+        ("nan.csv", "freq_hz,p1_re,p1_im\n1e9,1,0\n2e9,1,0\nnan,1,0\n4e9,1,0\n",
+         "non-finite number 'nan' at line 4"),
+        ("inf.s1p", "# GHz S RI R 50\n1 0.5 0\n2 0.5 0\n3 inf 0\n4 0.5 0\n",
+         "non-finite number 'inf' at line 4")])
+    def test_non_finite_sample_is_a_usage_error_at_its_line(self, tmp_path, capsys,
+                                                           name, text, message):
+        resp = tmp_path / name
+        resp.write_text(text)
+        assert dispatch(["stability", "--in", str(resp), "--orders", "2:2",
+                         "--report", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err.rstrip().endswith(message)
+        assert not (tmp_path / "r.json").exists()
+
     def test_numeric_failure_exit_code(self, tmp_path, capsys):
         # over-ordered polynomial fit on constant data: rank-deficient
         resp = tmp_path / "const.csv"

@@ -228,6 +228,24 @@ class TestReaderErrors:
         (parse_csv, "# kind: impedance\n" + CSV_HEAD + CSV_ROWS,
          "malformed kind directive entry 'impedance'", 1),
         (parse_csv, CSV_HEAD + "1,1,0\n3,1,0\n2,1,0\n4,1\n", "non-monotone grid", 4),
+        # a nan or inf is refused at its own line, the earliest error first
+        (parse_csv, CSV_HEAD + "1,0,0\nnan,0,0\n3,0,0\n4,0,0\n", "non-finite number 'nan'", 3),
+        (parse_csv, CSV_HEAD + "1,1,0\n2,1,0\n3, inf,0\n4,1,0\n",
+         "non-finite number 'inf'", 4),
+        (parse_csv, CSV_HEAD + "1,1,0\n2,1,-Infinity\n3,1,0\n4,1,0\n",
+         "non-finite number '-Infinity'", 3),
+        (parse_csv, CSV_HEAD + "1,1,0\n3,1,0\n2,1,0\n4,nan,0\n", "non-monotone grid", 4),
+        (parse_csv, CSV_HEAD + "1,1,0\n2,NaN,0\n1,1,0\n4,x,0\n", "non-finite number 'NaN'", 3),
+        (parse_csv, "# kind: p=impedance\n" + CSV_HEAD + "1,1,0\n2,1,0\n3,1,0\n4,1,inf\n"
+         "# kind: q\n", "non-finite number 'inf'", 6),
+        (parse_touchstone, TS_HEAD + "1 0.5 -0.1\n2 nan 0\n3 0 0\n4 0 0\n",
+         "non-finite number 'nan'", 3),
+        (parse_touchstone, TS_HEAD + "1 0 0\n2 0 0\n3 0 0\ninf 0 0 ! far\n",
+         "non-finite number 'inf'", 5),
+        (parse_touchstone, TS_HEAD + "1 0 0\n2 0\n3 0 inf\n4 0 0\n",
+         "ragged row: expected 3 values, got 2", 3),
+        (parse_touchstone, TS_HEAD + "1 0 0\n2 0 -inf\n3 0\n4 0 0\n",
+         "non-finite number '-inf'", 3),
     ])
     def test_message_and_line(self, parse, text, message, line):
         with pytest.raises(ResponseParseError) as info:

@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 from scipy.optimize import linear_sum_assignment
 
-from fixtures import (flat_response, oracle_grid, random_oracle_net, random_pf_model,
-                      sample_model, wideband_model)
+from fixtures import (flat_response, oracle_grid, overmodel_response, random_oracle_net,
+                      random_pf_model, sample_model, wideband_model)
+from pzid import ratfit
 from pzid.errors import NumericError, UsageError
 from pzid.freqresp import FrequencyGrid, FrequencyResponseSet, PortLabel
 from pzid.netsim import analytic_poles, current_probe, frequency_response, frequency_responses
 from pzid.ratfit import (_QR_NB, _SIGMA_TOL, FitConfig, FitReport, PartialFractionModel,
-                         PolynomialRatioModel, RankDeficiencyError, _aaa_degree,
+                         PolynomialRatioModel, RankDeficiencyError, _aaa_degree, _aaa_errors,
                          _canonical_order,
                          _canonical_pf, _coeffs_to_residues, _initial_poles, _pf_basis,
-                         _qr_r, _real_realization, _relocate_poles, evaluate_model,
+                         _PoleWalk, _qr_r, _real_realization, _Relocation, evaluate_model,
                          fit_common_denominator, fit_error, fit_polynomial_ratio,
                          load_model, poles_and_zeros, save_model)
 
@@ -29,6 +31,11 @@ def single_port(freqs_hz, samples, name="p1"):
 
 def worst_pole_error(fitted, truth):
     return max(np.min(np.abs(fitted - p)) / abs(p) for p in truth)
+
+
+def relocate(poles, s, f_mat):
+    """One relocation step from ``poles`` on fresh buffers."""
+    return _Relocation(s, f_mat, poles.size).step(poles)
 
 
 class TestPolynomialRatioFit:
@@ -220,8 +227,8 @@ class TestRelocationStop:
         w = 2 * np.pi * np.linspace(f_lo, f_hi, 400)
         s = 1j * w / w[-1]
         f_mat = evaluate_model(model, FrequencyGrid(w / (2 * np.pi)), 0)[None, :]
-        _, far, _ = _relocate_poles(_initial_poles(model.order, w / w[-1]), s, f_mat)
-        _, at_truth, _ = _relocate_poles(model.poles / w[-1], s, f_mat)
+        _, far, _ = relocate(_initial_poles(model.order, w / w[-1]), s, f_mat)
+        _, at_truth, _ = relocate(model.poles / w[-1], s, f_mat)
         assert far > _SIGMA_TOL
         assert at_truth < 1e-3 * _SIGMA_TOL
 
@@ -246,13 +253,14 @@ class TestRelocationStop:
         # points the worst pole error is 2e-9 to 6e-9; on 4000 it is 3e-7
         # or 1.1e-6, depending on the BLAS thread count
         ranks = []
+        step = _Relocation.step
 
-        def recording_relocate(poles, s, f_mat):
-            out = _relocate_poles(poles, s, f_mat)
+        def recording_step(self, poles):
+            out = step(self, poles)
             ranks.append(out[2])
             return out
 
-        monkeypatch.setattr("pzid.ratfit._relocate_poles", recording_relocate)
+        monkeypatch.setattr(_Relocation, "step", recording_step)
         wide = wideband_model()
         fit, report = fit_common_denominator(sample_model(wide, 1e6, 40e9, n=6000),
                                              FitConfig(order=20, iters=30))
@@ -773,7 +781,7 @@ class TestRelocationQr:
     def test_r_matches_numpy_qr(self, shape):
         a = np.random.default_rng(shape[1]).standard_normal(shape)
         ref = np.linalg.qr(a, mode="r")
-        got = _qr_r(np.asfortranarray(a))
+        got = np.triu(_qr_r(np.asfortranarray(a))[:min(shape)])
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -783,7 +791,7 @@ class TestRelocationQr:
         a = rng.standard_normal((300, 2 * n + 1))
         b = rng.standard_normal(300)
         q, _ = np.linalg.qr(a, mode="reduced")
-        r = _qr_r(np.asfortranarray(np.column_stack([a, b])))
+        r = np.triu(_qr_r(np.asfortranarray(np.column_stack([a, b])))[:2 * n + 2])
         ref = q[:, n + 1:].T @ b
         assert np.max(np.abs(r[n + 1:2 * n + 1, 2 * n + 1] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -799,7 +807,7 @@ class TestRelocationQr:
                 poles = _initial_poles(n, w)
                 for _ in range(3):
                     ref = reference_relocate_poles(poles, s, f_mat)
-                    got, _, _ = _relocate_poles(poles, s, f_mat)
+                    got, _, _ = relocate(poles, s, f_mat)
                     assert np.all(np.abs(got - ref) <= 1e-11 * np.abs(ref))
                     poles = ref
 
@@ -880,3 +888,317 @@ class TestOrderProbe:
     def test_overflowing_peak_reveals_nothing(self):
         f = np.linspace(1e8, 1e9, 200)
         assert _aaa_degree(single_port(f, np.full(f.size, 1e308 + 1e308j)), 1e-6, 8) is None
+
+
+# ---------------------------------------------------------------------------
+# Frozen references: the relocation step, the residue solve and the AAA
+# probe as they ran on np.linalg's lstsq, eigvals, qr and svd with fresh
+# temporaries each step.  The buffered steps on direct LAPACK calls must
+# reproduce them bit for bit.
+
+def frozen_relocate_poles(poles, s, f_mat):
+    n = poles.size
+    m = f_mat.shape[1]
+    k = 2 * (n + 1)
+    phi = _pf_basis(poles, s)
+    phi1_ri = np.zeros((2 * m, n + 1), order="F")
+    phi1_ri[:m, :n] = phi.real
+    phi1_ri[m:, :n] = phi.imag
+    phi1_ri[:m, n] = 1.0
+    buf = np.empty((2 * m, k), order="F")
+    blocks = []
+    for f in f_mat:
+        buf[:, :n + 1] = phi1_ri
+        fphi = -f[:, None] * phi
+        buf[:m, n + 1:k - 1] = fphi.real
+        buf[m:, n + 1:k - 1] = fphi.imag
+        buf[:m, k - 1] = -f.real
+        buf[m:, k - 1] = -f.imag
+        qr, _, info = lapack.dgeqrt(min(_QR_NB, *buf.shape), buf, overwrite_a=True)
+        assert info == 0
+        blocks.append(np.triu(qr[:min(buf.shape)])[n + 1:, n + 1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(np.linalg.norm([np.linalg.norm(f) for f in f_mat])) / m
+        relax_row = np.empty(n + 1)
+        relax_row[:n] = np.sum(phi.real, axis=0)
+        relax_row[n] = m
+        aa = np.vstack(blocks + [scale * relax_row])
+        bb = np.zeros(aa.shape[0])
+        bb[-1] = scale * m
+        col_scale = np.linalg.norm(aa, axis=0)
+    col_scale[col_scale == 0.0] = 1.0
+    x, _, rank, _ = np.linalg.lstsq(aa / col_scale, bb, rcond=None)
+    x = x / col_scale
+    c_sigma, d_sigma = x[:n], float(x[n])
+    if abs(d_sigma) < 1e-8:
+        d_sigma = 1e-8 if d_sigma >= 0 else -1e-8
+    settled = float(np.linalg.norm(c_sigma)) / abs(d_sigma)
+    hmat, bvec, _ = _real_realization(poles)
+    hmat -= np.outer(bvec, c_sigma) / d_sigma
+    lam = np.linalg.eigvals(hmat)
+    order, n_real = _canonical_order(lam)
+    new_poles = lam[order].astype(complex)
+    new_poles[n_real + 1::2] = np.conj(new_poles[n_real::2])
+    return new_poles, settled, int(rank)
+
+
+def frozen_residues(poles, s, f_mat):
+    n, m = poles.size, s.size
+    phi = _pf_basis(poles, s)
+    phi1 = np.hstack([phi, np.ones((m, 1))])
+    residues = np.empty((f_mat.shape[0], n), dtype=complex)
+    direct = np.empty(f_mat.shape[0])
+    a_ri = np.vstack([phi1.real, phi1.imag])
+    for kport, f in enumerate(f_mat):
+        b_ri = np.concatenate([f.real, f.imag])
+        x, *_ = np.linalg.lstsq(a_ri, b_ri, rcond=None)
+        residues[kport] = _coeffs_to_residues(poles, x[:n])
+        direct[kport] = x[n]
+    return residues, direct
+
+
+def frozen_aaa_degree(resps, rms_target, max_degree):
+    omega = resps.grid.omega
+    step = -(-omega.size // 200)
+    s = 1j * omega[::step] / omega[-1]
+    mirror = s != 0.0
+    z = np.concatenate([s, -s[mirror]])
+    budget = min(max_degree + 2, z.size // 2)
+    degree = 0
+    for h in resps.values:
+        peak = float(np.max(np.abs(h)))
+        if not (np.isfinite(peak) and peak > 0.0):
+            return None
+        f = h[::step] / peak
+        f = np.concatenate([f, np.conj(f[mirror])])
+        fit = np.full(f.size, np.mean(f))
+        free = np.ones(f.size, dtype=bool)
+        support = []
+        for k in range(budget):
+            j = int(np.argmax(np.abs(f - fit)))
+            support.append(j)
+            free[j] = False
+            cauchy = 1.0 / (z[free, None] - z[support])
+            try:
+                loewner_r = np.linalg.qr(cauchy * (f[free, None] - f[support]), mode="r")
+                vh = np.linalg.svd(loewner_r)[2]
+            except np.linalg.LinAlgError:
+                return None
+            w = np.conj(vh[-1])
+            fit = f.copy()
+            with np.errstate(all="ignore"):
+                fit[free] = (cauchy @ (w * f[support])) / (cauchy @ w)
+                rms = float(np.sqrt(np.mean(np.abs(f - fit) ** 2)))
+            if rms <= rms_target:
+                degree = max(degree, k)
+                break
+        else:
+            return None
+    return degree
+
+
+def frozen_aaa_errors(z, f, budget):
+    """The inner loop of ``frozen_aaa_degree``, yielding each step's rms."""
+    fit = np.full(f.size, np.mean(f))
+    free = np.ones(f.size, dtype=bool)
+    support = []
+    for k in range(budget):
+        j = int(np.argmax(np.abs(f - fit)))
+        support.append(j)
+        free[j] = False
+        cauchy = 1.0 / (z[free, None] - z[support])
+        try:
+            loewner_r = np.linalg.qr(cauchy * (f[free, None] - f[support]), mode="r")
+            vh = np.linalg.svd(loewner_r)[2]
+        except np.linalg.LinAlgError:
+            yield None
+            return
+        w = np.conj(vh[-1])
+        fit = f.copy()
+        with np.errstate(all="ignore"):
+            fit[free] = (cauchy @ (w * f[support])) / (cauchy @ w)
+            rms = float(np.sqrt(np.mean(np.abs(f - fit) ** 2)))
+        yield rms
+
+
+def probe_samples(resps):
+    """The AAA probe's sample points z and each port's samples f."""
+    omega = resps.grid.omega
+    step = -(-omega.size // 200)
+    s = 1j * omega[::step] / omega[-1]
+    mirror = s != 0.0
+    rows = []
+    for h in resps.values:
+        f = h[::step] / np.max(np.abs(h))
+        rows.append(np.concatenate([f, np.conj(f[mirror])]))
+    return np.concatenate([s, -s[mirror]]), rows
+
+
+def probe_inputs():
+    sets = [nodal_impedances(seed)[0] for seed in (200, 203, 207, 211)]
+    return sets + [sample_model(wideband_model(), 1e6, 40e9, n=2000, log=True),
+                   overmodel_response(3), flat_response(noise=1e-6), flat_response()]
+
+
+def same_bits(got, ref):
+    """Bit-for-bit equality of two float or complex arrays, signed zeros
+    included."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    return (got.dtype == ref.dtype and got.shape == ref.shape
+            and np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                               np.ascontiguousarray(ref).view(np.uint64)))
+
+
+def relocation_inputs():
+    """(label, order, s, f_mat, start poles) in the fitter's units: random
+    models with 1 and 3 ports and even and odd orders, the wideband model on
+    2000 log-spaced points and two noisy responses."""
+    cases = []
+    for seed in (300, 301, 303, 305):
+        for n_ports in (1, 3):
+            for real_pole in (False, True):
+                n, s, f_mat, w = normalized_samples(seed, n_ports, real_pole)
+                cases.append((f"{seed}/{n_ports}/{n}", n, s, f_mat, _initial_poles(n, w)))
+    for label, resps, n in (("wideband", sample_model(wideband_model(), 1e6, 40e9,
+                                                       n=2000, log=True), 20),
+                            ("overmodel", overmodel_response(3), 6),
+                            ("flat", flat_response(noise=1e-4), 5)):
+        w = resps.grid.omega / resps.grid.omega[-1]
+        cases.append((label, n, 1j * w, resps.values, _initial_poles(n, w)))
+    return cases
+
+
+class TestFrozenReferences:
+    @pytest.mark.parametrize("case", relocation_inputs(), ids=lambda case: case[0])
+    def test_walk_and_residues_are_bit_identical(self, case):
+        # one buffer set carries the whole walk, as in _PoleWalk
+        _, n, s, f_mat, poles = case
+        buffers = _Relocation(s, f_mat, n)
+        for _ in range(4):
+            got, settled, rank = buffers.step(poles)
+            ref, ref_settled, ref_rank = frozen_relocate_poles(poles, s, f_mat)
+            assert same_bits(got, ref)
+            assert same_bits(settled, ref_settled) and rank == ref_rank
+            residues, direct = buffers.residues(got)
+            ref_residues, ref_direct = frozen_residues(got, s, f_mat)
+            assert same_bits(residues, ref_residues) and same_bits(direct, ref_direct)
+            poles = got
+
+    def test_order_zero_residues_are_bit_identical(self):
+        resps = flat_response(noise=1e-4)
+        s = 1j * resps.grid.omega / resps.grid.omega[-1]
+        got = _Relocation(s, resps.values, 0).residues(np.zeros(0, dtype=complex))
+        ref = frozen_residues(np.zeros(0, dtype=complex), s, resps.values)
+        assert all(same_bits(a, b) for a, b in zip(got, ref))
+
+    def test_probe_steps_are_bit_identical(self):
+        # every step's rms, with no target to stop the walk early
+        for resps in probe_inputs():
+            z, rows = probe_samples(resps)
+            for f in rows:
+                got = list(_aaa_errors(z, f, min(26, z.size // 2)))
+                ref = list(frozen_aaa_errors(z, f, min(26, z.size // 2)))
+                assert None not in ref and same_bits(np.array(got), np.array(ref))
+
+    @pytest.mark.parametrize("target", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+    def test_probe_reveals_the_same_degree(self, target):
+        for resps in probe_inputs():
+            for max_degree in (4, 12, 24):
+                assert (_aaa_degree(resps, target, max_degree)
+                        == frozen_aaa_degree(resps, target, max_degree))
+
+
+def walk_poles(walks, interleaved):
+    """Each walk's pole sets, the walks stepped in turn or one after another,
+    then each walk's finished model."""
+    seen = [[] for _ in walks]
+    iters = [iter(walk) for walk in walks]
+    if interleaved:
+        active = list(range(len(walks)))
+        while active:
+            for i in list(active):
+                try:
+                    seen[i].append(next(iters[i]))
+                except StopIteration:
+                    active.remove(i)
+    else:
+        for i, it in enumerate(iters):
+            seen[i].extend(it)
+    return seen, [walk.finish()[0] for walk in walks]
+
+
+class TestWalkBuffers:
+    def test_interleaved_walks_match_walks_one_after_another(self):
+        # same order, different response sets and port counts: buffers that
+        # leaked between walks would mix their systems
+        n, s, f_mat, w = normalized_samples(301, 3, False)
+        one = FrequencyResponseSet(FrequencyGrid(w * 1e9 / (2 * np.pi)),
+                                   tuple(PortLabel(f"p{i}") for i in range(3)), f_mat)
+        other = sample_model(wideband_model(), 1e6, 40e9, n=2000, log=True)
+
+        def walks():
+            return [_PoleWalk(one, FitConfig(order=n)), _PoleWalk(other, FitConfig(order=n)),
+                    _PoleWalk(other, FitConfig(order=n + 2))]
+
+        steps_apart, models_apart = walk_poles(walks(), interleaved=False)
+        steps_mixed, models_mixed = walk_poles(walks(), interleaved=True)
+        for apart, mixed in zip(steps_apart, steps_mixed):
+            assert len(apart) == len(mixed) >= 2
+            assert all(same_bits(a, b) for a, b in zip(apart, mixed))
+        assert models_apart == models_mixed
+
+
+def failing(info, *out):
+    """A LAPACK wrapper stand-in that returns ``out`` and then ``info``."""
+    return lambda *args, **kwargs: (*out, info)
+
+
+class TestLapackFailures:
+    # each direct LAPACK call fails with the NumericError text, or the
+    # probe's None, that the np.linalg call it replaces gave
+    def fit(self, order=None):
+        model, f_lo, f_hi = random_pf_model(300)
+        return fit_common_denominator(sample_model(model, f_lo, f_hi),
+                                      FitConfig(order=model.order if order is None else order))
+
+    def test_relocation_least_squares(self, monkeypatch):
+        monkeypatch.setattr("pzid.ratfit.lapack.dgelsd", failing(1, None, None, 0))
+        with pytest.raises(NumericError, match=r"^relocation least squares failed: "
+                                               r"SVD did not converge in Linear Least Squares$"):
+            self.fit()
+
+    def test_residue_least_squares(self, monkeypatch):
+        monkeypatch.setattr("pzid.ratfit.lapack.dgelsd", failing(1, None, None, 0))
+        with pytest.raises(NumericError, match=r"^residue least squares failed: "
+                                               r"SVD did not converge in Linear Least Squares$"):
+            self.fit(order=0)
+
+    def test_relocation_eigenproblem(self, monkeypatch):
+        monkeypatch.setattr("pzid.ratfit.lapack.dgeev", failing(1, None, None, None, None))
+        with pytest.raises(NumericError, match=r"^defective relocation eigenproblem: "
+                                               r"Eigenvalues did not converge$"):
+            self.fit()
+
+    def test_non_finite_eigenproblem_is_refused_before_lapack(self, monkeypatch):
+        realization = ratfit._real_realization
+
+        def with_inf(poles, residues=None):
+            amat, bvec, cvec = realization(poles, residues)
+            amat[0, 0] = np.inf
+            return amat, bvec, cvec
+
+        monkeypatch.setattr(ratfit, "_real_realization", with_inf)
+        monkeypatch.setattr("pzid.ratfit.lapack.dgeev", None)  # must not be called
+        with pytest.raises(NumericError, match=r"^defective relocation eigenproblem: "
+                                               r"Array must not contain infs or NaNs$"):
+            self.fit()
+
+    @pytest.mark.parametrize("name, out", [("zgeqrf", (None, None, None)),
+                                           ("zgesdd", (None, None, None))])
+    def test_probe_reveals_nothing(self, monkeypatch, name, out):
+        calls = []
+        fail = failing(-1, *out)
+        monkeypatch.setattr(f"pzid.ratfit.lapack.{name}",
+                            lambda *args, **kwargs: calls.append(name) or fail())
+        assert _aaa_degree(flat_response(), 1e-6, 8) is None
+        assert calls == [name]
