@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 import numpy as np
@@ -84,7 +83,7 @@ def _write(path, text):
 
 
 def _write_json(path, doc):
-    _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(path, ratfit._json_text(doc))
 
 
 def _config_echo(args):
@@ -221,8 +220,8 @@ def _cmd_proviso(args):
         "n_scanned": report.n_scanned,
         "clean": report.clean,
         "findings": [
-            {"label": f.label, "gamma": [f.gamma.real, f.gamma.imag], "h": f.h,
-             "poles": [[p.real, p.imag] for p in f.poles]}
+            {"label": f.label, "gamma": ratfit._c2pair(f.gamma), "h": f.h,
+             "poles": [ratfit._c2pair(p) for p in f.poles]}
             for f in report.findings],
         "failures": list(report.failures),
     })

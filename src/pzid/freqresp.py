@@ -6,9 +6,12 @@ H(-jw) = conj(H(jw)) is assumed by every fitter downstream, never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .errors import ParseError
 
 __all__ = [
     "FrequencyGrid",
@@ -33,20 +36,27 @@ RESPONSE_KINDS = ("impedance", "admittance", "transfer")
 MIN_POINTS = 4
 
 
-class ResponseParseError(ValueError):
+class ResponseParseError(ParseError):
     """Malformed response file; carries a 1-based line number when known."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"{message} at line {line}"
-        super().__init__(message)
 
 
 def _readonly(arr):
+    """``arr`` frozen against writes, in place: a record passes only arrays it owns."""
     arr = np.asarray(arr)
     arr.setflags(write=False)
     return arr
+
+
+def _fields_equal(self, other):
+    """``__eq__`` of a frozen record, field by field, a field added later too:
+    array fields under ``np.array_equal``, the others under ``==``."""
+    if type(other) is not type(self):
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -67,13 +77,10 @@ class FrequencyGrid:
             raise ValueError("grid is not strictly increasing")
         object.__setattr__(self, "freqs_hz", _readonly(f))
 
+    __eq__ = _fields_equal
+
     def __len__(self):
         return self.freqs_hz.size
-
-    def __eq__(self, other):
-        if not isinstance(other, FrequencyGrid):
-            return NotImplemented
-        return np.array_equal(self.freqs_hz, other.freqs_hz)
 
     @property
     def omega(self):
@@ -250,14 +257,7 @@ class FrequencyResponseSet:
         object.__setattr__(self, "ports", ports)
         object.__setattr__(self, "values", _readonly(values))
 
-    def __eq__(self, other):
-        if not isinstance(other, FrequencyResponseSet):
-            return NotImplemented
-        return (
-            self.grid == other.grid
-            and self.ports == other.ports
-            and np.array_equal(self.values, other.values)
-        )
+    __eq__ = _fields_equal
 
     @property
     def n_ports(self):
@@ -323,15 +323,15 @@ def _raise_if_non_finite(row, tokens, lineno):
         raise ResponseParseError(f"non-finite number {tokens[bad[0]]!r}", lineno)
 
 
-def _raise_first_row_error(rows, read_row, width, scale=1.0):
+def _raise_first_row_error(rows, read_row, width):
     """Rescan data rows (line, text) one at a time and raise the first error
     in file order: the one ``read_row(text, line, width)`` raises, or a
-    frequency not above the row before.  It runs only after the one-call
-    conversion or a check on its table failed, to name the line; a table
-    that fails to convert has a row that fails alone."""
+    frequency, which it returns, not above the row before.  It runs only
+    after the one-call conversion or a check on its table failed, to name
+    the line; a table that fails to convert has a row that fails alone."""
     prev = np.nan
     for lineno, line in rows:
-        f = read_row(line, lineno, width)[0] * scale
+        f = read_row(line, lineno, width)
         if f <= prev:
             raise ResponseParseError("non-monotone grid", lineno)
         prev = f
@@ -368,7 +368,7 @@ def _csv_port_names(line, lineno):
 
 
 def _read_csv_row(line, lineno, width):
-    """One CSV data row as floats, or its error: a ragged row before an
+    """One CSV data row's frequency, or its error: a ragged row before an
     unparseable number before a nan or inf."""
     toks = line.split(",")
     if len(toks) != width:
@@ -379,7 +379,7 @@ def _read_csv_row(line, lineno, width):
         bad = next(tok for tok in toks if not tok or _float_table([tok], ",", None) is None)
         raise ResponseParseError(f"unparseable number {bad!r}", lineno)
     _raise_if_non_finite(row[0], toks, lineno)
-    return row[0]
+    return row[0, 0]
 
 
 def parse_csv(text):
@@ -456,10 +456,25 @@ _TS_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _TS_PORTS = {3: ("s11",), 9: ("s11", "s21", "s12", "s22")}
 
 
-def _read_touchstone_row(line, lineno, width):
-    """One Touchstone data row as floats, or its error: an unparseable
-    number, then a first row of neither 3 nor 9 values, then a ragged row,
-    then a nan or inf."""
+def _ts_samples(table, unit, fmt):
+    """Frequencies in Hz and (ports, rows) complex samples of a Touchstone
+    float table, or None if it is missing, not 3 or 9 wide, or holds a nan
+    or inf, read or from an overflow in the conversion (which warns nothing)."""
+    if table is None or table.shape[1] not in _TS_PORTS or not np.isfinite(table).all():
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        freqs = table[:, 0] * unit
+        values = _complex_columns(table)
+        if fmt != "ri":  # the pairs hold magnitude (linear or dB) and angle in degrees
+            mag = values.real if fmt == "ma" else np.float_power(10.0, values.real / 20.0)
+            values = mag * np.exp(1j * np.deg2rad(values.imag))
+    return (freqs, values) if np.isfinite(freqs).all() and np.isfinite(values).all() else None
+
+
+def _read_touchstone_row(line, lineno, width, unit, fmt):
+    """One Touchstone data row's frequency in Hz, or its error: an
+    unparseable number, then a first row of neither 3 nor 9 values, then a
+    ragged row, then a nan or inf, then an overflow in the conversion."""
     row = _float_table([line], None, "!")
     if row is None:
         raise ResponseParseError(
@@ -471,7 +486,9 @@ def _read_touchstone_row(line, lineno, width):
         raise ResponseParseError(
             f"ragged row: expected {width} values, got {row.shape[1]}", lineno)
     _raise_if_non_finite(row[0], line.split("!", 1)[0].split(), lineno)
-    return row[0]
+    if _ts_samples(row, unit, fmt) is None:
+        raise ResponseParseError("overflow scaling to Hz or converting from dB", lineno)
+    return row[0, 0] * unit
 
 
 def parse_touchstone(text):
@@ -483,7 +500,8 @@ def parse_touchstone(text):
     a comment anywhere in a line, and blank and whitespace-only lines are
     skipped.  Values are separated by spaces or tabs and are plain decimal
     floats, read bit for bit as ``float()`` reads them, without ``_``
-    separators; a nan or inf is refused at its line.
+    separators; a nan or inf is refused at its line, and so is a value that
+    overflows when scaled to Hz or converted from dB.
     """
     lines = _nonblank_lines(text, comment="!")
     if not lines:
@@ -503,19 +521,16 @@ def parse_touchstone(text):
     rows = [r for r in lines[1:] if r[1][0] != "#"]  # a second option line is ignored
     if not rows:
         raise ResponseParseError("no data rows")
-    data = _float_table([s for _, s in rows], None, "!")
-    if data is None or data.shape[1] not in _TS_PORTS or not np.isfinite(data).all():
+    samples = _ts_samples(_float_table([s for _, s in rows], None, "!"), unit, fmt)
+    if samples is None:
         width = len(rows[0][1].split("!", 1)[0].split())
-        _raise_first_row_error(rows, _read_touchstone_row, width, unit)
-    freqs = data[:, 0] * unit
+        _raise_first_row_error(
+            rows, functools.partial(_read_touchstone_row, unit=unit, fmt=fmt), width)
+    freqs, values = samples
     _raise_if_non_monotone(freqs, rows)
     if len(rows) < MIN_POINTS:
         raise ResponseParseError(f"fewer than {MIN_POINTS} points")
-    values = _complex_columns(data)
-    if fmt != "ri":  # the pairs hold magnitude (linear or dB) and angle in degrees
-        mag = values.real if fmt == "ma" else np.float_power(10.0, values.real / 20.0)
-        values = mag * np.exp(1j * np.deg2rad(values.imag))
-    ports = tuple(PortLabel(n) for n in _TS_PORTS[data.shape[1]])
+    ports = tuple(PortLabel(n) for n in _TS_PORTS[1 + 2 * len(values)])
     return FrequencyResponseSet(FrequencyGrid(freqs), ports, values)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .errors import NumericError, UsageError
+from .errors import NumericError, ParseError, UsageError
 from .freqresp import (FrequencyResponseSet, PortLabel, ProbeSpec, current_probe,
                        merge_sets, modal_probe, parse_probe, voltage_probe)
 
@@ -61,11 +61,8 @@ _CONDUCTING = ("R", "L", "C", "SHORT")
 _CUTOFF_FACTOR = 1e3  # see pencil_eigenvalues
 
 
-class NetlistParseError(ValueError):
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"{message} at line {line}"
-        super().__init__(message)
+class NetlistParseError(ParseError):
+    """Malformed netlist; carries a 1-based line number when known."""
 
 
 class SingularSystemError(NumericError):

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import lapack
 
 from .errors import NumericError, UsageError
+from .freqresp import _fields_equal, _readonly
 
 __all__ = [
     "PolynomialRatioModel",
@@ -108,11 +109,6 @@ class FitReport:
             raise ValueError(f"unknown fit stop {self.stop!r}")
 
 
-def _readonly(arr):
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class PolynomialRatioModel:
     """H(s) = A(s/s_scale)/B(s/s_scale) with real, jointly unit-norm coefficients.
@@ -143,12 +139,7 @@ class PolynomialRatioModel:
         object.__setattr__(self, "num_coeffs", _readonly(a))
         object.__setattr__(self, "den_coeffs", _readonly(b))
 
-    def __eq__(self, other):
-        if not isinstance(other, PolynomialRatioModel):
-            return NotImplemented
-        return (np.array_equal(self.num_coeffs, other.num_coeffs)
-                and np.array_equal(self.den_coeffs, other.den_coeffs)
-                and self.s_scale == other.s_scale)
+    __eq__ = _fields_equal
 
     @property
     def order(self):
@@ -186,7 +177,7 @@ class PartialFractionModel:
     def __post_init__(self):
         p = np.asarray(self.poles, dtype=complex).reshape(-1)
         r = np.atleast_2d(np.asarray(self.residues, dtype=complex))
-        d = np.asarray(self.direct, dtype=float).reshape(-1)
+        d = np.array(self.direct, dtype=float).reshape(-1)  # a copy, as p and r are
         if r.shape != (d.size, p.size):
             raise ValueError(f"residues shape {r.shape} != (n_ports={d.size}, n_poles={p.size})")
         if not (np.all(np.isfinite(p)) and np.all(np.isfinite(r)) and np.all(np.isfinite(d))):
@@ -200,13 +191,7 @@ class PartialFractionModel:
         object.__setattr__(self, "direct", _readonly(d))
         object.__setattr__(self, "port_names", names)
 
-    def __eq__(self, other):
-        if not isinstance(other, PartialFractionModel):
-            return NotImplemented
-        return (np.array_equal(self.poles, other.poles)
-                and np.array_equal(self.residues, other.residues)
-                and np.array_equal(self.direct, other.direct)
-                and self.port_names == other.port_names)
+    __eq__ = _fields_equal
 
     @property
     def order(self):
@@ -976,7 +961,13 @@ _SCHEMA = 1
 
 
 def _c2pair(z):
+    """A complex number as the ``[re, im]`` pair of every JSON report."""
     return [float(np.real(z)), float(np.imag(z))]
+
+
+def _json_text(doc):
+    """The text of every JSON report: indented, keys sorted, one final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def save_model(model, report=None):
@@ -1001,12 +992,8 @@ def save_model(model, report=None):
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     if report is not None:
-        doc["report"] = {"rms_rel_error": report.rms_rel_error,
-                         "max_phase_err_deg": report.max_phase_err_deg,
-                         "iters_used": report.iters_used,
-                         "converged": report.converged,
-                         "stop": report.stop}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc["report"] = asdict(report)
+    return _json_text(doc)
 
 
 def load_model(text):

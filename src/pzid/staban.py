@@ -9,16 +9,16 @@ ranks ports by their sensitivity to a critical resonance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
 from .errors import UsageError
-from .freqresp import slice_band
-from .ratfit import (FitConfig, FitReport, PartialFractionModel, PolePair, _PoleWalk,
-                     _aaa_degree, fit_common_denominator, poles_and_zeros)
+from .freqresp import _fields_equal, _readonly, slice_band
+from .ratfit import (FitConfig, FitReport, PartialFractionModel, PolePair, _c2pair,
+                     _json_text, _PoleWalk, _aaa_degree, fit_common_denominator,
+                     poles_and_zeros)
 
 __all__ = [
     "ClassifiedPole",
@@ -77,21 +77,14 @@ class RhoMatrix:
     port_names: tuple[str, ...]
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)  # a copy: the caller's array stays writable
         if v.shape != (len(self.port_names), len(self.pair_poles)):
             raise ValueError("rho matrix shape mismatch")
         if np.any(v < 0) or np.any(np.isnan(v)):
             raise ValueError("rho entries must be nonnegative")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _readonly(v))
 
-    def __eq__(self, other):
-        if not isinstance(other, RhoMatrix):
-            return NotImplemented
-        return (np.array_equal(self.values, other.values)
-                and self.pair_poles == other.pair_poles
-                and self.port_names == other.port_names)
+    __eq__ = _fields_equal
 
 
 _MARGIN_TOL_REL = 1e-6  # marginal band half-width, times max grid omega
@@ -456,7 +449,7 @@ def rho_table(rm):
     [re, im] and the values, a non-finite entry written as its repr."""
     return {
         "ports": list(rm.port_names),
-        "pair_poles": [[float(p.real), float(p.imag)] for p in rm.pair_poles],
+        "pair_poles": [_c2pair(p) for p in rm.pair_poles],
         "values": [[v if np.isfinite(v) else repr(v) for v in map(float, row)]
                    for row in rm.values],
     }
@@ -465,11 +458,8 @@ def rho_table(rm):
 def verdict_report(verdict):
     """JSON-ready report: poles, cancellation table, rho matrix, order-scan
     trace and the pruning audit log."""
-    def c2p(z):
-        return [float(z.real), float(z.imag)]
-
     def pole(cp):
-        return {"rad_s": c2p(cp.value), "freq_hz": cp.resonant_freq_hz,
+        return {"rad_s": _c2pair(cp.value), "freq_hz": cp.resonant_freq_hz,
                 "damping": cp.damping, "class": cp.label}
 
     return {
@@ -480,7 +470,7 @@ def verdict_report(verdict):
         "margin_tol_rad_s": verdict.margin_tol,
         "critical_poles": [pole(cp) for cp in verdict.critical_poles],
         "cancellations": [
-            {"pole": c2p(qc.pole), "zero": c2p(qc.zero),
+            {"pole": _c2pair(qc.pole), "zero": _c2pair(qc.zero),
              "rel_distance": qc.rel_distance, "origin": qc.origin}
             for qc in verdict.cancellations],
         "order_scan": [{"order": step.order, "rms_rel_error": step.report.rms_rel_error}
@@ -495,4 +485,4 @@ def verdict_report(verdict):
 
 def serialize_verdict(verdict):
     """:func:`verdict_report` as indented JSON text with sorted keys."""
-    return json.dumps(verdict_report(verdict), indent=2, sort_keys=True) + "\n"
+    return _json_text(verdict_report(verdict))

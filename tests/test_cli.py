@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -354,6 +357,27 @@ class TestParserDefaults:
                                    "--param", "r1", "--values", "1:2:3", "--out", "l.csv"])
         assert fit.iters == locus.iters == FitConfig(order=2).iters
 
+    def test_readme_synopsis_lists_every_option(self):
+        """Each subcommand's lines in the README's command synopsis name
+        every option its parser defines, and no subcommand is missing."""
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        block = readme.read_text().split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+        synopsis = {}
+        for line in block.splitlines():
+            if line.startswith("pzid "):
+                command = line.split()[1]
+            synopsis[command] = synopsis.get(command, "") + line + "\n"
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert set(synopsis) == set(subparsers.choices)
+        for command, parser in subparsers.choices.items():
+            options = {opt for action in parser._actions for opt in action.option_strings
+                       if opt not in ("-h", "--help")}
+            missing = {opt for opt in options
+                       if not re.search(rf"(?<![\w-]){re.escape(opt)}(?![\w-])",
+                                        synopsis[command])}
+            assert not missing, f"{command}: {sorted(missing)}"
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
@@ -388,7 +412,9 @@ class TestExitCodes:
         ("nan.csv", "freq_hz,p1_re,p1_im\n1e9,1,0\n2e9,1,0\nnan,1,0\n4e9,1,0\n",
          "non-finite number 'nan' at line 4"),
         ("inf.s1p", "# GHz S RI R 50\n1 0.5 0\n2 0.5 0\n3 inf 0\n4 0.5 0\n",
-         "non-finite number 'inf' at line 4")])
+         "non-finite number 'inf' at line 4"),
+        ("db.s1p", "# GHz S DB R 50\n1 0 0\n2 0 0\n3 1e4 0\n4 0 0\n",
+         "overflow scaling to Hz or converting from dB at line 4")])
     def test_non_finite_sample_is_a_usage_error_at_its_line(self, tmp_path, capsys,
                                                            name, text, message):
         resp = tmp_path / name

@@ -179,6 +179,7 @@ class TestTouchstone:
 
 
 TS_HEAD = "# GHz S RI R 50\n"
+OVERFLOW = "overflow scaling to Hz or converting from dB"
 TS_ROWS = "1 0.5 -0.1\n2 0.4 0\n3 0.3 0.1\n4 0.2 0.2\n"
 CSV_HEAD = "freq_hz,p_re,p_im\n"
 CSV_ROWS = "1,1,0\n2,1,0\n3,1,0\n4,1,0\n"
@@ -246,6 +247,20 @@ class TestReaderErrors:
          "ragged row: expected 3 values, got 2", 3),
         (parse_touchstone, TS_HEAD + "1 0 0\n2 0 -inf\n3 0\n4 0 0\n",
          "non-finite number '-inf'", 3),
+        # a value that overflows when scaled to Hz or converted from dB is
+        # refused at its line, without a numpy warning; a dB magnitude of -inf
+        # would convert to 0 but is refused as read
+        (parse_touchstone, TS_HEAD + "1 0 0\n1e300 0 0\n3 0 0\n4 0 0\n", OVERFLOW, 3),
+        (parse_touchstone, "# GHz S DB\n1 0 0\n2 1e4 0\n3 0 0\n4 0 0\n", OVERFLOW, 3),
+        (parse_touchstone, "# GHz S DB\n1 0 0\n2 0 90\n3 1e4 90\n4 0 0\n", OVERFLOW, 4),
+        (parse_touchstone, "# MHz S DB\n1 0 0 0 0 0 0 0 0\n2 0 0 0 0 0 0 0 0\n"
+         "3 0 0 0 0 7e3 45 0 0\n4 0 0 0 0 0 0 0 0\n", OVERFLOW, 4),
+        (parse_touchstone, "# GHz S DB\n1 0 0\n2 -inf 0\n3 0 0\n4 0 0\n",
+         "non-finite number '-inf'", 3),
+        (parse_touchstone, "# GHz S DB\n1 0 0\n0.5 0 0\n3 1e4 0\n4 0 0\n",
+         "non-monotone grid", 3),
+        (parse_touchstone, "# GHz S DB\n1 0 0\n2 1e4 0\n1 0 0\n4 x 0\n", OVERFLOW, 3),
+        (parse_touchstone, "# GHz S MA\n1 0 0\n2 1e4 0\n3 0 0\n4e300 0 0\n", OVERFLOW, 5),
     ])
     def test_message_and_line(self, parse, text, message, line):
         with pytest.raises(ResponseParseError) as info:

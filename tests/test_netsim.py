@@ -4,8 +4,8 @@ import pytest
 from fixtures import parallel_rlc, random_oracle_net, series_rlc_loop, oracle_grid
 from pzid import netsim
 from pzid.cli import dispatch
-from pzid.errors import UsageError
-from pzid.freqresp import FrequencyGrid
+from pzid.errors import ParseError, UsageError
+from pzid.freqresp import FrequencyGrid, ResponseParseError
 from pzid.netsim import (Netlist, NetlistParseError, SingularSystemError,
                          TerminationPort, analytic_poles, capacitor, current_probe,
                          frequency_response, ground_node, modal_probe,
@@ -335,6 +335,18 @@ class TestNetlistParsing:
         with pytest.raises(NetlistParseError) as info:
             parse_netlist("R r0 n1 0 50\n" + text)
         assert str(info.value) == message
+
+    def test_parse_errors_share_one_base_and_keep_the_line(self):
+        with pytest.raises(NetlistParseError) as info:
+            parse_netlist("R r1 a 0\n")
+        assert info.value.line == 1
+        assert str(info.value) == "R line needs 5 fields at line 1"
+        with pytest.raises(NetlistParseError) as info:
+            parse_netlist("# nothing\n")
+        assert info.value.line is None
+        assert str(info.value) == "netlist has no elements"
+        for err in (NetlistParseError, ResponseParseError):
+            assert issubclass(err, ParseError) and issubclass(err, ValueError)
 
     def test_floating_node_rejected(self):
         with pytest.raises(ValueError, match="floating"):
