@@ -2,10 +2,13 @@
 
 Subcommands: synth, fit, stability, rho, locus, threshold, mc, spiral,
 proviso.  Exit codes: 0 success, 1 instability declared with
---fail-on-unstable set, 2 usage error, 3 numeric failure.  Every report
-embeds the fully resolved configuration, and reruns with identical inputs,
-flags and seed produce byte-identical outputs at a fixed BLAS thread count
-(an ill-conditioned fit can round differently under another count).
+--fail-on-unstable set, 2 usage error, 3 numeric failure.  The fully
+resolved configuration is embedded as ``config`` in the JSON reports of
+stability, rho and proviso, and as a first ``# config:`` line in the CSV
+files of synth, locus, mc and spiral; the fit model file, the SVG maps and
+threshold's stdout do not carry it.  Reruns with identical inputs, flags
+and seed produce byte-identical outputs at a fixed BLAS thread count (an
+ill-conditioned fit can round differently under another count).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import netsim, polemap, ratfit, staban, sweeps
 from .errors import NumericError, UsageError
-from .freqresp import FrequencyGrid, emit_csv, parse_csv, parse_touchstone
+from .freqresp import FrequencyGrid, _csv_row, emit_csv, parse_csv, parse_touchstone
 
 __all__ = ["dispatch", "main"]
 
@@ -101,6 +104,13 @@ def _config_comment(args):
     return f"# config: {body}\n"
 
 
+def _write_csv(path, args, header, rows, before=(), after=()):
+    """A table: the ``# config:`` line, the comment lines ``before``, the
+    header, one line per row of Python numbers and the comment lines ``after``."""
+    lines = [*before, header, *map(_csv_row, rows), *after]
+    _write(path, _config_comment(args) + "".join(f"{line}\n" for line in lines))
+
+
 def _render_svg(path, report, args):
     style = polemap.PoleMapStyle(axis=args.axis, full_plane=args.full_plane)
     _write(path, polemap.render_pole_map(report, style))
@@ -159,15 +169,11 @@ def _cmd_locus(args):
     net, probe = _circuit(args)
     traj = sweeps.trace_pole_locus(net, probe, _grid(args), args.param,
                                    _parse_values(args.values), _fit_config(args))
-    lines = [_config_comment(args),
-             "param_value,track,re_rad_s,im_rad_s\n"]
-    for ti, track in enumerate(traj.tracks):
-        for v, p in zip(traj.param_values, track):
-            if not np.isnan(p):
-                lines.append(f"{float(v)!r},{ti},{float(p.real)!r},{float(p.imag)!r}\n")
-    for v, p in traj.crossing_events:
-        lines.append(f"# crossing: param={float(v)!r} pole={float(p.real)!r}{float(p.imag):+}j\n")
-    _write(args.out, "".join(lines))
+    rows = [(v, ti, p.real, p.imag) for ti, track in enumerate(traj.tracks.tolist())
+            for v, p in zip(traj.param_values.tolist(), track) if not np.isnan(p)]
+    crossings = [f"# crossing: param={v!r} pole={p.real!r}{p.imag:+}j"
+                 for v, p in traj.crossing_events]
+    _write_csv(args.out, args, "param_value,track,re_rad_s,im_rad_s", rows, after=crossings)
     if args.svg:
         _render_svg(args.svg, traj, args)
     return 0
@@ -185,16 +191,13 @@ def _cmd_mc(args):
     net, probe = _circuit(args)
     cloud = sweeps.monte_carlo_cloud(net, probe, _grid(args), args.sigma,
                                      args.trials, args.seed, _fit_config(args))
-    lines = [_config_comment(args)]
     stats = cloud.margin_stats
-    lines.append(f"# margin: max_re={stats['max_re']!r} "
-                 f"min_damping={stats['min_damping']!r} "
-                 f"fraction_unstable={stats['fraction_unstable']!r} "
-                 f"failed_trials={cloud.n_failed}\n")
-    lines.append("trial,re_rad_s,im_rad_s\n")
-    for trial, p in cloud.points:
-        lines.append(f"{trial},{float(p.real)!r},{float(p.imag)!r}\n")
-    _write(args.out, "".join(lines))
+    margin = (f"# margin: max_re={stats['max_re']!r} "
+              f"min_damping={stats['min_damping']!r} "
+              f"fraction_unstable={stats['fraction_unstable']!r} "
+              f"failed_trials={cloud.n_failed}")
+    _write_csv(args.out, args, "trial,re_rad_s,im_rad_s",
+               [(trial, p.real, p.imag) for trial, p in cloud.points], before=[margin])
     if args.svg:
         _render_svg(args.svg, cloud, args)
     return 0
@@ -202,10 +205,8 @@ def _cmd_mc(args):
 
 def _cmd_spiral(args):
     path = sweeps.spiral_path(args.turns, args.points, args.rmax)
-    lines = [_config_comment(args), "h,re_gamma,im_gamma\n"]
-    for h, g in zip(path.h, path.gamma):
-        lines.append(f"{float(h)!r},{float(g.real)!r},{float(g.imag)!r}\n")
-    _write(args.out, "".join(lines))
+    _write_csv(args.out, args, "h,re_gamma,im_gamma",
+               [(h, g.real, g.imag) for h, g in zip(path.h.tolist(), path.gamma.tolist())])
     return 0
 
 

@@ -326,12 +326,15 @@ def _raise_if_non_finite(row, tokens, lineno):
 def _raise_first_row_error(rows, read_row, width):
     """Rescan data rows (line, text) one at a time and raise the first error
     in file order: the one ``read_row(text, line, width)`` raises, or a
-    frequency, which it returns, not above the row before.  It runs only
-    after the one-call conversion or a check on its table failed, to name
-    the line; a table that fails to convert has a row that fails alone."""
+    frequency in Hz, which it returns, below zero or not above the row before.
+    It runs only after the one-call conversion or a check on its table failed,
+    to name the line; a table that fails to convert has a row that fails alone."""
     prev = np.nan
     for lineno, line in rows:
         f = read_row(line, lineno, width)
+        if f < 0.0:  # named by its first field, comma- or space-separated
+            raise ResponseParseError(
+                f"negative frequency {line.split(',')[0].split()[0]!r}", lineno)
         if f <= prev:
             raise ResponseParseError("non-monotone grid", lineno)
         prev = f
@@ -416,7 +419,8 @@ def parse_csv(text):
     port_names = _csv_port_names(head, head_line)
     width = 1 + 2 * len(port_names)
     data = _float_table([s for _, s in rows], ",", None) if rows else np.empty((0, width))
-    if bad_directive or data is None or data.shape[1] != width or not np.isfinite(data).all():
+    if (bad_directive or data is None or data.shape[1] != width
+            or not np.isfinite(data).all() or (data[:, 0] < 0.0).any()):
         above = [r for r in rows if not bad_directive or r[0] < bad_directive.line]
         _raise_first_row_error(above, _read_csv_row, width)
         raise bad_directive  # else the rescan has raised: a table that fails, fails on a row
@@ -435,9 +439,14 @@ def parse_csv(text):
     return FrequencyResponseSet(FrequencyGrid(data[:, 0]), ports, _complex_columns(data))
 
 
+def _csv_row(values):
+    """Python ints and floats as one CSV row of shortest reprs, which ``parse_csv``
+    reads back bit for bit, signed zeros too (a NumPy scalar's repr is no number)."""
+    return ",".join(map(repr, values))
+
+
 def emit_csv(rset):
-    """Serialize to the CSV schema; ``parse_csv`` round-trips it bit for bit,
-    signed zeros included (every float is written as its shortest repr)."""
+    """Serialize to the CSV schema; ``parse_csv`` round-trips it bit for bit."""
     lines = []
     if any(p.kind != "transfer" for p in rset.ports):
         pairs = ",".join(f"{p.name}={p.kind}" for p in rset.ports)
@@ -448,7 +457,7 @@ def emit_csv(rset):
     lines.append("freq_hz," + ",".join(f"{p.name}_re,{p.name}_im" for p in rset.ports))
     re_im = np.ascontiguousarray(rset.values.T).view(float)  # each port's (re, im)
     table = np.column_stack((rset.grid.freqs_hz, re_im))
-    lines.extend(",".join(map(repr, row)) for row in table.tolist())
+    lines.extend(map(_csv_row, table.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -522,7 +531,7 @@ def parse_touchstone(text):
     if not rows:
         raise ResponseParseError("no data rows")
     samples = _ts_samples(_float_table([s for _, s in rows], None, "!"), unit, fmt)
-    if samples is None:
+    if samples is None or (samples[0] < 0.0).any():
         width = len(rows[0][1].split("!", 1)[0].split())
         _raise_first_row_error(
             rows, functools.partial(_read_touchstone_row, unit=unit, fmt=fmt), width)

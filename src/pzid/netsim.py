@@ -255,6 +255,14 @@ def parse_netlist(text):
 # ---------------------------------------------------------------------------
 # pencil assembly
 
+def _fresh_name(base, taken):
+    """``base``, else the first of ``base_1``, ``base_2``, ... not in ``taken``."""
+    i = 0
+    while (name := f"{base}_{i}" if i else base) in taken:
+        i += 1
+    return name
+
+
 def _pencil(net, probe=None):
     """Real MNA matrices G, C with the probe's drive b and readout c.
 
@@ -272,11 +280,7 @@ def _pencil(net, probe=None):
         if branch.kind not in ("R", "L", "C"):
             raise UsageError(f"voltage probe target {probe.branch!r} must be R, L or C")
         a, b = branch.nodes
-        splice = "__probe"
-        i = 0
-        while splice in nodes:
-            i += 1
-            splice = f"__probe_{i}"
+        splice = _fresh_name("__probe", nodes)
         elements[elements.index(branch)] = replace(branch, nodes=(splice, b))
         elements.append(Element("SHORT", splice, (splice, a)))
         nodes.append(splice)
@@ -458,11 +462,7 @@ def ground_node(net, node):
     """Short a node to ground with an ideal constraint."""
     if node not in net.nodes:
         raise UsageError(f"unknown node {node!r}")
-    name = f"__gnd_{node}"
-    i = 0
-    while any(e.name == name for e in net.elements):
-        i += 1
-        name = f"__gnd_{node}_{i}"
+    name = _fresh_name(f"__gnd_{node}", {e.name for e in net.elements})
     return Netlist(net.elements + (Element("SHORT", name, (node, GROUND)),), net.ports)
 
 

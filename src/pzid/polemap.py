@@ -67,12 +67,12 @@ def render_pole_map(report, style=PoleMapStyle()):
     poles, zeros, lines, cloud = _collect(report)
     unit = 2.0 * np.pi if style.axis == "hz" else 1.0
 
-    def visible(p):
-        return style.full_plane or p.imag >= 0.0
+    def shown(points):  # the visible points, in plot units
+        return [p / unit for p in points if style.full_plane or p.imag >= 0.0]
 
-    pts = [p / unit for p in poles + zeros + cloud if visible(p)]
-    for line in lines:
-        pts.extend(p / unit for p in line if visible(p))
+    poles, zeros, cloud = shown(poles), shown(zeros), shown(cloud)
+    lines = [shown(line) for line in lines]
+    pts = poles + zeros + cloud + [p for line in lines for p in line]
 
     if pts:
         re = np.array([p.real for p in pts])
@@ -142,8 +142,7 @@ def render_pole_map(report, style=PoleMapStyle()):
         out.append(f'<line x1="{_fmt(x - 4)}" y1="{_fmt(y + 4)}" x2="{_fmt(x + 4)}" '
                    f'y2="{_fmt(y - 4)}" stroke="red" stroke-width="1.5"{extra}/>')
 
-    for line in lines:
-        seg = [p / unit for p in line if visible(p)]
+    for seg in lines:
         if len(seg) >= 2:
             path = " ".join(f"{_fmt(sx(p.real))},{_fmt(sy(p.imag))}" for p in seg)
             out.append(f'<polyline points="{path}" fill="none" stroke="#3355cc" '
@@ -161,16 +160,12 @@ def render_pole_map(report, style=PoleMapStyle()):
                        f'{_fmt(right[0])},{_fmt(right[1])}" fill="#3355cc"/>')
 
     for p in cloud:
-        if visible(p):
-            draw_pole(p / unit, opacity="0.35")
+        draw_pole(p, opacity="0.35")
     for p in poles:
-        if visible(p):
-            draw_pole(p / unit)
+        draw_pole(p)
     for z in zeros:
-        if visible(z):
-            zz = z / unit
-            out.append(f'<circle cx="{_fmt(sx(zz.real))}" cy="{_fmt(sy(zz.imag))}" '
-                       f'r="4" fill="none" stroke="blue" stroke-width="1.5"/>')
+        out.append(f'<circle cx="{_fmt(sx(z.real))}" cy="{_fmt(sy(z.imag))}" '
+                   f'r="4" fill="none" stroke="blue" stroke-width="1.5"/>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.linalg import lapack
@@ -69,8 +69,9 @@ class FitConfig:
             raise ValueError("iters must be in 1..100")
 
 
-_FIT_STOPS = ("pole-move", "sigma-settled", "iteration-cap", "no-poles",
-              "coeff-move", "rank-deficient")
+# the stops on which a fitting loop's iterate settled: its fit is ``converged``
+_SETTLED = ("pole-move", "sigma-settled", "no-poles", "coeff-move")
+_FIT_STOPS = _SETTLED + ("iteration-cap", "rank-deficient")
 
 
 @dataclass(frozen=True)
@@ -418,10 +419,8 @@ def fit_polynomial_ratio(resp, cfg):
             f"order {n} is too high for the data (ambiguous null space)")
     _, a_c, b_c = best
     model = PolynomialRatioModel(a_c, b_c, s_scale)
-    err = fit_error(model, resp)
-    report = FitReport(err.rms_rel_error, err.max_phase_err_deg, iters_used,
-                       stop == "coeff-move", stop)
-    return model, report
+    return model, replace(fit_error(model, resp), iters_used=iters_used,
+                          converged=stop in _SETTLED, stop=stop)
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +694,7 @@ class _PoleWalk:
     walk is unfinished).  ``finish()`` solves the residues and direct
     terms against the poles reached so far and returns (model, report).
     A walk is iterated once.  Its buffers (``_Relocation``) are its own,
-    built at its first step, so walks may be iterated interleaved.
+    so walks may be iterated interleaved.
     """
 
     def __init__(self, resps, cfg):
@@ -709,7 +708,7 @@ class _PoleWalk:
         self.w_scale = float(omega[-1])
         self.s = 1j * omega / self.w_scale
         self.iters_used = 0
-        self._relocation = None
+        self._relocation = _Relocation(self.s, resps.values, n)
         if n == 0:
             self.poles = np.zeros(0, dtype=complex)
             self.stop = "no-poles"
@@ -717,16 +716,11 @@ class _PoleWalk:
             self.poles = _initial_poles(n, omega / self.w_scale)
             self.stop = None
 
-    def _buffers(self):
-        if self._relocation is None:
-            self._relocation = _Relocation(self.s, self.resps.values, self.poles.size)
-        return self._relocation
-
     def __iter__(self):
         n = self.poles.size
         prev_rank = n + 1
         while self.stop is None:
-            new_poles, settled, rank = self._buffers().step(self.poles)
+            new_poles, settled, rank = self._relocation.step(self.poles)
             move = np.max(np.abs(np.sort_complex(new_poles) - np.sort_complex(self.poles)))
             self.poles = new_poles
             self.iters_used += 1
@@ -742,13 +736,11 @@ class _PoleWalk:
             yield new_poles * self.w_scale
 
     def finish(self):
-        residues, direct = self._buffers().residues(self.poles)
+        residues, direct = self._relocation.residues(self.poles)
         model = PartialFractionModel(self.poles * self.w_scale, residues * self.w_scale, direct,
                                      self.resps.port_names)
-        err = fit_error(model, self.resps)
-        report = FitReport(err.rms_rel_error, err.max_phase_err_deg, self.iters_used,
-                           self.stop in ("pole-move", "sigma-settled", "no-poles"), self.stop)
-        return model, report
+        return model, replace(fit_error(model, self.resps), iters_used=self.iters_used,
+                              converged=self.stop in _SETTLED, stop=self.stop)
 
 
 def fit_common_denominator(resps, cfg):

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from fixtures import sample_model, wideband_model
-from pzid import cli, netsim, staban
+from pzid import cli, netsim, staban, sweeps
 from pzid.cli import dispatch
-from pzid.freqresp import emit_csv, parse_csv
+from pzid.freqresp import FrequencyGrid, emit_csv, parse_csv
 from pzid.ratfit import FitConfig, PartialFractionModel, save_model
 
 NETLIST = """\
@@ -510,3 +510,163 @@ class TestSvgRendering:
         text = svg.read_text()
         assert 'fill="#fbdada"' in text
         assert 'stroke="red"' in text
+
+
+DOUBLE_RESONATOR = ("C c1 B 0 1p\nL l1 B 0 1n\nR rneg B 0 -200\n"
+                    "C c2 A 0 2p\nL l2 A 0 2n\nR r2 A 0 300\n"
+                    "R rc A B 5k\nR rstab B 0 1M\n")
+
+
+class TestArgumentErrors:
+    """Each malformed argument exits 2 with its message and writes nothing."""
+
+    @pytest.fixture
+    def dr_file(self, tmp_path):
+        p = tmp_path / "dr.cir"
+        p.write_text(DOUBLE_RESONATOR)
+        return str(p)
+
+    def run(self, capsys, tmp_path, argv, message):
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err == f"pzid {argv[0]}: error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("orders, message", [
+        ("2-6", "bad range '2-6', expected LO:HI"),
+        ("2:x", "bad range '2:x', expected LO:HI"),
+        ("6:2", "bad range '6:2': HI < LO")])
+    def test_bad_orders(self, tmp_path, capsys, resp_file, orders, message):
+        self.run(capsys, tmp_path, ["stability", "--in", resp_file, "--orders", orders,
+                                    "--report", str(tmp_path / "out")], message)
+
+    @pytest.mark.parametrize("values, message", [
+        ("1:2", "bad values '1:2', expected LO:HI:N[:log]"),
+        ("1:2:3:4:5", "bad values '1:2:3:4:5', expected LO:HI:N[:log]"),
+        ("1:2:3:lin", "bad values '1:2:3:lin', expected LO:HI:N[:log]"),
+        ("a:2:3", "bad values 'a:2:3'"),
+        ("1:2:3.5", "bad values '1:2:3.5'"),
+        ("1:2:0", "bad values '1:2:0'"),
+        ("5:1:3", "bad values '5:1:3'"),
+        ("0:1:3:log", "log spacing needs LO > 0"),
+        ("-1:1:3:log", "log spacing needs LO > 0")])
+    def test_bad_values(self, tmp_path, capsys, dr_file, values, message):
+        self.run(capsys, tmp_path, ["locus", "--netlist", dr_file, "--probe", "inode:B",
+                                    "--param", "rstab", f"--values={values}",
+                                    "--out", str(tmp_path / "out")], message)
+
+    @pytest.mark.parametrize("fstart, fstop", [("2e9", "1e9"), ("1e9", "1e9")])
+    def test_fstart_must_be_below_fstop(self, tmp_path, capsys, net_file, fstart, fstop):
+        self.run(capsys, tmp_path, ["synth", "--netlist", net_file, "--probe", "inode:n1",
+                                    "--fstart", fstart, "--fstop", fstop, "--points", "20",
+                                    "--out", str(tmp_path / "out")],
+                 "--fstart must be below --fstop")
+
+    def test_rho_needs_a_vf_model(self, tmp_path, capsys, resp_file):
+        model = tmp_path / "poly.json"
+        assert dispatch(["fit", "--in", resp_file, "--order", "2", "--method", "poly",
+                         "--out", str(model)]) == 0
+        self.run(capsys, tmp_path, ["rho", "--model", str(model), "--out", str(tmp_path / "out")],
+                 "rho needs a partial-fraction (vf) model")
+
+    @pytest.mark.parametrize("name, text", [
+        ("neg.csv", "freq_hz,p1_re,p1_im\n-1,0,0\n1e9,1,0\n2e9,1,0\n3e9,1,0\n"),
+        ("neg.s1p", "# Hz S RI R 50\n-1 0 0\n1 0.5 0\n2 0.5 0\n3 0.5 0\n")])
+    def test_negative_frequency_is_refused_at_its_line(self, tmp_path, capsys, name, text):
+        resp = tmp_path / name
+        resp.write_text(text)
+        self.run(capsys, tmp_path, ["stability", "--in", str(resp), "--orders", "2:2",
+                                    "--report", str(tmp_path / "out")],
+                 "negative frequency '-1' at line 2")
+
+
+def read_table(path):
+    """(comment lines before the header, header, rows parsed with float(),
+    comment lines after the rows) of a CSV table the CLI wrote."""
+    lines = path.read_text().splitlines()
+    head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    end = next((i for i in range(head + 1, len(lines)) if lines[i].startswith("#")), len(lines))
+    assert all(line.startswith("#") for line in lines[end:])
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[head + 1:end]]
+    return lines[:head], lines[head], rows, lines[end:]
+
+
+def same_rows(got, want):
+    """Row lists equal bit for bit, signed zeros included."""
+    return np.array(got).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+class TestSweepTables:
+    """The locus, mc and spiral tables hold, bit for bit, what the sweep
+    functions return for the same arguments, and no cell holds a NumPy repr."""
+
+    GRID = FrequencyGrid(np.linspace(0.3e9, 8e9, 400))
+
+    def test_locus_rows(self, tmp_path, monkeypatch):
+        net = tmp_path / "dr.cir"
+        net.write_text(DOUBLE_RESONATOR)
+        out = tmp_path / "locus.csv"
+        # a fit that keeps no pole at 350 ohm leaves a NaN step on every track
+        fit = sweeps._fit_poles
+        monkeypatch.setattr(sweeps, "_fit_poles", lambda n, *a: (
+            fit(n, *a) if n.element("rstab").value != 350.0 else np.zeros(0, complex)))
+        assert dispatch(["locus", "--netlist", str(net), "--probe", "inode:B",
+                         "--param", "rstab", "--values", "100:400:7", "--order", "4",
+                         "--fstart", "0.3e9", "--fstop", "8e9", "--out", str(out)]) == 0
+        traj = sweeps.trace_pole_locus(netsim.parse_netlist(DOUBLE_RESONATOR),
+                                       netsim.parse_probe("inode:B"), self.GRID, "rstab",
+                                       np.linspace(100, 400, 7), FitConfig(order=4))
+        assert np.isnan(traj.tracks[:, 5]).all() and traj.crossing_events
+        before, header, rows, after = read_table(out)
+        assert [line.split(":")[0] for line in before] == ["# config"]
+        assert header == "param_value,track,re_rad_s,im_rad_s"
+        assert same_rows(rows, [(v, ti, p.real, p.imag) for ti, track in enumerate(traj.tracks)
+                                for v, p in zip(traj.param_values, track) if not np.isnan(p)])
+        assert 350.0 not in {row[0] for row in rows}
+        assert len(after) == len(traj.crossing_events)
+        assert all(line.startswith("# crossing: param=") for line in after)
+        assert "np." not in out.read_text()
+
+    def test_locus_linear_values(self, tmp_path, monkeypatch):
+        swept = []
+
+        def record(net, probe, grid, param, values, cfg):
+            swept.append(values)
+            return sweeps.PoleTrajectory(values, np.zeros((0, values.size)), ())
+
+        monkeypatch.setattr(sweeps, "trace_pole_locus", record)
+        net = tmp_path / "dr.cir"
+        net.write_text(DOUBLE_RESONATOR)
+        assert dispatch(["locus", "--netlist", str(net), "--probe", "inode:B",
+                         "--param", "rstab", "--values", "100:400:7",
+                         "--out", str(tmp_path / "locus.csv")]) == 0
+        assert swept[0].tobytes() == np.linspace(100, 400, 7).tobytes()
+
+    def test_mc_rows(self, tmp_path, net_file):
+        out = tmp_path / "mc.csv"
+        assert dispatch(["mc", "--netlist", net_file, "--probe", "inode:n1",
+                         "--sigma", "0.05", "--trials", "6", "--seed", "42", "--order", "2",
+                         "--fstart", "1e9", "--fstop", "9e9", "--out", str(out)]) == 0
+        cloud = sweeps.monte_carlo_cloud(netsim.parse_netlist(NETLIST),
+                                         netsim.parse_probe("inode:n1"),
+                                         FrequencyGrid(np.linspace(1e9, 9e9, 400)),
+                                         0.05, 6, 42, FitConfig(order=2))
+        before, header, rows, after = read_table(out)
+        assert [line.split(":")[0] for line in before] == ["# config", "# margin"]
+        assert before[1] == (f"# margin: max_re={cloud.margin_stats['max_re']!r} "
+                             f"min_damping={cloud.margin_stats['min_damping']!r} "
+                             f"fraction_unstable={cloud.margin_stats['fraction_unstable']!r} "
+                             f"failed_trials=0")
+        assert header == "trial,re_rad_s,im_rad_s" and after == []
+        assert same_rows(rows, [(t, p.real, p.imag) for t, p in cloud.points])
+        assert "np." not in out.read_text()
+
+    def test_spiral_rows(self, tmp_path):
+        out = tmp_path / "spiral.csv"
+        assert dispatch(["spiral", "--turns", "3", "--points", "50", "--rmax", "0.9",
+                         "--out", str(out)]) == 0
+        path = sweeps.spiral_path(3, 50, 0.9)
+        before, header, rows, after = read_table(out)
+        assert [line.split(":")[0] for line in before] == ["# config"]
+        assert header == "h,re_gamma,im_gamma" and after == []
+        assert same_rows(rows, np.column_stack((path.h, path.gamma.real, path.gamma.imag)))
+        assert "np." not in out.read_text()

@@ -261,12 +261,35 @@ class TestReaderErrors:
          "non-monotone grid", 3),
         (parse_touchstone, "# GHz S DB\n1 0 0\n2 1e4 0\n1 0 0\n4 x 0\n", OVERFLOW, 3),
         (parse_touchstone, "# GHz S MA\n1 0 0\n2 1e4 0\n3 0 0\n4e300 0 0\n", OVERFLOW, 5),
+        # a negative frequency is refused at its line, named as written
+        (parse_csv, CSV_HEAD + "-1,0,0\n1,0,0\n2,0,0\n3,0,0\n", "negative frequency '-1'", 2),
+        (parse_csv, CSV_HEAD + "1,1,0\n -2.5 ,1,0\n3,1,0\n4,1,0\n",
+         "negative frequency '-2.5'", 3),
+        (parse_csv, CSV_HEAD + "1,x,0\n-2,1,0\n3,1,0\n4,1,0\n", "unparseable number 'x'", 2),
+        (parse_csv, CSV_HEAD + "-1,1,0\n2,1,0\n1,1,0\n4,1,0\n", "negative frequency '-1'", 2),
+        (parse_touchstone, "# Hz S RI\n-1 0 0\n1 0 0\n2 0 0\n3 0 0\n",
+         "negative frequency '-1'", 2),
+        (parse_touchstone, TS_HEAD + "1 0 0\n2 0 0\n-3e-9 0 0 ! far\n4 0 0\n",
+         "negative frequency '-3e-9'", 4),
+        (parse_touchstone, TS_HEAD + "1 0 0\n2 0\n-3 0 0\n4 0 0\n",
+         "ragged row: expected 3 values, got 2", 3),
+        (parse_touchstone, TS_HEAD + "-1\t0 0\n2 0 0\n1 0 0\n4 0 0\n",
+         "negative frequency '-1'", 2),
     ])
     def test_message_and_line(self, parse, text, message, line):
         with pytest.raises(ResponseParseError) as info:
             parse(text)
         assert info.value.line == line
         assert str(info.value) == (message if line is None else f"{message} at line {line}")
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_csv, CSV_HEAD + "0,1,0\n1,1,0\n2,1,0\n3,1,0\n"),
+        (parse_csv, CSV_HEAD + "-0.0,1,0\n1,1,0\n2,1,0\n3,1,0\n"),
+        (parse_touchstone, TS_HEAD + "0 0 0\n1 0 0\n2 0 0\n3 0 0\n"),
+        (parse_touchstone, TS_HEAD + "-0.0 0 0\n1 0 0\n2 0 0\n3 0 0\n"),
+    ])
+    def test_zero_frequency_is_accepted(self, parse, text):
+        assert parse(text).grid.freqs_hz[0] == 0.0
 
 
 ROWS_RE_IM = [(1.0, 0.5, -0.1), (2.0, 0.4, -0.0), (3.0, 0.3, 0.1), (4.0, 0.2, 0.2)]

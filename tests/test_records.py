@@ -1,4 +1,4 @@
-"""Equality and freezing of the toolkit's array-holding records.
+"""Validation, equality and freezing of the toolkit's records.
 
 Every record compares all of its dataclass fields, so a field added later
 cannot be skipped by ``==``: each record below lists a changed value for
@@ -6,12 +6,16 @@ every one of its fields, and the field list is checked against the class.
 """
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
 
-from pzid.freqresp import FrequencyGrid, FrequencyResponseSet, PortLabel
-from pzid.ratfit import PartialFractionModel, PolynomialRatioModel
+from pzid.freqresp import (FrequencyGrid, FrequencyResponseSet, PortLabel, ProbeSpec,
+                           merge_sets, slice_band)
+from pzid.netsim import Element, Netlist, TerminationPort, resistor
+from pzid.polemap import PoleMapStyle
+from pzid.ratfit import FitConfig, FitReport, PartialFractionModel, PolynomialRatioModel
 from pzid.staban import RhoMatrix
 
 
@@ -101,3 +105,71 @@ def test_array_fields_are_frozen_copies(name):
         assert inputs[field].flags.writeable, field
         inputs[field][...] = 7.0
         assert np.array_equal(getattr(built, field), arr), field
+
+
+
+_SHUNT = (resistor("r", "a", "0", 50.0),)
+
+# each rule a record or band operation enforces: a call that breaks it, and
+# the message it raises
+INVALID = [
+    (partial(FitConfig, order=-1), "order must be >= 0"),
+    (partial(FitConfig, order=2, iters=0), "iters must be in 1..100"),
+    (partial(FitConfig, order=2, iters=101), "iters must be in 1..100"),
+    (partial(FitReport, -1.0, 0.0, 0, True), "error metrics must be nonnegative"),
+    (partial(FitReport, 0.0, -1.0, 0, True), "error metrics must be nonnegative"),
+    (partial(FitReport, 0.0, 0.0, 1, False, "diverged"), "unknown fit stop 'diverged'"),
+    (partial(PolynomialRatioModel, [], [1.0], 1.0), "coefficient vectors must be nonempty 1-D"),
+    (partial(PolynomialRatioModel, [[1.0]], [1.0], 1.0),
+     "coefficient vectors must be nonempty 1-D"),
+    (partial(PolynomialRatioModel, [1.0], [0.0, 0.0], 1.0),
+     "denominator coefficients are all zero"),
+    (partial(PolynomialRatioModel, [1.0], [1.0], 0.0), "s_scale must be positive and finite"),
+    (partial(PolynomialRatioModel, [1.0], [1.0], np.inf), "s_scale must be positive and finite"),
+    (partial(PartialFractionModel, [-1.0], [[1.0, 2.0]], [0.0]),
+     "residues shape (1, 2) != (n_ports=1, n_poles=1)"),
+    (partial(PartialFractionModel, [-1.0], [[np.nan]], [0.0]), "model parameters must be finite"),
+    (partial(PartialFractionModel, [-1.0], [[1.0]], [0.0], ("a", "b")),
+     "port_names length does not match direct terms"),
+    (partial(Element, "X", "e", ("a", "0"), 1.0), "unknown element kind 'X'"),
+    (partial(Element, "G", "g", ("a", "0"), 1.0), "G element 'g' needs 4 terminals"),
+    (partial(Element, "R", "r", ("a", "0"), np.inf), "element 'r' value is not finite"),
+    (partial(Element, "C", "c", ("a", "0"), 0.0), "element 'c' value must be nonzero"),
+    (partial(Element, "L", "l", ("a", "0"), -1e-9), "element 'l' value must be positive"),
+    (partial(TerminationPort, "p", "a", 0.0), "port 'p': z0 must be positive and finite"),
+    (partial(TerminationPort, "p", "a", np.nan), "port 'p': z0 must be positive and finite"),
+    (partial(TerminationPort, "p", "a", 50.0, 1.5j), "port 'p': |gamma| must be <= 1"),
+    (partial(Netlist, _SHUNT * 2), "duplicate element names"),
+    (partial(Netlist, _SHUNT, (TerminationPort("p", "a", 50.0),) * 2), "duplicate port names"),
+    (partial(Netlist, _SHUNT, (TerminationPort("p", "b", 50.0),)),
+     "port 'p' references undeclared node 'b'"),
+    (partial(ProbeSpec, "modal"), "modal probe needs at least one node"),
+    (partial(ProbeSpec, "modal", nodes=("a", "b"), phases_deg=(0.0,)),
+     "modal node and phase lists differ in length"),
+    (partial(ProbeSpec, "bogus"), "unknown probe kind 'bogus'"),
+    (partial(PortLabel, ""), "port name must be nonempty"),
+    (partial(FrequencyResponseSet, _grid(), (), np.zeros((0, 4))),
+     "response set needs at least one port"),
+    (partial(FrequencyResponseSet, _grid(), (PortLabel("a"),) * 2, np.zeros((2, 4))),
+     "duplicate port names"),
+    (partial(RhoMatrix, np.ones((1, 2)), (-1 + 0j,), ("x",)), "rho matrix shape mismatch"),
+    (partial(RhoMatrix, [[-1.0]], (-1 + 0j,), ("x",)), "rho entries must be nonnegative"),
+    (partial(RhoMatrix, [[np.nan]], (-1 + 0j,), ("x",)), "rho entries must be nonnegative"),
+    (partial(PoleMapStyle, axis="deg"), "unknown axis mode 'deg'"),
+    (partial(slice_band, _response_set(), 3e9, 2e9),
+     "need f_lo < f_hi, got [3000000000.0, 2000000000.0]"),
+    (partial(slice_band, _response_set(), 1e9, 2e9),
+     "sub-band [1000000000.0, 2000000000.0] Hz has 2 grid points (< 4)"),
+    (partial(merge_sets, []), "nothing to merge"),
+    (partial(merge_sets, [_response_set(), dataclasses.replace(
+        _response_set(), grid=FrequencyGrid([1e9, 2e9, 3e9, 5e9]))]),
+     "sets do not share a frequency grid"),
+]
+
+
+@pytest.mark.parametrize("build, message", INVALID,
+                         ids=[build.func.__name__ for build, _ in INVALID])
+def test_invalid_input_raises_its_message(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

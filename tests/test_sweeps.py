@@ -297,3 +297,78 @@ class TestProvisoScan:
         rep = proviso_scan(passive_loop(), "out", current_probe("I"),
                            sp, PROVISO_GRID, range(2, 7), StabilityConfig())
         assert rep.n_scanned == 4
+
+
+def fail_fits_where(monkeypatch, pick):
+    """Make every sweep fit of a netlist that ``pick`` selects raise NumericError."""
+    fit = pzid.sweeps._fit_poles
+
+    def patched(net, *args):
+        if pick(net):
+            raise NumericError("injected fit failure")
+        return fit(net, *args)
+
+    monkeypatch.setattr(pzid.sweeps, "_fit_poles", patched)
+
+
+class TestFailedFits:
+    def test_locus_leaves_nan_at_a_failed_step(self, monkeypatch):
+        args = (double_resonator("B"), current_probe("B"), DOUBLE_RESONATOR_GRID, "rstab",
+                [100.0, 150.0, 200.0, 250.0, 300.0], CFG)
+        clean = trace_pole_locus(*args)
+        fail_fits_where(monkeypatch, lambda net: net.element("rstab").value == 250.0)
+        traj = trace_pole_locus(*args)
+        assert np.isnan(traj.tracks[:, 3]).all()
+        assert not np.isnan(np.delete(traj.tracks, 3, axis=1)).any()
+        assert np.array_equal(traj.tracks[:, :3], clean.tracks[:, :3])
+        # the pair crosses near 208 ohm, next to the failed step: no fit, no crossing
+        assert len(clean.crossing_events) == 2 and traj.crossing_events == ()
+
+    def test_monte_carlo_counts_a_failed_trial(self, monkeypatch):
+        args = (parallel_rlc(50.0), current_probe("n1"), TestMonteCarlo.GRID, 0.05, 4)
+        clean = monte_carlo_cloud(*args, seed=42, cfg=SweepConfig(order=2))
+        calls = iter(range(4))
+        fail_fits_where(monkeypatch, lambda net: next(calls) == 1)
+        cloud = monte_carlo_cloud(*args, seed=42, cfg=SweepConfig(order=2))
+        assert (clean.n_failed, cloud.n_failed) == (0, 1)
+        # the failed trial still draws its factors: the later trials are unchanged
+        assert cloud.points == tuple((t, p) for t, p in clean.points if t != 1)
+
+    @pytest.mark.parametrize("error", [NumericError, UsageError])
+    def test_proviso_records_a_failed_case_and_goes_on(self, monkeypatch, error):
+        args = (masked_loop(), "out", current_probe("I"), spiral_path(11, 4), PROVISO_GRID,
+                range(2, 7))
+        clean = proviso_scan(*args)
+        identify = pzid.sweeps.auto_identify
+        calls = iter(range(clean.n_scanned))
+
+        def failing(resp, orders, cfg):
+            if next(calls) == 1:  # the short-like case
+                raise error("injected")
+            return identify(resp, orders, cfg)
+
+        monkeypatch.setattr(pzid.sweeps, "auto_identify", failing)
+        rep = proviso_scan(*args)
+        assert "short-like" in {f.label for f in clean.findings} and clean.failures == ()
+        assert rep.failures == ("short-like: injected",)
+        assert rep.n_scanned == clean.n_scanned == 6
+        assert rep.findings == tuple(f for f in clean.findings if f.label != "short-like")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("tol", [0.0, -1e-4])
+    def test_threshold_tolerance_must_be_positive(self, monkeypatch, tol):
+        monkeypatch.setattr(pzid.sweeps, "_fit_poles", None)  # no fit may run
+        with pytest.raises(UsageError, match="^tol_rel must be positive$"):
+            stabilization_threshold(double_resonator("B"), current_probe("B"),
+                                    DOUBLE_RESONATOR_GRID, "rstab", 50.0, 1000.0, tol, CFG)
+
+    def test_monte_carlo_needs_a_trial(self, monkeypatch):
+        monkeypatch.setattr(pzid.sweeps, "_fit_poles", None)
+        with pytest.raises(UsageError, match="^trials must be >= 1$"):
+            monte_carlo_cloud(parallel_rlc(50.0), current_probe("n1"), TestMonteCarlo.GRID,
+                              0.05, 0, seed=1, cfg=SweepConfig(order=2))
+
+    def test_spiral_turns_must_be_nonnegative(self):
+        with pytest.raises(UsageError, match="^turns must be >= 0$"):
+            spiral_path(-1, 10)
