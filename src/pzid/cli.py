@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -47,7 +48,7 @@ def _parse_values(text):
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise UsageError(f"bad values {text!r}") from None
-    if n < 1 or hi < lo:
+    if n < 1 or not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
         raise UsageError(f"bad values {text!r}")
     if len(parts) == 4:
         if lo <= 0:

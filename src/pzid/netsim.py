@@ -45,6 +45,7 @@ __all__ = [
     "pencil_eigenvalues",
     "analytic_poles",
     "with_termination",
+    "termination_loader",
     "ground_node",
     "set_element_value",
 ]
@@ -370,35 +371,51 @@ def frequency_response(net, probe, grid, port_name=None):
     (phased unit drives) returns the voltage at its first listed node.
     """
     G, C, b, c = _pencil(net, probe)
+    out = np.empty(len(grid), dtype=complex)
+    for block, x in _solve_blocks(G, C, b[:, None], grid):
+        out[block] = x[..., 0] @ c
+    return FrequencyResponseSet(grid, (_response_label(probe, port_name),), (out,))
+
+
+def _solve_blocks(G, C, rhs, grid):
+    """Yield ``(slice, x)`` per block of grid points, x solving
+    (G + j*omega*C) x = rhs at each point of the slice.
+
+    ``rhs`` is (dim, k); x is (points, dim, k).  A right-hand side with as
+    many dimensions as the stack is read as a matrix by both NumPy 1.x and
+    2.x; a 1-D one is rejected by NumPy 1.x.
+    """
     omega = grid.omega
     dim = G.shape[0]
     step = max(1, _BLOCK_BYTES // (16 * dim * dim))
-    # A right-hand side with as many dimensions as the stack is read as a
-    # matrix by both NumPy 1.x and 2.x; a 1-D one is rejected by NumPy 1.x.
-    rhs = b[None, :, None]
-    out = np.empty(len(grid), dtype=complex)
     for lo in range(0, len(grid), step):
         A = G + (1j * omega[lo:lo + step])[:, None, None] * C
         try:
-            x = np.linalg.solve(A, rhs)[..., 0]
+            x = np.linalg.solve(A, rhs[None])
         except np.linalg.LinAlgError:
-            _raise_first_singular(A, b, grid.freqs_hz[lo:lo + step])
+            _raise_first_singular(A, rhs, grid.freqs_hz[lo:lo + step])
             raise
-        out[lo:lo + step] = x @ c
+        yield slice(lo, lo + step), x
+
+
+def _response_label(probe, port_name):
     # the default name is the descriptor with ';' between modal terms, so
     # that it can head a CSV column
     name = port_name or probe.descriptor().replace(",", ";")
-    label = PortLabel(name, probe.descriptor(), probe.response_kind)
-    return FrequencyResponseSet(grid, (label,), (out,))
+    return PortLabel(name, probe.descriptor(), probe.response_kind)
 
 
-def _raise_first_singular(A, b, freqs_hz):
+def _raise_first_singular(A, rhs, freqs_hz):
     """Name the first grid point whose MNA matrix LAPACK finds singular."""
     for a, f in zip(A, freqs_hz):
         try:
-            np.linalg.solve(a, b)
+            np.linalg.solve(a, rhs)
         except np.linalg.LinAlgError:
-            raise SingularSystemError(f"singular MNA system at {f} Hz") from None
+            raise SingularSystemError(_singular_at(f)) from None
+
+
+def _singular_at(f):
+    return f"singular MNA system at {f} Hz"
 
 
 def frequency_responses(net, probes, grid, port_names=None):
@@ -460,10 +477,41 @@ def analytic_poles(net):
 
 def ground_node(net, node):
     """Short a node to ground with an ideal constraint."""
-    if node not in net.nodes:
-        raise UsageError(f"unknown node {node!r}")
+    _check_node(net, node)
     name = _fresh_name(f"__gnd_{node}", {e.name for e in net.elements})
     return Netlist(net.elements + (Element("SHORT", name, (node, GROUND)),), net.ports)
+
+
+def _check_node(net, node):
+    if node not in net.nodes:
+        raise UsageError(f"unknown node {node!r}")
+
+
+def _termination(port, gamma, f_ref):
+    """The passive network that presents ``gamma`` at a port, as
+    ``(kind, r, value)``.
+
+    kind None is an open and 'SHORT' an ideal short; 'R' is a resistor of
+    r ohm to ground; 'L' and 'C' are an inductor or capacitor of ``value``
+    henry or farad to ground, behind a series resistor of r ohm when r > 0,
+    sized to present ``gamma`` exactly at ``f_ref``.
+    """
+    if abs(gamma) > 1.0 + 1e-12:
+        raise UsageError(f"|gamma| = {abs(gamma)} exceeds 1")
+    if gamma == 1.0:
+        return None, 0.0, 0.0
+    z = port.z0 * (1.0 + gamma) / (1.0 - gamma)
+    r, x = z.real, z.imag
+    if r < 0.0:
+        r = 0.0  # rounding; Re(Z) >= 0 holds for |gamma| <= 1
+    if abs(x) <= 1e-15 * abs(z):
+        return ("R", r, r) if r > 0.0 else ("SHORT", 0.0, 0.0)
+    if f_ref is None:
+        raise UsageError(f"complex gamma {gamma} needs f_ref to realize the reactive part")
+    w_ref = 2.0 * math.pi * f_ref
+    if x > 0.0:
+        return "L", r, x / w_ref
+    return "C", r, -1.0 / (x * w_ref)
 
 
 def with_termination(net, port_name, gamma, f_ref=None):
@@ -473,41 +521,87 @@ def with_termination(net, port_name, gamma, f_ref=None):
     A complex gamma maps to a series R-L or R-C network presenting the exact
     reflection coefficient at ``f_ref`` (required in that case); this keeps
     the pencil real and responses conjugate-symmetric, which constant
-    complex impedances cannot.
+    complex impedances cannot.  :func:`termination_loader` loads the same
+    network onto a circuit solved once.
     """
     port = net.port(port_name)
     gamma = complex(gamma)
-    if abs(gamma) > 1.0 + 1e-12:
-        raise UsageError(f"|gamma| = {abs(gamma)} exceeds 1")
+    kind, r, value = _termination(port, gamma, f_ref)
     ports = tuple(replace(p, gamma=gamma) if p.name == port_name else p for p in net.ports)
-    if gamma == 1.0:
+    if kind is None:
         return Netlist(net.elements, ports)
-    z = port.z0 * (1.0 + gamma) / (1.0 - gamma)
-    r, x = z.real, z.imag
-    if r < 0.0:
-        r = 0.0  # rounding; Re(Z) >= 0 holds for |gamma| <= 1
+    if kind == "SHORT":
+        return Netlist(ground_node(net, port.node).elements, ports)
     prefix = f"__term_{port_name}"
-    if abs(x) <= 1e-15 * abs(z):
-        if r == 0.0:
-            return Netlist(ground_node(net, port.node).elements, ports)
-        extra = (resistor(f"{prefix}_r", port.node, GROUND, r),)
-    else:
-        if f_ref is None:
-            raise UsageError(
-                f"complex gamma {gamma} needs f_ref to realize the reactive part")
-        w_ref = 2.0 * math.pi * f_ref
-        mid = f"{prefix}_m"
-        top = port.node
-        extra = []
-        if r > 0.0:
-            extra.append(resistor(f"{prefix}_r", port.node, mid, r))
-            top = mid
-        if x > 0.0:
-            extra.append(inductor(f"{prefix}_l", top, GROUND, x / w_ref))
-        else:
-            extra.append(capacitor(f"{prefix}_c", top, GROUND, -1.0 / (x * w_ref)))
-        extra = tuple(extra)
-    return Netlist(net.elements + extra, ports)
+    if kind == "R":
+        return Netlist(net.elements + (resistor(f"{prefix}_r", port.node, GROUND, r),), ports)
+    extra = []
+    top = port.node
+    if r > 0.0:
+        extra.append(resistor(f"{prefix}_r", port.node, f"{prefix}_m", r))
+        top = f"{prefix}_m"
+    extra.append(Element(kind, f"{prefix}_{kind.lower()}", (top, GROUND), value))
+    return Netlist(net.elements + tuple(extra), ports)
+
+
+def termination_loader(reference, port_name, probe, grid):
+    """Responses of every termination at a port from one solve.
+
+    ``reference`` is the circuit terminated in the port's own z0
+    (``with_termination(net, port_name, 0.0)``).  Its MNA system is solved
+    once per grid point for the probe drive b and a unit current u at the
+    port node, which gives h0 = c'x_b, t_out = c'x_u, t_in = u'x_b and the
+    port impedance z_p = u'x_u.  A termination of admittance y_L to ground
+    changes the matrix by the rank-one term dy*u*u' with dy = y_L - 1/z0,
+    so by Sherman and Morrison its response is
+
+        h = h0 - dy * t_out * t_in / (1 + dy * z_p).
+
+    The returned ``load(gamma, f_ref=None)`` evaluates it for the network
+    :func:`with_termination` would attach, with y_L = p/q written so that
+    the open (p = 0) and the short (q = 0) stay finite, and returns the
+    response set :func:`frequency_response` would give on that terminated
+    circuit.  A sample that comes out non-finite raises
+    :class:`SingularSystemError` naming its frequency.
+    """
+    port = reference.port(port_name)
+    if port.gamma != 0.0:
+        raise UsageError(f"port {port_name!r} must be terminated in its z0 (gamma 0)")
+    G, C, b, c = _pencil(reference, probe)
+    u = np.zeros(G.shape[0])
+    if port.node != GROUND:
+        u[reference.nodes.index(port.node)] = 1.0
+    readout = np.stack([c, u])
+    t = np.empty((len(grid), 2, 2), dtype=complex)
+    for block, x in _solve_blocks(G, C, np.stack([b, u], axis=1), grid):
+        t[block] = readout @ x
+    h0, t_out, t_in, z_p = t[:, 0, 0], t[:, 0, 1], t[:, 1, 0], t[:, 1, 1]
+    t_out_in = t_out * t_in
+    jw = 1j * grid.omega
+    label = _response_label(probe, None)
+
+    def load(gamma, f_ref=None):
+        kind, r, value = _termination(port, complex(gamma), f_ref)
+        if kind == "SHORT":
+            _check_node(reference, port.node)
+        if kind is None:
+            p, q = 0.0, 1.0
+        elif kind == "L":
+            p, q = 1.0, r + jw * value
+        elif kind == "C":
+            p, q = jw * value, 1.0 + jw * (r * value)
+        else:  # 'R', or 'SHORT' with r = 0
+            p, q = 1.0, r
+        # dy / (1 + dy z_p) with dy = p/q - 1/z0, multiplied through by q z0
+        dz = p * port.z0 - q
+        with np.errstate(all="ignore"):
+            h = h0 - dz / (q * port.z0 + dz * z_p) * t_out_in
+        bad = ~np.isfinite(h)
+        if bad.any():
+            raise SingularSystemError(_singular_at(grid.freqs_hz[np.argmax(bad)]))
+        return FrequencyResponseSet(grid, (label,), (h,))
+
+    return load
 
 
 def set_element_value(net, name, value):

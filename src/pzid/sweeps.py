@@ -17,7 +17,7 @@ import scipy.optimize
 
 from .errors import NumericError, UsageError
 from .netsim import (Netlist, analytic_poles, frequency_response,
-                     set_element_value, with_termination)
+                     set_element_value, termination_loader, with_termination)
 from .ratfit import FitConfig, fit_common_denominator
 from .staban import StabilityConfig, auto_identify
 
@@ -105,7 +105,8 @@ def trace_pole_locus(net, probe, grid, param, values, cfg):
     of a track's real part are localized by linear interpolation, then
     bisected against the analytic pole oracle until the crossing lies within
     0.2 % of the parameter; without a matching oracle pole the linear
-    estimate stands.
+    estimate stands.  The oracle is solved once per parameter value within
+    a call, so conjugate tracks that bisect the same interval share it.
     """
     values = [float(v) for v in values]
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -135,6 +136,13 @@ def trace_pole_locus(net, probe, grid, param, values, cfg):
             tracks[:, j] = poles[cols]
         prev_idx = j
 
+    @functools.cache
+    def oracle(v):
+        try:
+            return analytic_poles(set_element_value(net, param, v))
+        except NumericError:
+            return None
+
     crossings = []
     for track in tracks:
         for j in range(len(values) - 1):
@@ -146,29 +154,28 @@ def trace_pole_locus(net, probe, grid, param, values, cfg):
                 continue
             frac = ra / (ra - rb)
             t_lin = values[j] + frac * (values[j + 1] - values[j])
-            t_cross, p_cross = _refine_crossing(net, param, values[j], values[j + 1],
+            t_cross, p_cross = _refine_crossing(oracle, values[j], values[j + 1],
                                                 a, b, t_lin, scale)
             crossings.append((float(t_cross), complex(p_cross)))
     crossings.sort(key=lambda c: c[0])
     return PoleTrajectory(np.asarray(values), tracks, tuple(crossings))
 
 
-def _refine_crossing(net, param, v_lo, v_hi, p_lo, p_hi, t_lin, scale):
+def _refine_crossing(oracle, v_lo, v_hi, p_lo, p_hi, t_lin, scale):
     """Tighten the linear crossing estimate against the analytic oracle.
 
-    The pencil is cheap to evaluate, so bisect the sweep interval on the
-    sign of the matched analytic pole's real part until the crossing is
-    localized to 0.2 % of the parameter.  Falls back to the linear estimate
-    when no oracle pole corresponds to the fitted track.
+    ``oracle(v)`` gives the analytic poles at parameter value v, or None
+    where the pencil fails.  The pencil is cheap to evaluate, so bisect the
+    sweep interval on the sign of the matched analytic pole's real part
+    until the crossing is localized to 0.2 % of the parameter.  Falls back
+    to the linear estimate when no oracle pole corresponds to the fitted
+    track.
     """
     p_lin = p_lo + (p_hi - p_lo) * (t_lin - v_lo) / (v_hi - v_lo)
 
     def matched(v, ref):
-        try:
-            poles = analytic_poles(set_element_value(net, param, v))
-        except NumericError:
-            return None
-        if poles.size == 0:
+        poles = oracle(v)
+        if poles is None or poles.size == 0:
             return None
         p = poles[int(np.argmin(np.abs(poles - ref)))]
         return p if abs(p - ref) / scale <= 0.1 else None
@@ -336,7 +343,11 @@ def proviso_scan(net, port, probe, spiral, grid, orders, cfg=StabilityConfig()):
     Port-based stability criteria are only sufficient when no internal
     unstable loop hides from the external ports; this scan terminates the
     declared port at gamma = +r_max, -r_max and every spiral sample, running
-    the identification pipeline at an internal probe each time.
+    the identification pipeline at an internal probe each time.  The circuit
+    is solved once, terminated in z0, and every termination is loaded onto
+    that solve as a rank-one update (:func:`termination_loader`), realized
+    as :func:`with_termination` would realize it.  A reference circuit that
+    cannot be solved fails every case with the same error.
     """
     orders = list(orders)
     net.port(port)
@@ -345,13 +356,17 @@ def proviso_scan(net, port, probe, spiral, grid, orders, cfg=StabilityConfig()):
              ("short-like", complex(-spiral.r_max), None)]
     cases += [(f"h={h:.6g}", complex(g), float(h))
               for h, g in zip(spiral.h, spiral.gamma)]
+    try:
+        load = termination_loader(with_termination(net, port, 0.0), port, probe, grid)
+    except (NumericError, UsageError) as exc:
+        # a reference circuit that cannot be solved fails every case alike
+        return ProvisoReport((), tuple(f"{label}: {exc}" for label, _, _ in cases),
+                             len(cases))
     findings = []
     failures = []
     for label, gamma, h in cases:
         try:
-            terminated = with_termination(net, port, gamma, f_ref=f_ref)
-            verdict = auto_identify(frequency_response(terminated, probe, grid),
-                                    orders, cfg)
+            verdict = auto_identify(load(gamma, f_ref), orders, cfg)
         except (NumericError, UsageError) as exc:
             failures.append(f"{label}: {exc}")
             continue

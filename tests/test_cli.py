@@ -554,6 +554,14 @@ class TestArgumentErrors:
                                     "--param", "rstab", f"--values={values}",
                                     "--out", str(tmp_path / "out")], message)
 
+    @pytest.mark.parametrize("values", ["nan:400:3", "100:nan:3", "-inf:400:3", "100:inf:3",
+                                        "nan:400:3:log", "100:nan:3:log", "inf:400:3:log",
+                                        "100:inf:3:log"])
+    def test_non_finite_values_bound(self, tmp_path, capsys, dr_file, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.test_bad_values(tmp_path, capsys, dr_file, values, f"bad values {values!r}")
+
     @pytest.mark.parametrize("fstart, fstop", [("2e9", "1e9"), ("1e9", "1e9")])
     def test_fstart_must_be_below_fstop(self, tmp_path, capsys, net_file, fstart, fstop):
         self.run(capsys, tmp_path, ["synth", "--netlist", net_file, "--probe", "inode:n1",

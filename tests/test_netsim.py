@@ -1,17 +1,21 @@
+import cmath
+
 import numpy as np
 import pytest
 
-from fixtures import parallel_rlc, random_oracle_net, series_rlc_loop, oracle_grid
+from fixtures import (oracle_grid, parallel_rlc, random_oracle_net, series_rlc_loop,
+                      two_stage)
 from pzid import netsim
 from pzid.cli import dispatch
 from pzid.errors import ParseError, UsageError
 from pzid.freqresp import FrequencyGrid, ResponseParseError
 from pzid.netsim import (Netlist, NetlistParseError, SingularSystemError,
                          TerminationPort, analytic_poles, capacitor, current_probe,
-                         frequency_response, ground_node, modal_probe,
+                         frequency_response, ground_node, inductor, modal_probe,
                          parse_netlist, parse_probe, parse_value,
                          pencil_eigenvalues, resistor, set_element_value,
-                         vccs, voltage_probe, with_termination)
+                         termination_loader, vccs, voltage_probe,
+                         with_termination)
 
 GRID = FrequencyGrid(np.linspace(1e9, 9e9, 50))
 
@@ -279,6 +283,98 @@ class TestTerminations:
     def test_unknown_port(self):
         with pytest.raises(KeyError):
             with_termination(self.net(), "nope", 0.0)
+
+
+LOADS = [1.0, -1.0, 0.0, 0.999, -0.999, 0.3 - 0.4j, -0.19 + 0.83j, cmath.exp(2j)]
+
+
+def vccs_net():
+    """Unilateral VCCS coupling: not reciprocal, so t_in differs from t_out."""
+    return Netlist(two_stage().elements, ports=(TerminationPort("out", "n2", 50.0),))
+
+
+def two_port_net():
+    """Two declared ports; only "out" is terminated, "in" stays bare."""
+    return parse_netlist("R rs a 0 60\nC c1 a 0 1p\nL l1 a b 2n\nC c2 b 0 0.5p\n"
+                         "R rl b 0 200\nL lb b 0 5n\nPORT in a 50\nPORT out b 75\n")
+
+
+class TestTerminationLoader:
+    """One z0-terminated solve gives every termination's response."""
+
+    @staticmethod
+    def loaded(net, port, probe, grid):
+        return termination_loader(with_termination(net, port, 0.0), port, probe, grid)
+
+    @pytest.mark.parametrize("net, probes", [
+        (vccs_net, ["inode:n1", "inode:n2", "vbranch:r1", "vbranch:rneg",
+                    "modal:n1@0,n2@90"]),
+        (two_port_net, ["inode:a", "inode:b", "vbranch:l1", "vbranch:rl",
+                        "modal:a@0,b@180"])])
+    @pytest.mark.parametrize("gamma", LOADS)
+    def test_matches_the_terminated_netlist(self, net, probes, gamma):
+        net = net()
+        for text in probes:
+            probe = parse_probe(text)
+            want = frequency_response(with_termination(net, "out", gamma, 3e9), probe, GRID)
+            got = self.loaded(net, "out", probe, GRID)(gamma, 3e9)
+            assert got.ports == want.ports
+            # a short at the probed node reads exact zeros; compare to the z0 response
+            matched = frequency_response(with_termination(net, "out", 0.0), probe, GRID)
+            scale = np.max(np.abs(matched.values))
+            np.testing.assert_allclose(got.values, want.values, rtol=1e-12,
+                                       atol=1e-12 * scale)
+
+    def test_port_on_ground_loads_nothing(self):
+        net = Netlist(parallel_rlc(50.0).elements, ports=(TerminationPort("g", "0", 50.0),))
+        bare = frequency_response(net, current_probe("n1"), GRID)
+        load = self.loaded(net, "g", current_probe("n1"), GRID)
+        for gamma in (g for g in LOADS if g != -1.0):
+            assert load(gamma, 3e9) == bare
+            assert frequency_response(with_termination(net, "g", gamma, 3e9),
+                                      current_probe("n1"), GRID) == bare
+        for make in (lambda: load(-1.0), lambda: with_termination(net, "g", -1.0)):
+            with pytest.raises(UsageError, match="^unknown node '0'$"):
+                make()
+
+    def test_dc_on_a_capacitor_only_node_is_singular_for_every_load(self):
+        net = Netlist(vccs_net().elements + (capacitor("cx", "x", "0", 1e-12),
+                                             capacitor("cxc", "x", "n1", 1e-12)),
+                      vccs_net().ports)
+        grid = FrequencyGrid(np.linspace(0.0, 9e9, 20))
+        for gamma in LOADS:
+            with pytest.raises(SingularSystemError, match=r"^singular MNA system at 0\.0 Hz$"):
+                frequency_response(with_termination(net, "out", gamma, 3e9),
+                                   current_probe("n1"), grid)
+        with pytest.raises(SingularSystemError, match=r"^singular MNA system at 0\.0 Hz$"):
+            self.loaded(net, "out", current_probe("n1"), grid)
+
+    def test_non_finite_sample_is_singular_at_its_frequency(self):
+        # the port node floats at DC once its z0 is removed
+        net = Netlist((capacitor("cp", "P", "0", 1e-12), capacitor("cc", "P", "I", 1e-12),
+                       inductor("l1", "I", "0", 1e-9), resistor("r1", "I", "0", 100.0)),
+                      ports=(TerminationPort("out", "P", 50.0),))
+        grid = FrequencyGrid(np.linspace(0.0, 9e9, 10))
+        load = self.loaded(net, "out", current_probe("P"), grid)
+        for make in (lambda: load(1.0),
+                     lambda: frequency_response(with_termination(net, "out", 1.0),
+                                                current_probe("P"), grid)):
+            with pytest.raises(SingularSystemError, match=r"^singular MNA system at 0\.0 Hz$"):
+                make()
+
+    def test_gamma_errors_match_with_termination(self):
+        load = self.loaded(vccs_net(), "out", current_probe("n1"), GRID)
+        with pytest.raises(UsageError, match=r"^\|gamma\| = 1\.5 exceeds 1$"):
+            load(1.5)
+        with pytest.raises(UsageError, match="needs f_ref"):
+            load(0.3 + 0.4j)
+
+    def test_reference_must_carry_z0(self):
+        with pytest.raises(UsageError, match="gamma 0"):
+            termination_loader(vccs_net(), "out", current_probe("n1"), GRID)
+        with pytest.raises(UsageError, match="gamma 0"):
+            termination_loader(with_termination(vccs_net(), "out", 0.5), "out",
+                               current_probe("n1"), GRID)
 
 
 class TestZeroOracleIdentity:

@@ -6,7 +6,8 @@ from fixtures import (DOUBLE_RESONATOR_GRID, PROVISO_GRID, double_resonator,
                       masked_loop, parallel_rlc, passive_loop)
 from pzid.errors import NumericError, UsageError
 from pzid.freqresp import FrequencyGrid
-from pzid.netsim import (analytic_poles, current_probe, set_element_value,
+from pzid.netsim import (Netlist, TerminationPort, analytic_poles, capacitor,
+                         current_probe, frequency_response, set_element_value,
                          with_termination)
 from pzid.staban import StabilityConfig
 from pzid.sweeps import (SweepConfig, monte_carlo_cloud, proviso_scan,
@@ -90,6 +91,23 @@ class TestPoleLocus:
         with pytest.raises(UsageError):
             trace_pole_locus(double_resonator("B"), current_probe("B"),
                              DOUBLE_RESONATOR_GRID, "rstab", [10.0, 5.0], CFG)
+
+    def test_oracle_solved_once_per_value(self, monkeypatch):
+        solved = []
+
+        def counting(net):
+            solved.append(net.element("rstab").value)
+            return analytic_poles(net)
+
+        args = (double_resonator("B"), current_probe("B"), DOUBLE_RESONATOR_GRID, "rstab",
+                [100.0, 150.0, 200.0, 250.0, 300.0], CFG)
+        clean = trace_pole_locus(*args)
+        monkeypatch.setattr(pzid.sweeps, "analytic_poles", counting)
+        traj = trace_pole_locus(*args)
+        # both tracks of the conjugate pair bisect the same interval
+        assert len(traj.crossing_events) == 2
+        assert solved and len(solved) == len(set(solved))
+        assert traj.crossing_events == clean.crossing_events
 
 
 class TestStabilizationThreshold:
@@ -291,6 +309,58 @@ class TestProvisoScan:
         rep = proviso_scan(*args, (n for n in range(2, 7)), StabilityConfig())
         assert rep.failures == () and rep.findings
         assert rep == proviso_scan(*args, range(2, 7), StabilityConfig())
+
+    @staticmethod
+    def scan_per_case(monkeypatch, net, *args):
+        """The scan with one terminated netlist and one solve per case."""
+        def per_case(reference, port, probe, grid):
+            return lambda gamma, f_ref=None: frequency_response(
+                with_termination(net, port, gamma, f_ref), probe, grid)
+
+        with monkeypatch.context() as m:
+            m.setattr(pzid.sweeps, "termination_loader", per_case)
+            return proviso_scan(net, *args)
+
+    @staticmethod
+    def assert_same_findings(got, want):
+        assert (got.failures, got.n_scanned) == (want.failures, want.n_scanned)
+        assert [(f.label, f.gamma, f.h, len(f.poles)) for f in got.findings] == \
+            [(f.label, f.gamma, f.h, len(f.poles)) for f in want.findings]
+        for f, g in zip(got.findings, want.findings):
+            np.testing.assert_allclose(f.poles, g.poles, rtol=1e-12)
+
+    @pytest.mark.parametrize("r_max", [0.999, 1.0])
+    def test_loaded_scan_matches_per_case_scan(self, monkeypatch, r_max):
+        # demo 05's circuit and scan; r_max = 1 makes the corners an exact open and short
+        args = ("out", current_probe("I"), spiral_path(11, 40, r_max), PROVISO_GRID,
+                range(2, 7))
+        got = proviso_scan(masked_loop(), *args)
+        want = self.scan_per_case(monkeypatch, masked_loop(), *args)
+        assert len(want.findings) > 10 and want.failures == ()
+        self.assert_same_findings(got, want)
+
+    def test_port_on_ground_fails_only_the_exact_short(self, monkeypatch):
+        net = Netlist(masked_loop().elements, ports=(TerminationPort("out", "0", 50.0),))
+        args = ("out", current_probe("I"), spiral_path(11, 6, 1.0), PROVISO_GRID, range(2, 7))
+        got = proviso_scan(net, *args)
+        assert got.failures == ("short-like: unknown node '0'",)
+        self.assert_same_findings(got, self.scan_per_case(monkeypatch, net, *args))
+
+    def test_dc_singular_circuit_fails_every_case_alike(self, monkeypatch):
+        net = Netlist(masked_loop().elements + (capacitor("cx", "x", "0", 1e-12),),
+                      masked_loop().ports)
+        args = ("out", current_probe("I"), spiral_path(11, 6),
+                FrequencyGrid(np.linspace(0.0, 12e9, 300)), range(2, 7))
+        got = proviso_scan(net, *args)
+        assert got.n_scanned == 8 and len(got.failures) == 8
+        assert all(f.endswith(": singular MNA system at 0.0 Hz") for f in got.failures)
+        assert got == self.scan_per_case(monkeypatch, net, *args)
+
+    def test_unknown_probe_node_fails_every_case_alike(self, monkeypatch):
+        args = ("out", current_probe("nowhere"), spiral_path(11, 4), PROVISO_GRID, range(2, 7))
+        got = proviso_scan(masked_loop(), *args)
+        assert got.failures[0] == "open-like: probe references unknown node 'nowhere'"
+        assert got == self.scan_per_case(monkeypatch, masked_loop(), *args)
 
     def test_single_sample_spiral_is_matched_case(self):
         sp = spiral_path(11, 2)
