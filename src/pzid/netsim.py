@@ -46,6 +46,7 @@ __all__ = [
     "analytic_poles",
     "with_termination",
     "termination_loader",
+    "element_loader",
     "ground_node",
     "set_element_value",
 ]
@@ -267,12 +268,40 @@ def _fresh_name(base, taken):
 def _pencil(net, probe=None):
     """Real MNA matrices G, C with the probe's drive b and readout c.
 
+    See :func:`_assemble`, which also gives each element's stamp vectors.
+    """
+    return _assemble(net, probe)[:4]
+
+
+# How an element's value w enters the pencil: as y(w) * u v' in C when the
+# flag is set (so times j*omega in G + j*omega*C), else in G.  An inductor's
+# branch row reads v(a) - v(b) - j*omega*L*i = 0.
+_VALUE_STAMP = {
+    "R": (False, lambda w: 1.0 / w),
+    "C": (True, lambda w: w),
+    "L": (True, lambda w: -w),
+    "G": (False, lambda w: w),
+}
+
+
+def _assemble(net, probe=None):
+    """Real MNA matrices G, C with the probe's drive b and readout c, and
+    the stamp vectors of every element that has a value.
+
     A voltage probe splices its element onto a fresh ``__probe`` node (a
     name the netlist does not use) and appends an ordinary SHORT from there
     to the element's first node; b and c pick that short's branch current,
     the last unknown.  A current probe is a one-node modal drive at 0
     degrees: b holds a unit current of each drive node's phase and c reads
     the first drive node.
+
+    Every element of value w is stamped as one rank-one term y(w) * u v'
+    (``_VALUE_STAMP``): u = v = e_a - e_b for R and C, u = v = the branch
+    row's unit vector for L, and u = e_out+ - e_out-, v = e_in+ - e_in- for
+    a VCCS, ground rows left out.  The fifth item maps each such element's
+    index in ``net.elements`` to its ``(u, v)``, on the nodes a voltage
+    probe's splice gives it, each vector as its ``(row, sign)`` entries
+    (:func:`_vector` makes it dense).
     """
     nodes = list(net.nodes)
     elements = list(net.elements)
@@ -294,38 +323,37 @@ def _pencil(net, probe=None):
     G = np.zeros((dim, dim))
     C = np.zeros((dim, dim))
 
-    def node(n):
-        return None if n == GROUND else node_idx[n]
+    def incidence(plus, minus):
+        entries = []
+        if plus != GROUND:
+            entries.append((node_idx[plus], 1.0))
+        if minus != GROUND:
+            entries.append((node_idx[minus], -1.0))
+        return entries
 
+    stamps = {}
     for i, e in enumerate(elements):
-        if e.kind == "R":
-            g = 1.0 / e.value
-            _stamp_admittance(G, node(e.nodes[0]), node(e.nodes[1]), g)
-        elif e.kind == "C":
-            _stamp_admittance(C, node(e.nodes[0]), node(e.nodes[1]), e.value)
-        elif e.kind in ("L", "SHORT"):
+        if e.kind in ("L", "SHORT"):
             # branch row: v(a) - v(b) = L di/dt, or 0 for a short; an
             # inductor's current flows a -> b, a short's is delivered out of a
             bi = branch_idx[i]
-            a, b = node(e.nodes[0]), node(e.nodes[1])
             kcl = 1.0 if e.kind == "L" else -1.0
-            if a is not None:
-                G[a, bi] += kcl
-                G[bi, a] += 1.0
-            if b is not None:
-                G[b, bi] -= kcl
-                G[bi, b] -= 1.0
-            if e.kind == "L":
-                C[bi, bi] -= e.value
+            for row, sign in incidence(*e.nodes):
+                G[row, bi] += sign * kcl
+                G[bi, row] += sign
+            if e.kind == "SHORT":
+                continue
+            u = v = [(bi, 1.0)]
         elif e.kind == "G":
-            op, on, ip, in_ = (node(n) for n in e.nodes)
-            for orow, sign in ((op, 1.0), (on, -1.0)):
-                if orow is None:
-                    continue
-                if ip is not None:
-                    G[orow, ip] += sign * e.value
-                if in_ is not None:
-                    G[orow, in_] -= sign * e.value
+            u, v = incidence(*e.nodes[:2]), incidence(*e.nodes[2:])
+        else:
+            u = v = incidence(*e.nodes)
+        reactive, y = _VALUE_STAMP[e.kind]
+        M, w = (C if reactive else G), y(e.value)
+        for row, su in u:
+            for col, sv in v:
+                M[row, col] += su * sv * w
+        stamps[i] = (u, v)
 
     b_vec = np.zeros(dim, dtype=complex)
     c_vec = np.zeros(dim)
@@ -339,17 +367,15 @@ def _pencil(net, probe=None):
                 raise UsageError(f"probe references unknown node {n!r}")
             b_vec[node_idx[n]] += cmath.exp(1j * math.radians(ph))
         c_vec[node_idx[drives[0][0]]] = 1.0
-    return G, C, b_vec, c_vec
+    return G, C, b_vec, c_vec, stamps
 
 
-def _stamp_admittance(M, a, b, y):
-    if a is not None:
-        M[a, a] += y
-    if b is not None:
-        M[b, b] += y
-    if a is not None and b is not None:
-        M[a, b] -= y
-        M[b, a] -= y
+def _vector(entries, dim):
+    """Dense vector of a stamp's ``(row, sign)`` entries."""
+    w = np.zeros(dim)
+    for row, sign in entries:
+        w[row] += sign
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -544,25 +570,56 @@ def with_termination(net, port_name, gamma, f_ref=None):
     return Netlist(net.elements + tuple(extra), ports)
 
 
+def _rank_one(G, C, b, c, u, v, grid, label):
+    """The reference pencil solved once for a later rank-one change.
+
+    (G + j*omega*C) x = rhs is solved once per grid point for the probe
+    drive b and for u, which gives h0 = c'x_b, t_out = c'x_u, t_in = v'x_b
+    and z = v'x_u.  Once the matrix gains the term delta * u v', Sherman and
+    Morrison give the probe's response as
+
+        h = h0 - delta * t_out * t_in / (1 + delta * z).
+
+    Returns z and ``respond(gain)``, the response set of
+    h = h0 - gain * t_out * t_in for gain = delta / (1 + delta * z); a
+    sample that comes out non-finite raises :class:`SingularSystemError`
+    naming its frequency.
+    """
+    readout = np.stack([c, v])
+    t = np.empty((len(grid), 2, 2), dtype=complex)
+    for block, x in _solve_blocks(G, C, np.stack([b, u], axis=1), grid):
+        t[block] = readout @ x
+    h0, t_out, t_in, z = t[:, 0, 0], t[:, 0, 1], t[:, 1, 0], t[:, 1, 1]
+    t_out_in = t_out * t_in
+
+    def respond(gain):
+        h = h0 - gain * t_out_in
+        bad = ~np.isfinite(h)
+        if bad.any():
+            raise SingularSystemError(_singular_at(grid.freqs_hz[np.argmax(bad)]))
+        return FrequencyResponseSet(grid, (label,), (h,))
+
+    return z, respond
+
+
 def termination_loader(reference, port_name, probe, grid):
     """Responses of every termination at a port from one solve.
 
     ``reference`` is the circuit terminated in the port's own z0
-    (``with_termination(net, port_name, 0.0)``).  Its MNA system is solved
-    once per grid point for the probe drive b and a unit current u at the
-    port node, which gives h0 = c'x_b, t_out = c'x_u, t_in = u'x_b and the
-    port impedance z_p = u'x_u.  A termination of admittance y_L to ground
-    changes the matrix by the rank-one term dy*u*u' with dy = y_L - 1/z0,
-    so by Sherman and Morrison its response is
+    (``with_termination(net, port_name, 0.0)``).  A termination of
+    admittance y_L to ground changes its MNA matrix by the rank-one term
+    dy * u u', with u the port node's unit vector and dy = y_L - 1/z0, so
+    :func:`_rank_one` solves the reference once and gives each response as
 
-        h = h0 - dy * t_out * t_in / (1 + dy * z_p).
+        h = h0 - dy * t_out * t_in / (1 + dy * z_p),
 
-    The returned ``load(gamma, f_ref=None)`` evaluates it for the network
-    :func:`with_termination` would attach, with y_L = p/q written so that
-    the open (p = 0) and the short (q = 0) stay finite, and returns the
-    response set :func:`frequency_response` would give on that terminated
-    circuit.  A sample that comes out non-finite raises
-    :class:`SingularSystemError` naming its frequency.
+    z_p being the port impedance.  The returned ``load(gamma, f_ref=None)``
+    evaluates it for the network :func:`with_termination` would attach,
+    with y_L = p/q written so that the open (p = 0) and the short (q = 0)
+    stay finite, and returns the response set :func:`frequency_response`
+    would give on that terminated circuit.  A reference that cannot be
+    solved raises :class:`SingularSystemError` here; a loaded sample that
+    comes out non-finite raises it naming its frequency.
     """
     port = reference.port(port_name)
     if port.gamma != 0.0:
@@ -571,14 +628,8 @@ def termination_loader(reference, port_name, probe, grid):
     u = np.zeros(G.shape[0])
     if port.node != GROUND:
         u[reference.nodes.index(port.node)] = 1.0
-    readout = np.stack([c, u])
-    t = np.empty((len(grid), 2, 2), dtype=complex)
-    for block, x in _solve_blocks(G, C, np.stack([b, u], axis=1), grid):
-        t[block] = readout @ x
-    h0, t_out, t_in, z_p = t[:, 0, 0], t[:, 0, 1], t[:, 1, 0], t[:, 1, 1]
-    t_out_in = t_out * t_in
+    z_p, respond = _rank_one(G, C, b, c, u, u, grid, _response_label(probe, None))
     jw = 1j * grid.omega
-    label = _response_label(probe, None)
 
     def load(gamma, f_ref=None):
         kind, r, value = _termination(port, complex(gamma), f_ref)
@@ -595,11 +646,54 @@ def termination_loader(reference, port_name, probe, grid):
         # dy / (1 + dy z_p) with dy = p/q - 1/z0, multiplied through by q z0
         dz = p * port.z0 - q
         with np.errstate(all="ignore"):
-            h = h0 - dz / (q * port.z0 + dz * z_p) * t_out_in
-        bad = ~np.isfinite(h)
-        if bad.any():
-            raise SingularSystemError(_singular_at(grid.freqs_hz[np.argmax(bad)]))
-        return FrequencyResponseSet(grid, (label,), (h,))
+            return respond(dz / (q * port.z0 + dz * z_p))
+
+    return load
+
+
+def element_loader(net, name, probe, grid):
+    """Responses of every value of one element from one solve.
+
+    The netlist is solved as it stands, and the element's value w0 enters
+    its pencil as y(w0) * u v' (see :func:`_assemble`).  A value w changes
+    G + j*omega*C by the rank-one term delta * u v', with delta = 1/w - 1/w0
+    for a resistor, j*omega*(w - w0) for a capacitor, -j*omega*(w - w0) for
+    an inductor (on its branch row) and w - w0 for a VCCS, so
+    :func:`_rank_one` solves the netlist once and gives each response as
+
+        h = h0 - delta * t_out * t_in / (1 + delta * z).
+
+    The returned ``load(value)`` gives the response set
+    :func:`frequency_response` would give on
+    ``set_element_value(net, name, value)``, and refuses the values it
+    refuses with the same ``ValueError``.  A SHORT has no value and is
+    refused with :class:`UsageError`.  A loaded sample that comes out
+    non-finite raises :class:`SingularSystemError` naming its frequency, and
+    a netlist that cannot be solved as it stands fails every value with
+    that one error.
+    """
+    element = net.element(name)
+    if element.kind == "SHORT":
+        raise UsageError(f"element {name!r} is a SHORT and has no value to sweep")
+    G, C, b, c, stamps = _assemble(net, probe)
+    u, v = (_vector(entries, G.shape[0]) for entries in stamps[net.elements.index(element)])
+    reactive, y = _VALUE_STAMP[element.kind]
+    y0 = y(element.value)
+    jw = 1j * grid.omega
+    try:
+        z, respond = _rank_one(G, C, b, c, u, v, grid, _response_label(probe, None))
+    except SingularSystemError as exc:
+        failure = str(exc)
+    else:
+        failure = None
+
+    def load(value):
+        w = replace(element, value=float(value)).value
+        if failure is not None:
+            raise SingularSystemError(failure)
+        with np.errstate(all="ignore"):
+            delta = jw * (y(w) - y0) if reactive else y(w) - y0
+            return respond(delta / (1.0 + delta * z))
 
     return load
 

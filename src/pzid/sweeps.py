@@ -16,7 +16,7 @@ import numpy as np
 import scipy.optimize
 
 from .errors import NumericError, UsageError
-from .netsim import (Netlist, analytic_poles, frequency_response,
+from .netsim import (Netlist, analytic_poles, element_loader, frequency_response,
                      set_element_value, termination_loader, with_termination)
 from .ratfit import FitConfig, fit_common_denominator
 from .staban import StabilityConfig, auto_identify
@@ -77,16 +77,15 @@ class SpiralPath:
     gamma: np.ndarray
 
 
-def _fit_poles(net, probe, grid, cfg):
-    """Fitted poles restricted to the analyzed band.
+def _fit_poles(resp, cfg):
+    """Poles fitted to a response, restricted to the analyzed band.
 
     Fitted poles far outside the swept band are extrapolation artifacts of
     the over-specified order, not circuit dynamics; they are dropped here so
     sweep decisions (crossings, thresholds, margins) stay meaningful.
     """
-    resp = frequency_response(net, probe, grid)
     model, _ = fit_common_denominator(resp, cfg)
-    keep = np.abs(model.poles) <= 3.0 * float(np.max(grid.omega))
+    keep = np.abs(model.poles) <= 3.0 * float(np.max(resp.grid.omega))
     return model.poles[keep]
 
 
@@ -100,6 +99,12 @@ def _match_order(prev, new, scale):
 def trace_pole_locus(net, probe, grid, param, values, cfg):
     """Fit poles at each parameter value and join them into tracks.
 
+    The netlist is solved once, and each value is loaded onto that solve as
+    a rank-one update (:func:`element_loader`).  A step whose load or fit
+    fails is left NaN; a netlist that cannot be solved as it stands fails
+    every step alike.  A SHORT has no value to sweep and is refused with
+    :class:`UsageError`.
+
     Matching across consecutive steps uses minimum-total-distance assignment
     in the complex plane scaled by the band's angular width.  Sign changes
     of a track's real part are localized by linear interpolation, then
@@ -111,13 +116,13 @@ def trace_pole_locus(net, probe, grid, param, values, cfg):
     values = [float(v) for v in values]
     if any(b <= a for a, b in zip(values, values[1:])):
         raise UsageError("parameter values must be ascending")
-    net.element(param)
+    load = element_loader(net, param, probe, grid)
     scale = float(np.max(grid.omega) - np.min(grid.omega)) or float(np.max(grid.omega))
 
     pole_sets = []
     for v in values:
         try:
-            poles = _fit_poles(set_element_value(net, param, v), probe, grid, cfg)
+            poles = _fit_poles(load(v), cfg)
         except NumericError:
             poles = None
         pole_sets.append(poles)
@@ -205,19 +210,23 @@ def stabilization_threshold(net, probe, grid, param, lo, hi, tol_rel, cfg):
     Requires opposite stability at the bracket ends.  Brent's method on the
     largest fitted real part keeps a sign-change bracket and returns a value
     within tol_rel/2 * |value| of the fitted crossing (or as tight as floats
-    allow, for tol_rel below 8.9e-16).  The result is verified against the
-    analytic pole oracle of the patched netlist; disagreement raises rather
-    than returning a silently wrong threshold.
+    allow, for tol_rel below 8.9e-16).  Each value is fitted on a rank-one
+    load of one solve of the netlist (:func:`element_loader`), so a netlist
+    that cannot be solved as it stands, or a load that fails, raises
+    :class:`NumericError`; a SHORT is refused with :class:`UsageError`.  The
+    result is verified against the analytic pole oracle of the patched
+    netlist; disagreement raises rather than returning a silently wrong
+    threshold.
     """
     if not (lo < hi):
         raise UsageError("need lo < hi")
     if tol_rel <= 0:
         raise UsageError("tol_rel must be positive")
-    net.element(param)
+    load = element_loader(net, param, probe, grid)
 
     @functools.cache  # brentq's first calls reuse the bracket-end fits
     def max_re(v):
-        poles = _fit_poles(set_element_value(net, param, v), probe, grid, cfg)
+        poles = _fit_poles(load(v), cfg)
         if poles.size == 0:
             raise NumericError(f"no poles fitted at {param}={v}")
         return float(np.max(poles.real))
@@ -278,7 +287,7 @@ def monte_carlo_cloud(net, probe, grid, sigma, trials, seed, cfg):
         patched = Netlist(tuple(replace(e, value=e.value * f)
                                 for e, f in zip(net.elements, factors)), net.ports)
         try:
-            poles = _fit_poles(patched, probe, grid, cfg)
+            poles = _fit_poles(frequency_response(patched, probe, grid), cfg)
         except NumericError:
             n_failed += 1
             continue

@@ -112,6 +112,18 @@ def passive_loop():
 PROVISO_GRID = FrequencyGrid(np.linspace(0.5e9, 12e9, 300))
 
 
+def dc_singular_net(gm=0.0):
+    """2 ohm, 1 pF and a VCCS of gm on its own voltage at node x, which an
+    inductor ties to a capacitor at y: gm = -0.5 leaves x no conductance to
+    ground at 0 Hz, and the poles cross into the RHP below it."""
+    return Netlist((resistor("rx", "x", "0", 2.0), capacitor("cx", "x", "0", 1e-12),
+                    inductor("lx", "x", "y", 1e-9), capacitor("cy", "y", "0", 1e-12),
+                    vccs("gx", "x", "0", "x", "0", gm)))
+
+
+DC_SINGULAR_GRID = FrequencyGrid(np.linspace(0.0, 12e9, 200))
+
+
 # ---------------------------------------------------------------------------
 # random partial-fraction models (rational round-trip suite)
 

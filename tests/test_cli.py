@@ -14,6 +14,7 @@ import pytest
 from fixtures import sample_model, wideband_model
 from pzid import cli, netsim, staban, sweeps
 from pzid.cli import dispatch
+from pzid.errors import NumericError
 from pzid.freqresp import FrequencyGrid, emit_csv, parse_csv
 from pzid.ratfit import FitConfig, PartialFractionModel, save_model
 
@@ -613,10 +614,20 @@ class TestSweepTables:
         net = tmp_path / "dr.cir"
         net.write_text(DOUBLE_RESONATOR)
         out = tmp_path / "locus.csv"
-        # a fit that keeps no pole at 350 ohm leaves a NaN step on every track
-        fit = sweeps._fit_poles
-        monkeypatch.setattr(sweeps, "_fit_poles", lambda n, *a: (
-            fit(n, *a) if n.element("rstab").value != 350.0 else np.zeros(0, complex)))
+        # a value that fails to load at 350 ohm leaves a NaN step on every track
+        loader = sweeps.element_loader
+
+        def failing_at_350(*args):
+            load = loader(*args)
+
+            def failing(value):
+                if value == 350.0:
+                    raise NumericError("injected load failure")
+                return load(value)
+
+            return failing
+
+        monkeypatch.setattr(sweeps, "element_loader", failing_at_350)
         assert dispatch(["locus", "--netlist", str(net), "--probe", "inode:B",
                          "--param", "rstab", "--values", "100:400:7", "--order", "4",
                          "--fstart", "0.3e9", "--fstop", "8e9", "--out", str(out)]) == 0

@@ -3,8 +3,8 @@ import cmath
 import numpy as np
 import pytest
 
-from fixtures import (oracle_grid, parallel_rlc, random_oracle_net, series_rlc_loop,
-                      two_stage)
+from fixtures import (DC_SINGULAR_GRID, dc_singular_net, oracle_grid, parallel_rlc,
+                      random_oracle_net, series_rlc_loop, two_stage)
 from pzid import netsim
 from pzid.cli import dispatch
 from pzid.errors import ParseError, UsageError
@@ -13,9 +13,9 @@ from pzid.netsim import (Netlist, NetlistParseError, SingularSystemError,
                          TerminationPort, analytic_poles, capacitor, current_probe,
                          frequency_response, ground_node, inductor, modal_probe,
                          parse_netlist, parse_probe, parse_value,
-                         pencil_eigenvalues, resistor, set_element_value,
-                         termination_loader, vccs, voltage_probe,
-                         with_termination)
+                         element_loader, pencil_eigenvalues, resistor,
+                         set_element_value, termination_loader, vccs,
+                         voltage_probe, with_termination)
 
 GRID = FrequencyGrid(np.linspace(1e9, 9e9, 50))
 
@@ -375,6 +375,96 @@ class TestTerminationLoader:
         with pytest.raises(UsageError, match="gamma 0"):
             termination_loader(with_termination(vccs_net(), "out", 0.5), "out",
                                current_probe("n1"), GRID)
+
+
+def element_net():
+    """Every kind of valued element, floating ones included; g1's output and
+    input pairs share node a, and g0 starts at gm = 0."""
+    return parse_netlist("R r1 a 0 60\nC c1 a 0 1p\nL l1 a b 2n\nC cab a b 0.3p\n"
+                         "R rab a b 500\nC c2 b 0 0.5p\nR rl b 0 200\nL lb b 0 5n\n"
+                         "G g1 b a a 0 5m\nG g0 a 0 b 0 0\n")
+
+
+class TestElementLoader:
+    """One solve of a netlist gives the response of every value of one element."""
+
+    PROBES = ["inode:a", "inode:b", "modal:a@0,b@90", "vbranch:rab", "vbranch:l1"]
+
+    @pytest.mark.parametrize("name, values", [
+        ("r1", [-45.0, -300.0, 30.0, 1e4]),  # negative values included
+        ("rab", [1.0, -800.0, 5e5]),
+        ("c1", [2e-13, 3e-12]),
+        ("cab", [1e-14, 2e-12]),
+        ("l1", [5e-10, 1e-8]),
+        ("lb", [1e-9, 5e-8]),
+        ("g1", [0.0, -0.02, 0.01]),
+        ("g0", [0.003, -0.01, 0.0]),
+    ])
+    def test_matches_the_edited_netlist(self, name, values):
+        net = element_net()
+        probes = self.PROBES + ([f"vbranch:{name}"] if name[0] in "rlc" else [])
+        for text in probes:
+            probe = parse_probe(text)
+            load = element_loader(net, name, probe, GRID)
+            for value in values:
+                want = frequency_response(set_element_value(net, name, value), probe, GRID)
+                got = load(value)
+                assert got.ports == want.ports
+                np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=0.0)
+
+    def test_vbranch_on_the_swept_element_follows_the_splice(self):
+        # the probe re-nodes rstab onto __probe; a stamp on its netlist nodes
+        # would load the wrong pair
+        net = parse_netlist("C c1 B 0 1p\nL l1 B 0 1n\nR rneg B 0 -200\nR rstab B 0 1M\n")
+        probe = voltage_probe("rstab")
+        load = element_loader(net, "rstab", probe, GRID)
+        for value in (10.0, 207.0, 1e3):
+            want = frequency_response(set_element_value(net, "rstab", value), probe, GRID)
+            np.testing.assert_allclose(load(value).values, want.values, rtol=1e-12, atol=0.0)
+
+    def test_short_has_no_value(self):
+        net = ground_node(parallel_rlc(50.0), "n1")
+        with pytest.raises(UsageError, match="^element '__gnd_n1' is a SHORT and has no value"):
+            element_loader(net, "__gnd_n1", current_probe("n1"), GRID)
+
+    def test_unknown_element(self):
+        with pytest.raises(KeyError, match="no element named 'nope'"):
+            element_loader(element_net(), "nope", current_probe("a"), GRID)
+
+    @pytest.mark.parametrize("name, value", [
+        ("r1", 0.0), ("c1", 0.0), ("c1", -1e-12), ("l1", -1e-9), ("l1", 0.0),
+        ("r1", float("inf")), ("g1", float("nan")), ("cab", "1p"),
+    ])
+    def test_value_errors_match_set_element_value(self, name, value):
+        net = element_net()
+        load = element_loader(net, name, current_probe("a"), GRID)
+        with pytest.raises(ValueError) as want:
+            set_element_value(net, name, value)
+        with pytest.raises(ValueError) as got:
+            load(value)
+        assert str(got.value) == str(want.value)
+
+    def test_non_finite_sample_is_singular_at_its_frequency(self):
+        grid = DC_SINGULAR_GRID
+        net = dc_singular_net()
+        load = element_loader(net, "gx", current_probe("x"), grid)
+        for make in (lambda: load(-0.5),
+                     lambda: frequency_response(set_element_value(net, "gx", -0.5),
+                                                current_probe("x"), grid)):
+            with pytest.raises(SingularSystemError, match=r"^singular MNA system at 0\.0 Hz$"):
+                make()
+        assert np.isfinite(load(-0.4).values).all()
+
+    def test_unsolvable_netlist_fails_every_value_alike(self):
+        grid = DC_SINGULAR_GRID
+        net = dc_singular_net(-0.5)
+        load = element_loader(net, "gx", current_probe("x"), grid)
+        for value in (-0.4, 0.0, 1.0):
+            frequency_response(set_element_value(net, "gx", value), current_probe("x"), grid)
+            with pytest.raises(SingularSystemError, match=r"^singular MNA system at 0\.0 Hz$"):
+                load(value)
+        with pytest.raises(ValueError, match="not finite"):
+            load(float("nan"))
 
 
 class TestZeroOracleIdentity:

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 import pzid.sweeps
-from fixtures import (DOUBLE_RESONATOR_GRID, PROVISO_GRID, double_resonator,
-                      masked_loop, parallel_rlc, passive_loop)
+from fixtures import (DC_SINGULAR_GRID, DOUBLE_RESONATOR_GRID, PROVISO_GRID,
+                      dc_singular_net, double_resonator, masked_loop, parallel_rlc,
+                      passive_loop)
 from pzid.errors import NumericError, UsageError
 from pzid.freqresp import FrequencyGrid
-from pzid.netsim import (Netlist, TerminationPort, analytic_poles, capacitor,
-                         current_probe, frequency_response, set_element_value,
-                         with_termination)
+from pzid.netsim import (Netlist, SingularSystemError, TerminationPort, analytic_poles,
+                         capacitor, current_probe, frequency_response, ground_node,
+                         set_element_value, voltage_probe, with_termination)
 from pzid.staban import StabilityConfig
 from pzid.sweeps import (SweepConfig, monte_carlo_cloud, proviso_scan,
                          spiral_path, stabilization_threshold,
@@ -138,7 +139,7 @@ class TestStabilizationThreshold:
                                       DOUBLE_RESONATOR_GRID, param, lo, hi, tol, CFG)
         expect = oracle_threshold(net, param, lo, hi)
         assert abs(got - expect) / abs(expect) < tol
-        assert len(calls) <= 8
+        assert 1 <= len(calls) <= 8
 
     def test_tolerance_below_float_floor(self):
         def run(tol):
@@ -181,6 +182,76 @@ class TestStabilizationThreshold:
             stabilization_threshold(net, current_probe("A"),
                                     DOUBLE_RESONATOR_GRID, "rstab",
                                     10.0, 1e6, 1e-4, CFG)
+
+
+def per_value_loader(net, name, probe, grid):
+    """What the element loader replaces: an edit and a solve per value."""
+    net.element(name)
+    return lambda value: frequency_response(set_element_value(net, name, value), probe, grid)
+
+
+class TestLoadedSweeps:
+    """Locus and threshold fit rank-one loads of one solve; an edit and a
+    solve per value is the reference."""
+
+    @pytest.mark.parametrize("net, probe, param, values", [
+        (double_resonator("B"), current_probe("B"), "rstab", np.geomspace(10.0, 1e6, 13)),
+        (double_resonator("B"), voltage_probe("rstab"), "rstab", np.geomspace(50.0, 1e3, 9)),
+        (double_resonator("B"), current_probe("A"), "rneg", np.linspace(-8000.0, -3000.0, 8)),
+        (double_resonator("B", 300.0), current_probe("B"), "c1", np.geomspace(0.5e-12, 2e-12, 7)),
+        (double_resonator("B", 300.0), voltage_probe("l1"), "l1", np.geomspace(0.5e-9, 2e-9, 7)),
+        (dc_singular_net(), current_probe("x"), "gx", np.linspace(-0.53, -0.47, 7)),
+    ])
+    def test_locus_matches_per_value_solves(self, monkeypatch, net, probe, param, values):
+        grid = DC_SINGULAR_GRID if param == "gx" else DOUBLE_RESONATOR_GRID
+        cfg = SweepConfig(order=3, iters=15) if param == "gx" else CFG
+        loaded = trace_pole_locus(net, probe, grid, param, values, cfg)
+        monkeypatch.setattr(pzid.sweeps, "element_loader", per_value_loader)
+        solved = trace_pole_locus(net, probe, grid, param, values, cfg)
+        assert loaded.crossing_events == solved.crossing_events
+        np.testing.assert_allclose(loaded.tracks, solved.tracks, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("probe, param, lo, hi, tol", [
+        (current_probe("B"), "rstab", 50.0, 1000.0, 1e-4),
+        (voltage_probe("rstab"), "rstab", 50.0, 1000.0, 1e-8),
+        (current_probe("B"), "rneg", -1e4, -100.0, 1e-2),
+    ])
+    def test_threshold_matches_per_value_solves(self, monkeypatch, probe, param, lo, hi, tol):
+        args = (double_resonator("B"), probe, DOUBLE_RESONATOR_GRID, param, lo, hi, tol, CFG)
+        loaded = stabilization_threshold(*args)
+        monkeypatch.setattr(pzid.sweeps, "element_loader", per_value_loader)
+        assert loaded == pytest.approx(stabilization_threshold(*args), rel=1e-10, abs=0.0)
+
+    def test_a_short_has_no_value_to_sweep(self, monkeypatch):
+        monkeypatch.setattr(pzid.sweeps, "_fit_poles", None)  # no fit may run
+        net = ground_node(double_resonator("B"), "A")
+        with pytest.raises(UsageError, match="'__gnd_A' is a SHORT and has no value"):
+            trace_pole_locus(net, current_probe("B"), DOUBLE_RESONATOR_GRID, "__gnd_A",
+                             [1.0, 2.0], CFG)
+        with pytest.raises(UsageError, match="'__gnd_A' is a SHORT and has no value"):
+            stabilization_threshold(net, current_probe("B"), DOUBLE_RESONATOR_GRID,
+                                    "__gnd_A", 1.0, 2.0, 1e-2, CFG)
+
+    def test_singular_sample_leaves_its_locus_step_nan(self):
+        # gm = -0.5 leaves node x no conductance at 0 Hz
+        traj = trace_pole_locus(dc_singular_net(), current_probe("x"), DC_SINGULAR_GRID,
+                                "gx", [-0.52, -0.5, -0.47], SweepConfig(order=3, iters=15))
+        assert traj.tracks.shape == (3, 3)
+        assert np.isnan(traj.tracks[:, 1]).all()
+        assert not np.isnan(np.delete(traj.tracks, 1, axis=1)).any()
+
+    def test_unsolvable_netlist_fails_every_value(self):
+        # the netlist as it stands is singular at 0 Hz, though every swept value is not
+        args = (dc_singular_net(-0.5), current_probe("x"), DC_SINGULAR_GRID, "gx")
+        cfg = SweepConfig(order=3, iters=15)
+        traj = trace_pole_locus(*args, [-0.52, -0.47, -0.45], cfg)
+        assert traj.tracks.shape == (0, 3) and traj.crossing_events == ()
+        with pytest.raises(SingularSystemError, match=r"^singular MNA system at 0\.0 Hz$"):
+            stabilization_threshold(*args, -0.52, -0.47, 1e-2, cfg)
+        # moved off the singular value, the same sweep runs
+        moved = set_element_value(args[0], "gx", 0.0)
+        assert np.isfinite(trace_pole_locus(moved, *args[1:], [-0.52, -0.47, -0.45],
+                                            cfg).tracks).all()
 
 
 class TestMonteCarlo:
@@ -370,15 +441,32 @@ class TestProvisoScan:
 
 
 def fail_fits_where(monkeypatch, pick):
-    """Make every sweep fit of a netlist that ``pick`` selects raise NumericError."""
+    """Make every sweep fit of a response that ``pick`` selects raise NumericError."""
     fit = pzid.sweeps._fit_poles
 
-    def patched(net, *args):
-        if pick(net):
+    def patched(resp, cfg):
+        if pick(resp):
             raise NumericError("injected fit failure")
-        return fit(net, *args)
+        return fit(resp, cfg)
 
     monkeypatch.setattr(pzid.sweeps, "_fit_poles", patched)
+
+
+def fail_loads_where(monkeypatch, pick):
+    """Make every swept element value that ``pick`` selects fail to load."""
+    loader = pzid.sweeps.element_loader
+
+    def patched(*args):
+        load = loader(*args)
+
+        def failing(value):
+            if pick(value):
+                raise NumericError("injected load failure")
+            return load(value)
+
+        return failing
+
+    monkeypatch.setattr(pzid.sweeps, "element_loader", patched)
 
 
 class TestFailedFits:
@@ -386,7 +474,7 @@ class TestFailedFits:
         args = (double_resonator("B"), current_probe("B"), DOUBLE_RESONATOR_GRID, "rstab",
                 [100.0, 150.0, 200.0, 250.0, 300.0], CFG)
         clean = trace_pole_locus(*args)
-        fail_fits_where(monkeypatch, lambda net: net.element("rstab").value == 250.0)
+        fail_loads_where(monkeypatch, lambda value: value == 250.0)
         traj = trace_pole_locus(*args)
         assert np.isnan(traj.tracks[:, 3]).all()
         assert not np.isnan(np.delete(traj.tracks, 3, axis=1)).any()
