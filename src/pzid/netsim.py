@@ -581,9 +581,10 @@ def _rank_one(G, C, b, c, u, v, grid, label):
         h = h0 - delta * t_out * t_in / (1 + delta * z).
 
     Returns z and ``respond(gain)``, the response set of
-    h = h0 - gain * t_out * t_in for gain = delta / (1 + delta * z); a
-    sample that comes out non-finite raises :class:`SingularSystemError`
-    naming its frequency.
+    h = h0 - gain * t_out * t_in for gain = delta / (1 + delta * z).  Both
+    loaders fail alike: a reference that cannot be solved raises
+    :class:`SingularSystemError` here, when the loader is built, and a
+    loaded sample that comes out non-finite raises it naming its frequency.
     """
     readout = np.stack([c, v])
     t = np.empty((len(grid), 2, 2), dtype=complex)
@@ -617,9 +618,8 @@ def termination_loader(reference, port_name, probe, grid):
     evaluates it for the network :func:`with_termination` would attach,
     with y_L = p/q written so that the open (p = 0) and the short (q = 0)
     stay finite, and returns the response set :func:`frequency_response`
-    would give on that terminated circuit.  A reference that cannot be
-    solved raises :class:`SingularSystemError` here; a loaded sample that
-    comes out non-finite raises it naming its frequency.
+    would give on that terminated circuit.  Solve failures are those of
+    :func:`_rank_one`.
     """
     port = reference.port(port_name)
     if port.gamma != 0.0:
@@ -654,8 +654,8 @@ def termination_loader(reference, port_name, probe, grid):
 def element_loader(net, name, probe, grid):
     """Responses of every value of one element from one solve.
 
-    The netlist is solved as it stands, and the element's value w0 enters
-    its pencil as y(w0) * u v' (see :func:`_assemble`).  A value w changes
+    The netlist is the reference, and the element's value w0 enters its
+    pencil as y(w0) * u v' (see :func:`_assemble`).  A value w changes
     G + j*omega*C by the rank-one term delta * u v', with delta = 1/w - 1/w0
     for a resistor, j*omega*(w - w0) for a capacitor, -j*omega*(w - w0) for
     an inductor (on its branch row) and w - w0 for a VCCS, so
@@ -663,34 +663,27 @@ def element_loader(net, name, probe, grid):
 
         h = h0 - delta * t_out * t_in / (1 + delta * z).
 
-    The returned ``load(value)`` gives the response set
+    The update loses digits to cancellation when a load shrinks the
+    response far below the reference's, so a sweep should set w0 inside its
+    range.  The returned ``load(value)`` gives the response set
     :func:`frequency_response` would give on
     ``set_element_value(net, name, value)``, and refuses the values it
     refuses with the same ``ValueError``.  A SHORT has no value and is
-    refused with :class:`UsageError`.  A loaded sample that comes out
-    non-finite raises :class:`SingularSystemError` naming its frequency, and
-    a netlist that cannot be solved as it stands fails every value with
-    that one error.
+    refused with :class:`UsageError`.  Solve failures are those of
+    :func:`_rank_one`.
     """
     element = net.element(name)
     if element.kind == "SHORT":
         raise UsageError(f"element {name!r} is a SHORT and has no value to sweep")
     G, C, b, c, stamps = _assemble(net, probe)
     u, v = (_vector(entries, G.shape[0]) for entries in stamps[net.elements.index(element)])
+    z, respond = _rank_one(G, C, b, c, u, v, grid, _response_label(probe, None))
     reactive, y = _VALUE_STAMP[element.kind]
     y0 = y(element.value)
     jw = 1j * grid.omega
-    try:
-        z, respond = _rank_one(G, C, b, c, u, v, grid, _response_label(probe, None))
-    except SingularSystemError as exc:
-        failure = str(exc)
-    else:
-        failure = None
 
     def load(value):
         w = replace(element, value=float(value)).value
-        if failure is not None:
-            raise SingularSystemError(failure)
         with np.errstate(all="ignore"):
             delta = jw * (y(w) - y0) if reactive else y(w) - y0
             return respond(delta / (1.0 + delta * z))

@@ -89,6 +89,20 @@ def _fit_poles(resp, cfg):
     return model.poles[keep]
 
 
+def _value_loader(net, probe, grid, param, ref):
+    """``load(v)``, the response with ``param`` at v, from one solve at ``ref``.
+
+    The rank-one update of :func:`element_loader` loses digits on loads far
+    from its reference, so ``ref`` lies inside the sweep.  Where the circuit
+    at ``ref`` cannot be solved, each value is solved on its own, so a
+    value still fails only by itself.
+    """
+    try:
+        return element_loader(set_element_value(net, param, ref), param, probe, grid)
+    except NumericError:
+        return lambda v: frequency_response(set_element_value(net, param, v), probe, grid)
+
+
 def _match_order(prev, new, scale):
     """Assignment of new poles to previous ones, minimizing total distance."""
     cost = np.abs(prev[:, None] - new[None, :]) / scale
@@ -99,11 +113,10 @@ def _match_order(prev, new, scale):
 def trace_pole_locus(net, probe, grid, param, values, cfg):
     """Fit poles at each parameter value and join them into tracks.
 
-    The netlist is solved once, and each value is loaded onto that solve as
-    a rank-one update (:func:`element_loader`).  A step whose load or fit
-    fails is left NaN; a netlist that cannot be solved as it stands fails
-    every step alike.  A SHORT has no value to sweep and is refused with
-    :class:`UsageError`.
+    The circuit is solved once, with the element at the middle value, and
+    each value is loaded onto that solve as a rank-one update
+    (:func:`_value_loader`).  A step whose load or fit fails is left NaN.
+    A SHORT has no value to sweep and is refused with :class:`UsageError`.
 
     Matching across consecutive steps uses minimum-total-distance assignment
     in the complex plane scaled by the band's angular width.  Sign changes
@@ -116,7 +129,8 @@ def trace_pole_locus(net, probe, grid, param, values, cfg):
     values = [float(v) for v in values]
     if any(b <= a for a, b in zip(values, values[1:])):
         raise UsageError("parameter values must be ascending")
-    load = element_loader(net, param, probe, grid)
+    middle = values[len(values) // 2] if values else net.element(param).value
+    load = _value_loader(net, probe, grid, param, middle)
     scale = float(np.max(grid.omega) - np.min(grid.omega)) or float(np.max(grid.omega))
 
     pole_sets = []
@@ -211,18 +225,20 @@ def stabilization_threshold(net, probe, grid, param, lo, hi, tol_rel, cfg):
     largest fitted real part keeps a sign-change bracket and returns a value
     within tol_rel/2 * |value| of the fitted crossing (or as tight as floats
     allow, for tol_rel below 8.9e-16).  Each value is fitted on a rank-one
-    load of one solve of the netlist (:func:`element_loader`), so a netlist
-    that cannot be solved as it stands, or a load that fails, raises
-    :class:`NumericError`; a SHORT is refused with :class:`UsageError`.  The
-    result is verified against the analytic pole oracle of the patched
-    netlist; disagreement raises rather than returning a silently wrong
-    threshold.
+    load of one solve (:func:`_value_loader`), made with the element at the
+    bracket's middle, or at lo where lo and hi differ in sign.  A load or
+    fit that fails raises :class:`NumericError`; a SHORT is refused with
+    :class:`UsageError`.  The result is verified against the analytic pole
+    oracle of the patched netlist; disagreement raises rather than
+    returning a silently wrong threshold.
     """
     if not (lo < hi):
         raise UsageError("need lo < hi")
     if tol_rel <= 0:
         raise UsageError("tol_rel must be positive")
-    load = element_loader(net, param, probe, grid)
+    # a resistor has no 0 ohm, so a bracket that spans zero solves at lo
+    ref = lo if (lo > 0) != (hi > 0) else 0.5 * lo + 0.5 * hi
+    load = _value_loader(net, probe, grid, param, ref)
 
     @functools.cache  # brentq's first calls reuse the bracket-end fits
     def max_re(v):

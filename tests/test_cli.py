@@ -14,7 +14,6 @@ import pytest
 from fixtures import sample_model, wideband_model
 from pzid import cli, netsim, staban, sweeps
 from pzid.cli import dispatch
-from pzid.errors import NumericError
 from pzid.freqresp import FrequencyGrid, emit_csv, parse_csv
 from pzid.ratfit import FitConfig, PartialFractionModel, save_model
 
@@ -614,20 +613,24 @@ class TestSweepTables:
         net = tmp_path / "dr.cir"
         net.write_text(DOUBLE_RESONATOR)
         out = tmp_path / "locus.csv"
-        # a value that fails to load at 350 ohm leaves a NaN step on every track
-        loader = sweeps.element_loader
+        # a fit that keeps no pole at 350 ohm leaves a NaN step on every track
+        loader, fit = sweeps.element_loader, sweeps._fit_poles
+        at_350 = []
 
-        def failing_at_350(*args):
+        def recording(*args):
             load = loader(*args)
 
-            def failing(value):
+            def recorded(value):
+                resp = load(value)
                 if value == 350.0:
-                    raise NumericError("injected load failure")
-                return load(value)
+                    at_350.append(resp)
+                return resp
 
-            return failing
+            return recorded
 
-        monkeypatch.setattr(sweeps, "element_loader", failing_at_350)
+        monkeypatch.setattr(sweeps, "element_loader", recording)
+        monkeypatch.setattr(sweeps, "_fit_poles", lambda resp, cfg: (
+            np.zeros(0, complex) if any(resp is r for r in at_350) else fit(resp, cfg)))
         assert dispatch(["locus", "--netlist", str(net), "--probe", "inode:B",
                          "--param", "rstab", "--values", "100:400:7", "--order", "4",
                          "--fstart", "0.3e9", "--fstop", "8e9", "--out", str(out)]) == 0

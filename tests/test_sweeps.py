@@ -198,6 +198,8 @@ class TestLoadedSweeps:
         (double_resonator("B"), current_probe("B"), "rstab", np.geomspace(10.0, 1e6, 13)),
         (double_resonator("B"), voltage_probe("rstab"), "rstab", np.geomspace(50.0, 1e3, 9)),
         (double_resonator("B"), current_probe("A"), "rneg", np.linspace(-8000.0, -3000.0, 8)),
+        # far from the netlist's -200 ohm, where a reference there lost digits
+        (double_resonator("B"), voltage_probe("rneg"), "rneg", -np.geomspace(1e4, 200.0, 9)),
         (double_resonator("B", 300.0), current_probe("B"), "c1", np.geomspace(0.5e-12, 2e-12, 7)),
         (double_resonator("B", 300.0), voltage_probe("l1"), "l1", np.geomspace(0.5e-9, 2e-9, 7)),
         (dc_singular_net(), current_probe("x"), "gx", np.linspace(-0.53, -0.47, 7)),
@@ -222,6 +224,13 @@ class TestLoadedSweeps:
         monkeypatch.setattr(pzid.sweeps, "element_loader", per_value_loader)
         assert loaded == pytest.approx(stabilization_threshold(*args), rel=1e-10, abs=0.0)
 
+    def test_resistor_bracket_spanning_zero_solves_at_lo(self):
+        # its middle is 0 ohm, which no resistor takes; Brent then closes on
+        # the jump at 0 ohm, which the oracle refuses as it does per value
+        with pytest.raises(NumericError, match="not confirmed by the analytic oracle"):
+            stabilization_threshold(double_resonator("B"), current_probe("B"),
+                                    DOUBLE_RESONATOR_GRID, "rneg", -1000.0, 1000.0, 1e-6, CFG)
+
     def test_a_short_has_no_value_to_sweep(self, monkeypatch):
         monkeypatch.setattr(pzid.sweeps, "_fit_poles", None)  # no fit may run
         net = ground_node(double_resonator("B"), "A")
@@ -233,25 +242,30 @@ class TestLoadedSweeps:
                                     "__gnd_A", 1.0, 2.0, 1e-2, CFG)
 
     def test_singular_sample_leaves_its_locus_step_nan(self):
-        # gm = -0.5 leaves node x no conductance at 0 Hz
-        traj = trace_pole_locus(dc_singular_net(), current_probe("x"), DC_SINGULAR_GRID,
-                                "gx", [-0.52, -0.5, -0.47], SweepConfig(order=3, iters=15))
-        assert traj.tracks.shape == (3, 3)
+        # gm = -0.5 leaves node x no conductance at 0 Hz; the netlist's own
+        # value is that one, but the sweep solves at its middle value
+        traj = trace_pole_locus(dc_singular_net(-0.5), current_probe("x"), DC_SINGULAR_GRID,
+                                "gx", [-0.52, -0.5, -0.47, -0.45],
+                                SweepConfig(order=3, iters=15))
+        assert traj.tracks.shape == (3, 4)
         assert np.isnan(traj.tracks[:, 1]).all()
         assert not np.isnan(np.delete(traj.tracks, 1, axis=1)).any()
 
-    def test_unsolvable_netlist_fails_every_value(self):
-        # the netlist as it stands is singular at 0 Hz, though every swept value is not
-        args = (dc_singular_net(-0.5), current_probe("x"), DC_SINGULAR_GRID, "gx")
+    def test_unsolvable_reference_falls_back_to_per_value_solves(self, monkeypatch):
+        # the locus solves at its middle value and the threshold at its
+        # bracket's middle, here the singular gm = -0.5; only that value fails
+        args = (dc_singular_net(), current_probe("x"), DC_SINGULAR_GRID, "gx")
         cfg = SweepConfig(order=3, iters=15)
-        traj = trace_pole_locus(*args, [-0.52, -0.47, -0.45], cfg)
-        assert traj.tracks.shape == (0, 3) and traj.crossing_events == ()
-        with pytest.raises(SingularSystemError, match=r"^singular MNA system at 0\.0 Hz$"):
-            stabilization_threshold(*args, -0.52, -0.47, 1e-2, cfg)
-        # moved off the singular value, the same sweep runs
-        moved = set_element_value(args[0], "gx", 0.0)
-        assert np.isfinite(trace_pole_locus(moved, *args[1:], [-0.52, -0.47, -0.45],
-                                            cfg).tracks).all()
+        loaded = trace_pole_locus(*args, [-0.52, -0.5, -0.47], cfg)
+        assert loaded.tracks.shape == (3, 3)
+        assert np.isnan(loaded.tracks[:, 1]).all()
+        assert not np.isnan(np.delete(loaded.tracks, 1, axis=1)).any()
+        threshold = stabilization_threshold(*args, -0.75, -0.25, 1e-6, cfg)
+        monkeypatch.setattr(pzid.sweeps, "element_loader", per_value_loader)
+        solved = trace_pole_locus(*args, [-0.52, -0.5, -0.47], cfg)
+        np.testing.assert_array_equal(loaded.tracks, solved.tracks)
+        assert loaded.crossing_events == solved.crossing_events
+        assert threshold == stabilization_threshold(*args, -0.75, -0.25, 1e-6, cfg)
 
 
 class TestMonteCarlo:
