@@ -15,6 +15,7 @@ poles are read as a stability verdict.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, replace
@@ -181,7 +182,7 @@ class PartialFractionModel:
         d = np.array(self.direct, dtype=float).reshape(-1)  # a copy, as p and r are
         if r.shape != (d.size, p.size):
             raise ValueError(f"residues shape {r.shape} != (n_ports={d.size}, n_poles={p.size})")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(r)) and np.all(np.isfinite(d))):
+        if not (np.isfinite(p).all() and np.isfinite(r).all() and np.isfinite(d).all()):
             raise ValueError("model parameters must be finite")
         names = tuple(self.port_names) or tuple(f"p{i + 1}" for i in range(d.size))
         if len(names) != d.size:
@@ -262,11 +263,11 @@ def _canonical_pf(poles, residues):
     order, n_real = _canonical_order(poles)
     new_p = poles[order]
     new_r = residues[:, order]
-    bad = np.flatnonzero(np.any(new_r[:, :n_real].imag != 0.0, axis=0))
+    bad = np.flatnonzero((new_r[:, :n_real].imag != 0.0).any(axis=0))
     if bad.size:
         raise ValueError(f"real pole {new_p[bad[0]]} has a complex residue")
     reps, mates = new_r[:, n_real::2], new_r[:, n_real + 1::2]
-    bad = np.flatnonzero(np.any(mates != np.conj(reps), axis=0))
+    bad = np.flatnonzero((mates != np.conj(reps)).any(axis=0))
     if bad.size:
         p = new_p[n_real + 2 * bad[0]]
         raise ValueError(f"residues at conjugate poles {p}, {np.conj(p)} are not conjugate")
@@ -282,12 +283,29 @@ def _canonical_pf(poles, residues):
 _POLE_GUARD = 1e-300
 
 
-def _eval_pf(model, port_idx, s):
-    s = np.asarray(s, dtype=complex)
-    delta = s[..., None] - model.poles
-    if np.any(np.abs(delta) < _POLE_GUARD):
+def _eval_pfs(poles, residues, direct, s):
+    """A batch of partial-fraction models at the points s, term by term.
+
+    ``poles`` is (K, n), ``residues`` (K, P, n) and ``direct`` (K, P) for K
+    models of P response rows each.  Returns the (K, P, m) values and which
+    models have a point within ``_POLE_GUARD`` of a pole; those models'
+    values are not meaningful.
+    """
+    delta = s[:, None] - poles[:, None, :]
+    at_pole = (np.abs(delta) < _POLE_GUARD).any(axis=(1, 2))
+    if at_pole.any():
+        delta[at_pole] = 1.0  # keeps their division from raising floating-point warnings
+    values = (residues[:, :, None, :] / delta[:, None]).sum(axis=-1) + direct[:, :, None]
+    return values, at_pole
+
+
+def _eval_pf(model, rows, s):
+    """The model's response ``rows`` (port indices) at the points s."""
+    values, at_pole = _eval_pfs(model.poles[None], model.residues[None, rows],
+                                model.direct[None, rows], np.asarray(s, dtype=complex))
+    if at_pole[0]:
         raise NumericError("evaluation at a pole frequency")
-    return np.sum(model.residues[port_idx] / delta, axis=-1) + model.direct[port_idx]
+    return values[0]
 
 
 def _eval_poly(model, s_raw):
@@ -309,12 +327,23 @@ def evaluate_model(model, grid, port=None):
     s = 1j * grid.omega
     if isinstance(model, PolynomialRatioModel):
         return _eval_poly(model, s)
-    return _eval_pf(model, model.port_index(port), s)
+    return _eval_pf(model, [model.port_index(port)], s)[0]
 
 
 def _wrapped_phase_deg(h_fit, h_ref):
     ratio_phase = np.angle(h_fit * np.conj(h_ref))
     return np.degrees(np.abs(ratio_phase))
+
+
+def _fit_errors(fits, values):
+    """:func:`fit_error`'s two metrics for a batch: the model values
+    ``fits`` against the data ``values``, both (K, P, m).  Returns the K rms
+    relative errors and the K worst wrapped phase errors."""
+    scale = np.abs(values).max(axis=-1)
+    scale[scale == 0.0] = 1.0
+    rel_sq = ((np.abs(fits - values) / scale[..., None]) ** 2).reshape(len(fits), -1)
+    rms = np.sqrt(rel_sq.sum(axis=1) / rel_sq.shape[1])  # np.mean's sum and division
+    return rms, _wrapped_phase_deg(fits, values).max(axis=(1, 2))
 
 
 def fit_error(model, resp):
@@ -327,18 +356,11 @@ def fit_error(model, resp):
     if isinstance(model, PolynomialRatioModel):
         if resp.n_ports != 1:
             raise UsageError("polynomial model is single-port")
-        fits = [_eval_poly(model, s)]
+        fits = _eval_poly(model, s)[None]
     else:
-        fits = [_eval_pf(model, model.port_index(p.name), s) for p in resp.ports]
-    rel_sq = []
-    phase = []
-    for h, h_fit in zip(resp.values, fits):
-        scale = float(np.max(np.abs(h))) or 1.0
-        rel_sq.append((np.abs(h_fit - h) / scale) ** 2)
-        phase.append(_wrapped_phase_deg(h_fit, h))
-    rms = float(np.sqrt(np.mean(np.concatenate(rel_sq))))
-    return FitReport(rms_rel_error=rms,
-                     max_phase_err_deg=float(np.max(np.concatenate(phase))),
+        fits = _eval_pf(model, [model.port_index(p.name) for p in resp.ports], s)
+    rms, phase = _fit_errors(fits[None], resp.values[None])
+    return FitReport(rms_rel_error=float(rms[0]), max_phase_err_deg=float(phase[0]),
                      iters_used=0, converged=True)
 
 
@@ -453,51 +475,90 @@ def _initial_poles(n, w):
     return poles
 
 
-def _pf_basis(poles, s):
-    """Real-coefficient partial-fraction basis columns at sample points."""
-    n_real = _n_real(poles)
-    phi = np.empty((s.size, poles.size), dtype=complex)
+def _layouts(n_real):
+    """A batch's pole sets grouped by how many real poles they hold, given
+    each set's count: (n_real, rows) pairs, with rows a slice over the whole
+    batch when every set holds the same number."""
+    if n_real.count(n_real[0]) == len(n_real):
+        return [(n_real[0], slice(None))]
+    rows = {}
+    for j, count in enumerate(n_real):
+        rows.setdefault(count, []).append(j)
+    return list(rows.items())
+
+
+def _by_layout(layouts, build):
+    """The batch array whose rows ``build(rows, n_real)`` gives for each
+    group of ``_layouts``."""
+    if len(layouts) == 1:
+        n_real, rows = layouts[0]
+        return build(rows, n_real)
+    parts = [(rows, build(rows, n_real)) for n_real, rows in layouts]
+    out = np.empty((sum(len(rows) for rows, _ in parts),) + parts[0][1].shape[1:],
+                   dtype=parts[0][1].dtype)
+    for rows, part in parts:
+        out[rows] = part
+    return out
+
+
+def _pf_basis(poles, s, n_real=None):
+    """Real-coefficient partial-fraction basis columns at sample points:
+    (m, n) for one pole set, or (K, m, n) for a batch (K, n) of sets that
+    each hold ``n_real`` real poles."""
+    n_real = _n_real(poles) if n_real is None else n_real
+    n = poles.shape[-1]
+    phi = np.empty(poles.shape[:-1] + (s.size, n), dtype=complex)
+    # 1/(s - p) over the samples, one pole or pair at a time: a whole-matrix
+    # form runs up to 2x slower.  A pair's second pole is conj p exactly.
+    p = poles[..., None]
     for i in range(n_real):
-        phi[:, i] = 1.0 / (s - poles[i])
-    for i in range(n_real, poles.size, 2):
-        u = 1.0 / (s - poles[i])
-        v = 1.0 / (s - np.conj(poles[i]))
-        phi[:, i] = u + v
-        phi[:, i + 1] = 1j * (u - v)
+        phi[..., i] = 1.0 / (s - p[..., i, :])
+    for i in range(n_real, n, 2):
+        inv = 1.0 / (s - p[..., i:i + 2, :])
+        u, v = inv[..., 0, :], inv[..., 1, :]
+        phi[..., i] = u + v
+        phi[..., i + 1] = 1j * (u - v)
     return phi
 
 
-def _coeffs_to_residues(poles, x):
-    """Map real solution coefficients back to complex residues per pole."""
-    n_real = _n_real(poles)
+def _coeffs_to_residues(poles, x, n_real=None):
+    """Map real solution coefficients back to complex residues per pole.
+
+    The last axis of ``x`` runs over the poles; a batch of rows shares one
+    ``n_real``."""
+    n_real = _n_real(poles) if n_real is None else n_real
     r = np.array(x, dtype=complex)
-    r[n_real::2] = x[n_real::2] + 1j * x[n_real + 1::2]
-    r[n_real + 1::2] = np.conj(r[n_real::2])
+    r[..., n_real::2] = x[..., n_real::2] + 1j * x[..., n_real + 1::2]
+    r[..., n_real + 1::2] = np.conj(r[..., n_real::2])
     return r
 
 
-def _real_realization(poles, residues=None):
+def _real_realization(poles, residues=None, n_real=None):
     """Real block-diagonal realization (A, b, c) of sum_k r_k / (s - p_k).
 
     A real pole is a 1x1 block with b = 1 and c = r; a conjugate pair is the
     2x2 block [[Re p, Im p], [-Im p, Re p]] with b = (2, 0) and
     c = (Re r, Im r), both read off the Im > 0 member.  Without residues,
-    c is zero.
+    c is zero.  A batch (K, n) of pole sets that each hold ``n_real`` real
+    poles gives a batch of realizations.
     """
-    n_real = _n_real(poles)
-    n = poles.size
-    r = np.zeros(n) if residues is None else residues
-    amat = np.diag(poles.real)
-    # each pair block's off-diagonal entries lie on the diagonals of the
-    # (even, odd) and (odd, even) sub-grids of the pair rows and columns
-    pairs = amat[n_real:, n_real:]
-    np.fill_diagonal(pairs[::2, 1::2], poles.imag[n_real::2])
-    np.fill_diagonal(pairs[1::2, ::2], -poles.imag[n_real::2])
-    bvec = np.zeros(n)
-    bvec[:n_real] = 1.0
-    bvec[n_real::2] = 2.0
+    n_real = _n_real(poles) if n_real is None else n_real
+    n = poles.shape[-1]
+    r = np.zeros(poles.shape) if residues is None else residues
+    amat = np.zeros(poles.shape + (n,))
+    # A's entry (i, j) is entry i n + j of its flat view: the diagonal is
+    # every (n + 1)-th entry, and a pair's off-diagonal entries (h, h + 1)
+    # and (h + 1, h) are h (n + 1) + 1 and h (n + 1) + n, for each head h
+    flat = amat.reshape(poles.shape[:-1] + (n * n,))
+    first = n_real * (n + 1)  # the first head's diagonal entry
+    flat[..., ::n + 1] = poles.real
+    flat[..., first + 1::2 * (n + 1)] = poles.imag[..., n_real::2]
+    flat[..., first + n::2 * (n + 1)] = -poles.imag[..., n_real::2]
+    bvec = np.zeros(poles.shape)
+    bvec[..., :n_real] = 1.0
+    bvec[..., n_real::2] = 2.0
     cvec = r.real.copy()
-    cvec[n_real + 1::2] = r.imag[n_real::2]
+    cvec[..., n_real + 1::2] = r.imag[..., n_real::2]
     return amat, bvec, cvec
 
 
@@ -533,6 +594,8 @@ _SIGMA_TOL = 1e-5
 _LSTSQ_FAILED = "SVD did not converge in Linear Least Squares"
 
 
+# the sizes of the walks of one process repeat: orders times grids
+@functools.lru_cache(maxsize=64)
 def _lstsq_sizes(rows, cols):
     """(rcond, lwork, liwork) of np.linalg.lstsq on a rows x cols system
     with one right-hand side: rcond = eps * max(rows, cols) and LAPACK's
@@ -542,205 +605,388 @@ def _lstsq_sizes(rows, cols):
     return cond, int(work), int(iwork)
 
 
-class _Relocation:
-    """The buffers of one walk's relocation steps and residue solve.
+@functools.lru_cache(maxsize=64)
+def _geev_lwork(n):
+    """LAPACK's optimal dgeev workspace for n x n, without eigenvectors."""
+    return int(lapack.dgeev_lwork(n, compute_vl=0, compute_vr=0)[0])
 
-    ``step`` and ``residues`` fill them in place and call LAPACK's dgeqrt,
-    dgelsd and dgeev directly.  Their results equal, bit for bit, those of
-    np.linalg.lstsq and eigvals on freshly built matrices: the element-wise
-    operations and reductions run on arrays of the same memory order,
-    dgelsd gets lstsq's rcond and optimal workspace, and dgeev runs without
-    eigenvectors after eigvals' finiteness check.
+
+@functools.lru_cache(maxsize=64)
+def _upper(n):
+    """A read-only mask of the upper triangle of n x n."""
+    return _readonly(np.triu(np.ones((n, n), dtype=bool)))
+
+
+def _fortran_slots(size, rows, cols):
+    """``size`` buffers of rows x cols, each one Fortran-ordered, as one
+    (size, rows, cols) array: LAPACK works on a slot in place."""
+    return np.empty((size, cols, rows)).transpose(0, 2, 1)
+
+
+class _Relocation:
+    """The buffers of a batch of walks' relocation steps and residue solves.
+
+    The members share the normalised grid ``s``, the order n and the port
+    count; ``f_mats`` holds their samples, (members, ports, m).  ``step``
+    and ``residues`` take the pole sets of some of the members, one row
+    each in member order, and fill the leading slots of the buffers in
+    place.  Element-wise work and reductions run as one NumPy call for the
+    whole batch (per port, for the per-port systems), and LAPACK's dgeqrt,
+    dgelsd and dgeev run once per member on its own slot.  So each member's
+    results equal, bit for bit, those of np.linalg.lstsq and eigvals on
+    freshly built matrices of that member alone: every operation reduces
+    along the same axes of arrays of the same memory order, dgelsd gets
+    lstsq's rcond and optimal workspace, and dgeev runs without
+    eigenvectors after eigvals' finiteness check.  A member whose LAPACK
+    call fails, or whose system is not finite, fails alone: both methods
+    return its ``NumericError`` by row and carry on with the others.
     """
 
-    def __init__(self, s, f_mat, n):
-        m, n_ports = s.size, f_mat.shape[0]
-        self.s, self.f_mat, self.n = s, f_mat, n
-        self.neg_f = -f_mat
+    def __init__(self, s, f_mats, n):
+        size, n_ports, m = f_mats.shape
+        self.s, self.f_mats, self.n = s, f_mats, n
+        self.neg_f = -f_mats
         # [Phi, 1] real-stacked, refilled for each pole set
-        self.phi1_ri = np.zeros((2 * m, n + 1), order="F")
-        self.phi1_ri[:m, n] = 1.0
+        self.phi1_ri = _fortran_slots(size, 2 * m, n + 1)
+        self.phi1_ri[:, :m, n] = 1.0
+        self.phi1_ri[:, m:, n] = 0.0
         # one port's [Phi, 1, -f Phi, -f] real-stacked, reduced in place;
         # its leading n + 1 columns hold the residue least squares
-        self.stack = np.empty((2 * m, 2 * (n + 1)), order="F")
-        self.f_phi = np.empty((m, n), dtype=complex)
-        self.rhs = np.empty((2 * m, 1), order="F")
+        self.stack = _fortran_slots(size, 2 * m, 2 * (n + 1))
+        self.f_phi = np.empty((size, m, n), dtype=complex)
+        self.rhs = np.empty((size, 2 * m, 1))
         # sigma least squares: n + 1 rows of R per port, then the relaxation
         # row; C order, so its column norms add up rows as np.vstack's did
         rows = n_ports * (n + 1) + 1
-        self.sigma_a = np.zeros((rows, n + 1))
-        self.r_rows = [self.sigma_a[i:i + n + 1] for i in range(0, rows - 1, n + 1)]
-        self.upper = np.triu(np.ones((n + 1, n + 1), dtype=bool))
-        self.relax_row = np.empty(n + 1)
-        self.relax_row[n] = m
-        self.lsq_a = np.empty((rows, n + 1), order="F")
-        self.lsq_b = np.empty((rows, 1), order="F")
+        self.sigma_a = np.zeros((size, rows, n + 1))
+        self.upper = _upper(n + 1)
+        self.relax_row = np.empty((size, n + 1))
+        self.relax_row[:, n] = m
+        self.lsq_a = _fortran_slots(size, rows, n + 1)
+        self.lsq_b = np.empty((size, rows, 1))
+        self._slot_views = {}
         with np.errstate(over="ignore", invalid="ignore"):
-            self.scale = float(np.linalg.norm([np.linalg.norm(f) for f in f_mat])) / m
-            self.sigma_b = np.zeros(rows)
-            self.sigma_b[-1] = self.scale * m
-        self.sigma_b_finite = bool(np.isfinite(self.sigma_b).all())
+            # np.linalg.norm of the per-port norms: square roots of BLAS dots
+            norms = [np.array([math.sqrt(f.real.dot(f.real) + f.imag.dot(f.imag))
+                               for f in f_mat]) for f_mat in f_mats]
+            self.scale = np.array([math.sqrt(x.dot(x)) for x in norms]) / m
+            self.sigma_b = np.zeros((size, rows))
+            self.sigma_b[:, -1] = self.scale * m
+        self.sigma_b_finite = np.isfinite(self.sigma_b).all(axis=1)
+        self.all_finite = bool(self.sigma_b_finite.all())
         self.residue_sizes = _lstsq_sizes(2 * m, n + 1)
         if n:
             self.sigma_sizes = _lstsq_sizes(rows, n + 1)
-            self.geev_lwork = int(lapack.dgeev_lwork(n, compute_vl=0, compute_vr=0)[0])
+            self.geev_lwork = _geev_lwork(n)
 
-    def step(self, poles):
-        """One pole-relocation step under the relaxed nontriviality constraint.
+    def _rows(self, members):
+        """Index of ``members`` (ascending) into the per-member arrays: a
+        slice, which makes views, when they are every member."""
+        return slice(None) if len(members) == len(self.scale) else members
 
-        Returns the new pole set (never flipped), ||c_sigma|| / |d_sigma|,
-        how far the scaling function still is from its direct term, and the
-        numerical rank of the sigma least squares (at most n + 1).
+    def _slots(self, size):
+        """The leading ``size`` slots of the step's buffers."""
+        if size not in self._slot_views:
+            self._slot_views[size] = tuple(buffer[:size] for buffer in (
+                self.phi1_ri, self.stack, self.f_phi, self.sigma_a, self.relax_row,
+                self.lsq_a, self.lsq_b))
+        return self._slot_views[size]
+
+    def step(self, members, poles, n_real):
+        """One pole-relocation step of each of ``members`` under the relaxed
+        nontriviality constraint; ``poles`` holds their pole sets, of which
+        the k-th holds ``n_real[k]`` real poles.
+
+        Returns, a row or entry per member, the new pole sets (never
+        flipped), ||c_sigma|| / |d_sigma|, how far each scaling function
+        still is from its direct term, the numerical rank of each sigma
+        least squares (at most n + 1) and each new set's number of real
+        poles; then a dict from row to the ``NumericError`` of every member
+        whose step failed, which keeps its old poles.
 
         Each port's real-stacked system [Phi, 1, -f Phi, -f] (2m x 2(n+1))
         is reduced by ``_qr_r``; the trailing (n+1) x (n+1) block of R gives
         that port's rows of the sigma equations, with the direct term
         d_sigma as the last unknown.  One appended row fixes the sum of
         Re sigma over the samples, which keeps the solution nontrivial.  A
-        response too large for the column scaling raises ``NumericError``
-        before the least-squares solve.
+        response too large for the column scaling fails before the
+        least-squares solve.
         """
         n, m = self.n, self.s.size
         k = 2 * (n + 1)
-        phi = _pf_basis(poles, self.s)
-        self.phi1_ri[:m, :n] = phi.real
-        self.phi1_ri[m:, :n] = phi.imag
-        stack, f_phi = self.stack, self.f_phi
-        for r_rows, neg_f in zip(self.r_rows, self.neg_f):
-            stack[:, :n + 1] = self.phi1_ri
-            np.multiply(neg_f[:, None], phi, out=f_phi)
-            stack[:m, n + 1:k - 1] = f_phi.real
-            stack[m:, n + 1:k - 1] = f_phi.imag
-            stack[:m, k - 1] = neg_f.real
-            stack[m:, k - 1] = neg_f.imag
-            np.copyto(r_rows, _qr_r(stack)[n + 1:k, n + 1:], where=self.upper)
-        aa = self.sigma_a
+        size, rows = len(members), self._rows(members)
+        layouts = _layouts(n_real)
+        phi = _by_layout(layouts, lambda group, n_real: _pf_basis(poles[group], self.s, n_real))
+        phi1_ri, stack, f_phi, aa, relax, lsq_a, lsq_b = self._slots(size)
+        phi1_ri[:, :m, :n] = phi.real
+        phi1_ri[:, m:, :n] = phi.imag
+        failed = {}
+        for port in range(self.neg_f.shape[1]):
+            neg_f = self.neg_f[rows, port]
+            stack[:, :, :n + 1] = phi1_ri
+            np.multiply(neg_f[:, :, None], phi, out=f_phi)
+            stack[:, :m, n + 1:k - 1] = f_phi.real
+            stack[:, m:, n + 1:k - 1] = f_phi.imag
+            stack[:, :m, k - 1] = neg_f.real
+            stack[:, m:, k - 1] = neg_f.imag
+            for j in range(size):
+                if j not in failed:
+                    try:
+                        _qr_r(stack[j])
+                    except NumericError as exc:
+                        failed[j] = exc
+            np.copyto(aa[:, port * (n + 1):(port + 1) * (n + 1)], stack[:, n + 1:k, n + 1:],
+                      where=self.upper)
         with np.errstate(over="ignore", invalid="ignore"):
-            self.relax_row[:n] = np.sum(phi.real, axis=0)
-            np.multiply(self.scale, self.relax_row, out=aa[-1])
-            col_scale = np.linalg.norm(aa, axis=0)
+            relax[:, :n] = phi.real.sum(axis=1)
+            np.multiply(self.scale[rows, None], relax, out=aa[:, -1])
+            col_scale = np.sqrt(np.add.reduce(aa * aa, axis=1))  # np.linalg.norm's
+            finite = np.isfinite(col_scale)
+            col_scale[col_scale == 0.0] = 1.0
+            np.divide(aa, col_scale[:, None, :], out=lsq_a)
         # a finite column norm bounds every entry of its column of aa
-        if not (np.isfinite(col_scale).all() and self.sigma_b_finite):
-            raise NumericError("relocation least squares failed: response magnitude "
-                               "overflows the column scaling")
-        col_scale[col_scale == 0.0] = 1.0
-        np.divide(aa, col_scale, out=self.lsq_a)
-        self.lsq_b[:, 0] = self.sigma_b
+        if not (finite.all() and self.all_finite):
+            finite = finite.all(axis=1) & self.sigma_b_finite[rows]
+            for j in np.flatnonzero(~finite).tolist():
+                failed.setdefault(j, NumericError("relocation least squares failed: response "
+                                                  "magnitude overflows the column scaling"))
+        lsq_b[:, :, 0] = self.sigma_b[rows]
         cond, lwork, liwork = self.sigma_sizes
-        x, _, rank, info = lapack.dgelsd(self.lsq_a, self.lsq_b, lwork, liwork, cond,
-                                         overwrite_a=1, overwrite_b=1)
-        if info != 0:
-            raise NumericError(f"relocation least squares failed: {_LSTSQ_FAILED}")
-        x = x[:n + 1, 0] / col_scale
-        c_sigma, d_sigma = x[:n], float(x[n])
-        if abs(d_sigma) < 1e-8:
-            d_sigma = 1e-8 if d_sigma >= 0 else -1e-8
-        settled = float(np.linalg.norm(c_sigma)) / abs(d_sigma)
+        solutions, rank = [np.zeros(n + 1)] * size, [0] * size
+        for j in range(size):
+            if j in failed:
+                continue
+            x, _, rank[j], info = lapack.dgelsd(lsq_a[j], lsq_b[j], lwork, liwork, cond,
+                                                overwrite_a=1, overwrite_b=1)
+            if info != 0:
+                failed[j] = NumericError(f"relocation least squares failed: {_LSTSQ_FAILED}")
+                continue
+            solutions[j] = x[:n + 1, 0]
+        x_all = np.array(solutions) / col_scale
+        if failed:
+            x_all[list(failed)] = 0.0
+        c_sigma = x_all[:, :n]
+        d_sigma = [(1e-8 if d >= 0 else -1e-8) if abs(d) < 1e-8 else d
+                   for d in x_all[:, n].tolist()]
+        # np.linalg.norm of one vector is the square root of its BLAS dot
+        settled = [math.sqrt(c.dot(c)) / abs(d) for c, d in zip(c_sigma, d_sigma)]
+        d_sigma = np.array(d_sigma)
 
         # zeros of sigma: eigenvalues of the pole matrix minus the rank-one
         # update, in real block form for conjugate pairs
-        hmat, bvec, _ = _real_realization(poles)
-        hmat -= np.outer(bvec, c_sigma) / d_sigma
-        if not np.isfinite(hmat).all():
-            raise NumericError("defective relocation eigenproblem: "
-                               "Array must not contain infs or NaNs")
-        wr, wi, _, _, info = lapack.dgeev(hmat, compute_vl=0, compute_vr=0,
-                                          lwork=self.geev_lwork, overwrite_a=1)
-        if info != 0:
-            raise NumericError("defective relocation eigenproblem: "
-                               "Eigenvalues did not converge")
-        lam = wr  # all real: eigvals returns the real parts alone
-        if wi.any():
-            lam = np.empty(n, dtype=complex)
-            lam.real, lam.imag = wr, wi
-        try:
-            order, n_real = _canonical_order(lam)
-        except ValueError as exc:
-            raise NumericError(f"defective relocation eigenproblem: {exc}") from None
-        new_poles = lam[order].astype(complex)
-        new_poles[n_real + 1::2] = np.conj(new_poles[n_real::2])
-        return new_poles, settled, int(rank)
+        def pole_matrix(group, n_real):
+            hmat, bvec, _ = _real_realization(poles[group], n_real=n_real)
+            hmat -= bvec[:, :, None] * c_sigma[group, None, :] / d_sigma[group, None, None]
+            return hmat
 
-    def residues(self, poles):
-        """Per-port residues and real direct terms against fixed poles:
-        the least squares [Phi, 1] x = f, real-stacked."""
-        n, m = self.n, self.s.size
-        phi = _pf_basis(poles, self.s)
-        self.phi1_ri[:m, :n] = phi.real
-        self.phi1_ri[m:, :n] = phi.imag
-        a_ri, b_ri = self.stack[:, :n + 1], self.rhs
-        cond, lwork, liwork = self.residue_sizes
-        residues = np.empty((self.f_mat.shape[0], n), dtype=complex)
-        direct = np.empty(self.f_mat.shape[0])
-        for kport, f in enumerate(self.f_mat):
-            a_ri[...] = self.phi1_ri
-            b_ri[:m, 0] = f.real
-            b_ri[m:, 0] = f.imag
-            x, _, _, info = lapack.dgelsd(a_ri, b_ri, lwork, liwork, cond,
-                                          overwrite_a=1, overwrite_b=1)
+        hmat = _by_layout(layouts, pole_matrix)
+        finite = np.isfinite(hmat).all(axis=(1, 2)).tolist()
+        new_poles, new_n_real = poles.copy(), list(n_real)
+        for j in range(size):
+            if j in failed:
+                continue
+            if not finite[j]:
+                failed[j] = NumericError("defective relocation eigenproblem: "
+                                         "Array must not contain infs or NaNs")
+                continue
+            wr, wi, _, _, info = lapack.dgeev(hmat[j], compute_vl=0, compute_vr=0,
+                                              lwork=self.geev_lwork, overwrite_a=1)
             if info != 0:
-                raise NumericError(f"residue least squares failed: {_LSTSQ_FAILED}")
-            residues[kport] = _coeffs_to_residues(poles, x[:n, 0])
-            direct[kport] = x[n, 0]
-        return residues, direct
+                failed[j] = NumericError("defective relocation eigenproblem: "
+                                         "Eigenvalues did not converge")
+                continue
+            lam = wr  # all real: eigvals returns the real parts alone
+            if wi.any():
+                lam = np.empty(n, dtype=complex)
+                lam.real, lam.imag = wr, wi
+            try:
+                order, count = _canonical_order(lam)
+            except ValueError as exc:
+                failed[j] = NumericError(f"defective relocation eigenproblem: {exc}")
+                continue
+            row = new_poles[j]
+            row[:] = lam[order]
+            row[count + 1::2] = np.conj(row[count::2])
+            new_n_real[j] = count
+        return new_poles, settled, rank, new_n_real, failed
+
+    def residues(self, members, poles, n_real):
+        """Per-port residues and real direct terms of each of ``members``
+        against its fixed poles: the least squares [Phi, 1] x = f,
+        real-stacked.  ``poles`` and ``n_real`` are as in ``step``.  Returns
+        the (members, ports, n) residues, the (members, ports) direct terms
+        and a dict from row to the ``NumericError`` of every member whose
+        solve failed."""
+        n, m = self.n, self.s.size
+        size, rows = len(members), self._rows(members)
+        layouts = _layouts(n_real)
+        phi = _by_layout(layouts, lambda group, n_real: _pf_basis(poles[group], self.s, n_real))
+        phi1_ri = self.phi1_ri[:size]
+        phi1_ri[:, :m, :n] = phi.real
+        phi1_ri[:, m:, :n] = phi.imag
+        a_ri, b_ri = self.stack[:size, :, :n + 1], self.rhs[:size]
+        cond, lwork, liwork = self.residue_sizes
+        coeffs = np.zeros((size, self.f_mats.shape[1], n + 1))
+        failed = {}
+        for port in range(self.f_mats.shape[1]):
+            f = self.f_mats[rows, port]
+            a_ri[...] = phi1_ri
+            b_ri[:, :m, 0] = f.real
+            b_ri[:, m:, 0] = f.imag
+            for j in range(size):
+                if j in failed:
+                    continue
+                x, _, _, info = lapack.dgelsd(a_ri[j], b_ri[j], lwork, liwork, cond,
+                                              overwrite_a=1, overwrite_b=1)
+                if info != 0:
+                    failed[j] = NumericError(f"residue least squares failed: {_LSTSQ_FAILED}")
+                    continue
+                coeffs[j, port] = x[:n + 1, 0]
+        residues = _by_layout(layouts, lambda group, n_real: _coeffs_to_residues(
+            poles[group], coeffs[group, :, :n], n_real))
+        return residues, coeffs[..., n], failed
 
 
 class _PoleWalk:
-    """The pole relocation of one vector fit, one step at a time.
+    """The pole relocations of a batch of vector fits, one step at a time.
 
-    Iterating yields the pole set in rad/s after each relocation step and
-    ends on the first stop :func:`fit_common_denominator` names; ``stop``
-    and ``iters_used`` then say how it ended (``stop`` is None while the
-    walk is unfinished).  ``finish()`` solves the residues and direct
-    terms against the poles reached so far and returns (model, report).
-    A walk is iterated once.  Its buffers (``_Relocation``) are its own,
-    so walks may be iterated interleaved.
+    The members are response sets on one grid with one port count, fitted
+    at one order; their steps share one ``_Relocation``.  Iterating steps
+    every member that has neither stopped nor failed, and yields after
+    each step a list with each member's pole set in rad/s, or None for a
+    member that did not step.  It ends once every member has stopped, on
+    the first stop :func:`fit_common_denominator` names, or failed:
+    ``stop[k]`` and ``iters_used[k]`` then say how member k ended
+    (``stop[k]`` is None while it walks or once it failed) and
+    ``failures[k]`` holds the ``NumericError`` of a failed step.
+    ``finish()`` solves each member's residues and direct terms against
+    the poles it reached and returns, per member, (model, report) or the
+    ``NumericError`` that failed it.  A walk is iterated once.  Each
+    member's steps, model and report equal, bit for bit, those of a walk of
+    that member alone.
     """
 
-    def __init__(self, resps, cfg):
+    def __init__(self, batch, cfg):
+        self.batch = tuple(batch)
+        grid = self.batch[0].grid
         n = cfg.order
-        m = len(resps.grid)
+        m = len(grid)
         if 2 * m < 2 * (n + 1):
             raise UsageError(f"order {n} exceeds the point budget of {m} samples")
-        omega = resps.grid.omega
-        self.resps = resps
+        if any(resps.grid is not grid and resps.grid != grid for resps in self.batch):
+            raise ValueError("a batch of fits shares one frequency grid")
+        omega = grid.omega
         self.iters = cfg.iters
         self.w_scale = float(omega[-1])
         self.s = 1j * omega / self.w_scale
-        self.iters_used = 0
-        self._relocation = _Relocation(self.s, resps.values, n)
+        size = len(self.batch)
+        self.iters_used = [0] * size
+        self.failures = [None] * size
+        self.n_real = [n % 2] * size
+        self._relocation = _Relocation(self.s, np.array([r.values for r in self.batch]), n)
         if n == 0:
-            self.poles = np.zeros(0, dtype=complex)
-            self.stop = "no-poles"
+            self.poles = np.zeros((size, 0), dtype=complex)
+            self.stop = ["no-poles"] * size
         else:
-            self.poles = _initial_poles(n, omega / self.w_scale)
-            self.stop = None
+            self.poles = np.repeat(_initial_poles(n, omega / self.w_scale)[None], size, axis=0)
+            self.stop = [None] * size
 
     def __iter__(self):
-        n = self.poles.size
-        prev_rank = n + 1
-        while self.stop is None:
-            new_poles, settled, rank = self._relocation.step(self.poles)
-            move = np.max(np.abs(np.sort_complex(new_poles) - np.sort_complex(self.poles)))
-            self.poles = new_poles
-            self.iters_used += 1
-            if move < 1e-10 * max(1.0, float(np.max(np.abs(new_poles)))):
-                self.stop = "pole-move"
-            elif settled <= _SIGMA_TOL:
-                self.stop = "sigma-settled"
-            elif rank <= n and rank == prev_rank:
-                self.stop = "rank-deficient"
-            elif self.iters_used == self.iters:
-                self.stop = "iteration-cap"
-            prev_rank = rank
-            yield new_poles * self.w_scale
+        n = self.poles.shape[1]
+        size = len(self.batch)
+        prev_rank = [n + 1] * size
+        walking = [k for k, stop in enumerate(self.stop) if stop is None]
+        while walking:
+            rows = slice(None) if len(walking) == size else walking
+            old = self.poles[rows]
+            new, settled, rank, n_real, failed = self._relocation.step(
+                walking, old, [self.n_real[k] for k in walking])
+            move = np.abs(np.sort(new, axis=1) - np.sort(old, axis=1)).max(axis=1)
+            largest = np.abs(new).max(axis=1)
+            self.poles[rows] = new  # a failed member's row holds its old poles
+            scaled = new * self.w_scale
+            stepped = [None] * size
+            for j, (k, moved, big, ratio) in enumerate(zip(walking, move.tolist(),
+                                                           largest.tolist(), settled)):
+                if j in failed:
+                    self.failures[k] = failed[j]
+                    continue
+                self.n_real[k] = n_real[j]
+                self.iters_used[k] += 1
+                if moved < 1e-10 * max(1.0, big):
+                    self.stop[k] = "pole-move"
+                elif ratio <= _SIGMA_TOL:
+                    self.stop[k] = "sigma-settled"
+                elif rank[j] <= n and rank[j] == prev_rank[k]:
+                    self.stop[k] = "rank-deficient"
+                elif self.iters_used[k] == self.iters:
+                    self.stop[k] = "iteration-cap"
+                prev_rank[k] = rank[j]
+                stepped[k] = scaled[j]
+            if len(failed) < len(walking):
+                yield stepped
+            walking = [k for k in walking if self.stop[k] is None and self.failures[k] is None]
 
     def finish(self):
-        residues, direct = self._relocation.residues(self.poles)
-        model = PartialFractionModel(self.poles * self.w_scale, residues * self.w_scale, direct,
-                                     self.resps.port_names)
-        return model, replace(fit_error(model, self.resps), iters_used=self.iters_used,
-                              converged=self.stop in _SETTLED, stop=self.stop)
+        outcomes = list(self.failures)
+        done = [k for k, failure in enumerate(outcomes) if failure is None]
+        if not done:
+            return outcomes
+        rows = slice(None) if len(done) == len(self.batch) else done
+        residues, direct, failed = self._relocation.residues(
+            done, self.poles[rows], [self.n_real[k] for k in done])
+        fitted, models = [], []
+        for j, k in enumerate(done):
+            if j in failed:
+                outcomes[k] = failed[j]
+                continue
+            fitted.append(k)
+            models.append(PartialFractionModel(self.poles[k] * self.w_scale,
+                                               residues[j] * self.w_scale, direct[j],
+                                               self.batch[k].port_names))
+        if not models:
+            return outcomes
+        values, at_pole = _eval_pfs(np.array([model.poles for model in models]),
+                                    np.array([model.residues for model in models]),
+                                    np.array([model.direct for model in models]),
+                                    1j * self.batch[0].grid.omega)
+        rows = slice(None) if len(fitted) == len(self.batch) else fitted
+        rms, phase = _fit_errors(values, self._relocation.f_mats[rows])
+        for k, model, off_pole, rms_k, phase_k in zip(fitted, models, ~at_pole,
+                                                       rms.tolist(), phase.tolist()):
+            outcomes[k] = NumericError("evaluation at a pole frequency")
+            if off_pole:
+                stop = self.stop[k]
+                outcomes[k] = model, FitReport(rms_k, phase_k, self.iters_used[k],
+                                               stop in _SETTLED, stop)
+        return outcomes
+
+
+# Members one walk steps at most: a batch's buffers grow with its size
+_BATCH_MEMBERS = 32
+
+
+def _fit_batch(batch, cfg):
+    """Fit each response set in ``batch`` as :func:`fit_common_denominator`
+    would fit it alone, stepping up to ``_BATCH_MEMBERS`` of them as one
+    walk.  The sets share one grid and port count.  Returns per set its
+    (model, report) or the ``NumericError`` its fit raised; a member that
+    fails leaves its walk, and the others carry on unchanged."""
+    batch = list(batch)
+    outcomes = []
+    for start in range(0, len(batch), _BATCH_MEMBERS):
+        walk = _PoleWalk(batch[start:start + _BATCH_MEMBERS], cfg)
+        for _ in walk:
+            pass
+        outcomes += walk.finish()
+    return outcomes
+
+
+def _fitted(outcome):
+    """The (model, report) of one member's fit, or raise its NumericError."""
+    if isinstance(outcome, NumericError):
+        raise outcome
+    return outcome
 
 
 def fit_common_denominator(resps, cfg):
@@ -760,14 +1006,16 @@ def fit_common_denominator(resps, cfg):
     stops the loop.
     Final residues and one real direct term per port are solved against the
     fixed relocated poles.  Unstable poles are preserved at every stage.
-    The relocation runs to its stop here; the order scan's persistence
-    test walks the same steps and may leave off earlier
+
+    This is a relocation walk of one member.  The sweeps fit a locus's
+    values and a Monte Carlo cloud's trials as one batch (``_fit_batch``),
+    whose every member gets, bit for bit, the model and report this
+    function gives it, and whose failed member fails alone.  The order
+    scan's persistence test walks the same steps and may leave off earlier
     (``staban._scan_orders``).
     """
-    walk = _PoleWalk(resps, cfg)
-    for _ in walk:
-        pass
-    return walk.finish()
+    (outcome,) = _fit_batch((resps,), cfg)
+    return _fitted(outcome)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import scipy.optimize
 from .errors import UsageError
 from .freqresp import _fields_equal, _readonly, slice_band
 from .ratfit import (FitConfig, FitReport, PartialFractionModel, PolePair, _c2pair,
-                     _json_text, _PoleWalk, _aaa_degree, fit_common_denominator,
+                     _fitted, _json_text, _PoleWalk, _aaa_degree, fit_common_denominator,
                      poles_and_zeros)
 
 __all__ = [
@@ -287,16 +287,18 @@ def _persistence_walk(resps, poles, floor, fits):
     Walks the order+2 relocation from its own start poles and decides
     "persisted" once every pole has a mate on ``_PERSIST_AGREEMENT``
     consecutive steps.  "Drifted" is read only where the walk stops; the
-    walk is then finished into the order+2 fit and cached in ``fits``.
+    walk, a batch of one, is then finished into the order+2 fit and cached
+    in ``fits``.
     """
-    walk = _PoleWalk(resps, FitConfig(order=poles.size + 2))
+    n = poles.size + 2
+    walk = _PoleWalk((resps,), FitConfig(order=n))
     agreed = 0
-    for walked in walk:
+    for (walked,) in walk:
         drifted = _poles_persist(poles, walked, floor)
         agreed = agreed + 1 if drifted is None else 0
         if agreed == _PERSIST_AGREEMENT:
             return None
-    fits[walk.poles.size] = walk.finish()
+    fits[n] = _fitted(walk.finish()[0])  # raises the NumericError of a failed walk
     return drifted
 
 

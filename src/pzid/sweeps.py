@@ -18,7 +18,7 @@ import scipy.optimize
 from .errors import NumericError, UsageError
 from .netsim import (Netlist, analytic_poles, element_loader, frequency_response,
                      set_element_value, termination_loader, with_termination)
-from .ratfit import FitConfig, fit_common_denominator
+from .ratfit import FitConfig, _fit_batch, fit_common_denominator
 from .staban import StabilityConfig, auto_identify
 
 __all__ = [
@@ -77,16 +77,27 @@ class SpiralPath:
     gamma: np.ndarray
 
 
-def _fit_poles(resp, cfg):
-    """Poles fitted to a response, restricted to the analyzed band.
+def _in_band(model, grid):
+    """The model's poles within 3x the band's top angular frequency.
 
     Fitted poles far outside the swept band are extrapolation artifacts of
-    the over-specified order, not circuit dynamics; they are dropped here so
+    the over-specified order, not circuit dynamics; they are dropped so
     sweep decisions (crossings, thresholds, margins) stay meaningful.
     """
+    return model.poles[np.abs(model.poles) <= 3.0 * float(np.max(grid.omega))]
+
+
+def _fit_poles(resp, cfg):
+    """Poles fitted to one response, restricted to the analyzed band."""
     model, _ = fit_common_denominator(resp, cfg)
-    keep = np.abs(model.poles) <= 3.0 * float(np.max(resp.grid.omega))
-    return model.poles[keep]
+    return _in_band(model, resp.grid)
+
+
+def _fit_pole_sets(resps, cfg):
+    """:func:`_fit_poles` of each response, all fitted as one batch, with
+    None for a response whose fit failed."""
+    return [None if isinstance(fit, NumericError) else _in_band(fit[0], resp.grid)
+            for resp, fit in zip(resps, _fit_batch(resps, cfg))]
 
 
 def _value_loader(net, probe, grid, param, ref):
@@ -115,8 +126,11 @@ def trace_pole_locus(net, probe, grid, param, values, cfg):
 
     The circuit is solved once, with the element at the middle value, and
     each value is loaded onto that solve as a rank-one update
-    (:func:`_value_loader`).  A step whose load or fit fails is left NaN.
-    A SHORT has no value to sweep and is refused with :class:`UsageError`.
+    (:func:`_value_loader`).  The loaded values are then fitted as one
+    batch, whose every value gets the poles its fit alone would give.  A
+    step whose load or fit fails is left NaN, and the other steps are
+    unchanged.  A SHORT has no value to sweep and is refused with
+    :class:`UsageError`.
 
     Matching across consecutive steps uses minimum-total-distance assignment
     in the complex plane scaled by the band's angular width.  Sign changes
@@ -133,13 +147,14 @@ def trace_pole_locus(net, probe, grid, param, values, cfg):
     load = _value_loader(net, probe, grid, param, middle)
     scale = float(np.max(grid.omega) - np.min(grid.omega)) or float(np.max(grid.omega))
 
-    pole_sets = []
+    loaded = []
     for v in values:
         try:
-            poles = _fit_poles(load(v), cfg)
+            loaded.append(load(v))
         except NumericError:
-            poles = None
-        pole_sets.append(poles)
+            loaded.append(None)
+    fitted = iter(_fit_pole_sets([resp for resp in loaded if resp is not None], cfg))
+    pole_sets = [None if resp is None else next(fitted) for resp in loaded]
 
     n_tracks = max((p.size for p in pole_sets if p is not None), default=0)
     tracks = np.full((n_tracks, len(values)), np.nan, dtype=complex)
@@ -226,12 +241,17 @@ def stabilization_threshold(net, probe, grid, param, lo, hi, tol_rel, cfg):
     within tol_rel/2 * |value| of the fitted crossing (or as tight as floats
     allow, for tol_rel below 8.9e-16).  Each value is fitted on a rank-one
     load of one solve (:func:`_value_loader`), made with the element at the
-    bracket's middle, or at lo where lo and hi differ in sign.  A load or
-    fit that fails raises :class:`NumericError`; a SHORT is refused with
-    :class:`UsageError`.  The result is verified against the analytic pole
-    oracle of the patched netlist; disagreement raises rather than
-    returning a silently wrong threshold.
+    bracket's middle, or at lo where lo and hi differ in sign.  The values
+    are fitted one at a time, as Brent's method picks each from the fits
+    before it.  A load or fit that fails raises :class:`NumericError`; a
+    non-finite lo, hi or tol_rel is refused with :class:`UsageError`
+    before any solve, and so is a SHORT.  The result is verified against
+    the analytic pole oracle of the patched netlist; disagreement raises
+    rather than returning a silently wrong threshold.
     """
+    for name, value in (("lo", lo), ("hi", hi), ("tol_rel", tol_rel)):
+        if not math.isfinite(value):
+            raise UsageError(f"{name} must be finite, got {value!r}")
     if not (lo < hi):
         raise UsageError("need lo < hi")
     if tol_rel <= 0:
@@ -282,7 +302,10 @@ def monte_carlo_cloud(net, probe, grid, sigma, trials, seed, cfg):
     uniformly from [-1, 1] by a seeded generator; sigma may be one number or
     a mapping per element kind ({'R': .., 'L': .., 'C': .., 'G': ..}), each
     in [0, 1) so that no scaled value reaches zero or changes sign.
-    Trials whose fit fails are skipped and counted.
+    Every trial is solved on its own, and the solved trials are then fitted
+    as one batch, whose every trial gets the poles its fit alone would
+    give.  Trials whose solve or fit fails are skipped and counted; the
+    other trials are unchanged.
     """
     if trials < 1:
         raise UsageError("trials must be >= 1")
@@ -294,7 +317,7 @@ def monte_carlo_cloud(net, probe, grid, sigma, trials, seed, cfg):
         if not 0.0 <= v < 1.0:
             raise UsageError(f"sigma {v!r} for {kind} is outside [0, 1)")
     rng = np.random.default_rng(seed)
-    points = []
+    solved = []  # (trial, response)
     n_failed = 0
     for trial in range(trials):
         # one draw per element in declaration order keeps runs reproducible
@@ -303,8 +326,12 @@ def monte_carlo_cloud(net, probe, grid, sigma, trials, seed, cfg):
         patched = Netlist(tuple(replace(e, value=e.value * f)
                                 for e, f in zip(net.elements, factors)), net.ports)
         try:
-            poles = _fit_poles(frequency_response(patched, probe, grid), cfg)
+            solved.append((trial, frequency_response(patched, probe, grid)))
         except NumericError:
+            n_failed += 1
+    points = []
+    for (trial, _), poles in zip(solved, _fit_pole_sets([resp for _, resp in solved], cfg)):
+        if poles is None:
             n_failed += 1
             continue
         points.extend((trial, complex(p)) for p in poles)

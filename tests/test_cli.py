@@ -562,6 +562,17 @@ class TestArgumentErrors:
             warnings.simplefilter("error")
             self.test_bad_values(tmp_path, capsys, dr_file, values, f"bad values {values!r}")
 
+    @pytest.mark.parametrize("flag, name", [("--lo", "lo"), ("--hi", "hi"), ("--tol", "tol_rel")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_argument(self, tmp_path, capsys, monkeypatch, dr_file,
+                                           flag, name, value):
+        monkeypatch.setattr(sweeps, "element_loader", None)  # refused before any solve
+        args = {"--lo": "50", "--hi": "1000", "--tol": "1e-2", flag: value}
+        self.run(capsys, tmp_path, ["threshold", "--netlist", dr_file, "--probe", "inode:B",
+                                    "--param", "rstab", *(f"{k}={v}" for k, v in args.items()),
+                                    "--order", "4", "--fstart", "0.3e9", "--fstop", "8e9"],
+                 f"{name} must be finite, got {float(value)!r}")
+
     @pytest.mark.parametrize("fstart, fstop", [("2e9", "1e9"), ("1e9", "1e9")])
     def test_fstart_must_be_below_fstop(self, tmp_path, capsys, net_file, fstart, fstop):
         self.run(capsys, tmp_path, ["synth", "--netlist", net_file, "--probe", "inode:n1",
@@ -614,7 +625,7 @@ class TestSweepTables:
         net.write_text(DOUBLE_RESONATOR)
         out = tmp_path / "locus.csv"
         # a fit that keeps no pole at 350 ohm leaves a NaN step on every track
-        loader, fit = sweeps.element_loader, sweeps._fit_poles
+        loader, fit = sweeps.element_loader, sweeps._fit_pole_sets
         at_350 = []
 
         def recording(*args):
@@ -629,8 +640,9 @@ class TestSweepTables:
             return recorded
 
         monkeypatch.setattr(sweeps, "element_loader", recording)
-        monkeypatch.setattr(sweeps, "_fit_poles", lambda resp, cfg: (
-            np.zeros(0, complex) if any(resp is r for r in at_350) else fit(resp, cfg)))
+        monkeypatch.setattr(sweeps, "_fit_pole_sets", lambda resps, cfg: [
+            np.zeros(0, complex) if any(resp is r for r in at_350) else poles
+            for resp, poles in zip(resps, fit(resps, cfg))])
         assert dispatch(["locus", "--netlist", str(net), "--probe", "inode:B",
                          "--param", "rstab", "--values", "100:400:7", "--order", "4",
                          "--fstart", "0.3e9", "--fstop", "8e9", "--out", str(out)]) == 0

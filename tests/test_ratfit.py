@@ -18,7 +18,8 @@ from pzid.netsim import analytic_poles, current_probe, frequency_response, frequ
 from pzid.ratfit import (_QR_NB, _SIGMA_TOL, FitConfig, FitReport, PartialFractionModel,
                          PolynomialRatioModel, RankDeficiencyError, _aaa_degree, _aaa_errors,
                          _canonical_order,
-                         _canonical_pf, _coeffs_to_residues, _initial_poles, _pf_basis,
+                         _canonical_pf, _coeffs_to_residues, _initial_poles, _n_real,
+                         _pf_basis,
                          _PoleWalk, _qr_r, _real_realization, _Relocation, evaluate_model,
                          fit_common_denominator, fit_error, fit_polynomial_ratio,
                          load_model, poles_and_zeros, save_model)
@@ -33,9 +34,18 @@ def worst_pole_error(fitted, truth):
     return max(np.min(np.abs(fitted - p)) / abs(p) for p in truth)
 
 
+def step_alone(buffers, poles):
+    """One relocation step of a batch of one: (poles, settled, rank), or
+    raise the member's NumericError."""
+    new, settled, rank, _, failed = buffers.step([0], poles[None], [_n_real(poles)])
+    if failed:
+        raise failed[0]
+    return new[0], float(settled[0]), int(rank[0])
+
+
 def relocate(poles, s, f_mat):
     """One relocation step from ``poles`` on fresh buffers."""
-    return _Relocation(s, f_mat, poles.size).step(poles)
+    return step_alone(_Relocation(s, f_mat[None], poles.size), poles)
 
 
 class TestPolynomialRatioFit:
@@ -255,9 +265,9 @@ class TestRelocationStop:
         ranks = []
         step = _Relocation.step
 
-        def recording_step(self, poles):
-            out = step(self, poles)
-            ranks.append(out[2])
+        def recording_step(self, *args):
+            out = step(self, *args)
+            ranks.extend(out[2])
             return out
 
         monkeypatch.setattr(_Relocation, "step", recording_step)
@@ -893,14 +903,48 @@ class TestOrderProbe:
 # ---------------------------------------------------------------------------
 # Frozen references: the relocation step, the residue solve and the AAA
 # probe as they ran on np.linalg's lstsq, eigvals, qr and svd with fresh
-# temporaries each step.  The buffered steps on direct LAPACK calls must
+# temporaries each step, and the partial-fraction helpers as per-pole loops
+# over one pole set.  The batched steps on direct LAPACK calls must
 # reproduce them bit for bit.
+
+def frozen_pf_basis(poles, s):
+    n_real = int(np.count_nonzero(poles.imag == 0.0))
+    phi = np.empty((s.size, poles.size), dtype=complex)
+    for i in range(n_real):
+        phi[:, i] = 1.0 / (s - poles[i])
+    for i in range(n_real, poles.size, 2):
+        u = 1.0 / (s - poles[i])
+        v = 1.0 / (s - np.conj(poles[i]))
+        phi[:, i] = u + v
+        phi[:, i + 1] = 1j * (u - v)
+    return phi
+
+
+def frozen_coeffs_to_residues(poles, x):
+    n_real = int(np.count_nonzero(poles.imag == 0.0))
+    r = np.array(x, dtype=complex)
+    r[n_real::2] = x[n_real::2] + 1j * x[n_real + 1::2]
+    r[n_real + 1::2] = np.conj(r[n_real::2])
+    return r
+
+
+def frozen_pole_matrix(poles):
+    n_real = int(np.count_nonzero(poles.imag == 0.0))
+    amat = np.diag(poles.real)
+    pairs = amat[n_real:, n_real:]
+    np.fill_diagonal(pairs[::2, 1::2], poles.imag[n_real::2])
+    np.fill_diagonal(pairs[1::2, ::2], -poles.imag[n_real::2])
+    bvec = np.zeros(poles.size)
+    bvec[:n_real] = 1.0
+    bvec[n_real::2] = 2.0
+    return amat, bvec
+
 
 def frozen_relocate_poles(poles, s, f_mat):
     n = poles.size
     m = f_mat.shape[1]
     k = 2 * (n + 1)
-    phi = _pf_basis(poles, s)
+    phi = frozen_pf_basis(poles, s)
     phi1_ri = np.zeros((2 * m, n + 1), order="F")
     phi1_ri[:m, :n] = phi.real
     phi1_ri[m:, :n] = phi.imag
@@ -933,7 +977,7 @@ def frozen_relocate_poles(poles, s, f_mat):
     if abs(d_sigma) < 1e-8:
         d_sigma = 1e-8 if d_sigma >= 0 else -1e-8
     settled = float(np.linalg.norm(c_sigma)) / abs(d_sigma)
-    hmat, bvec, _ = _real_realization(poles)
+    hmat, bvec = frozen_pole_matrix(poles)
     hmat -= np.outer(bvec, c_sigma) / d_sigma
     lam = np.linalg.eigvals(hmat)
     order, n_real = _canonical_order(lam)
@@ -944,7 +988,7 @@ def frozen_relocate_poles(poles, s, f_mat):
 
 def frozen_residues(poles, s, f_mat):
     n, m = poles.size, s.size
-    phi = _pf_basis(poles, s)
+    phi = frozen_pf_basis(poles, s)
     phi1 = np.hstack([phi, np.ones((m, 1))])
     residues = np.empty((f_mat.shape[0], n), dtype=complex)
     direct = np.empty(f_mat.shape[0])
@@ -952,7 +996,7 @@ def frozen_residues(poles, s, f_mat):
     for kport, f in enumerate(f_mat):
         b_ri = np.concatenate([f.real, f.imag])
         x, *_ = np.linalg.lstsq(a_ri, b_ri, rcond=None)
-        residues[kport] = _coeffs_to_residues(poles, x[:n])
+        residues[kport] = frozen_coeffs_to_residues(poles, x[:n])
         direct[kport] = x[n]
     return residues, direct
 
@@ -1068,18 +1112,25 @@ def relocation_inputs():
     return cases
 
 
+def residues_alone(buffers, poles):
+    """The residue solve of a batch of one: (residues, direct)."""
+    residues, direct, failed = buffers.residues([0], poles[None], [_n_real(poles)])
+    assert not failed
+    return residues[0], direct[0]
+
+
 class TestFrozenReferences:
     @pytest.mark.parametrize("case", relocation_inputs(), ids=lambda case: case[0])
     def test_walk_and_residues_are_bit_identical(self, case):
-        # one buffer set carries the whole walk, as in _PoleWalk
+        # one buffer set carries the whole walk, as in _PoleWalk's batch of one
         _, n, s, f_mat, poles = case
-        buffers = _Relocation(s, f_mat, n)
+        buffers = _Relocation(s, f_mat[None], n)
         for _ in range(4):
-            got, settled, rank = buffers.step(poles)
+            got, settled, rank = step_alone(buffers, poles)
             ref, ref_settled, ref_rank = frozen_relocate_poles(poles, s, f_mat)
             assert same_bits(got, ref)
             assert same_bits(settled, ref_settled) and rank == ref_rank
-            residues, direct = buffers.residues(got)
+            residues, direct = residues_alone(buffers, got)
             ref_residues, ref_direct = frozen_residues(got, s, f_mat)
             assert same_bits(residues, ref_residues) and same_bits(direct, ref_direct)
             poles = got
@@ -1087,7 +1138,7 @@ class TestFrozenReferences:
     def test_order_zero_residues_are_bit_identical(self):
         resps = flat_response(noise=1e-4)
         s = 1j * resps.grid.omega / resps.grid.omega[-1]
-        got = _Relocation(s, resps.values, 0).residues(np.zeros(0, dtype=complex))
+        got = residues_alone(_Relocation(s, resps.values[None], 0), np.zeros(0, dtype=complex))
         ref = frozen_residues(np.zeros(0, dtype=complex), s, resps.values)
         assert all(same_bits(a, b) for a, b in zip(got, ref))
 
@@ -1109,8 +1160,8 @@ class TestFrozenReferences:
 
 
 def walk_poles(walks, interleaved):
-    """Each walk's pole sets, the walks stepped in turn or one after another,
-    then each walk's finished model."""
+    """Each walk's pole sets, the walks (batches of one) stepped in turn or
+    one after another, then each walk's finished model."""
     seen = [[] for _ in walks]
     iters = [iter(walk) for walk in walks]
     if interleaved:
@@ -1118,13 +1169,13 @@ def walk_poles(walks, interleaved):
         while active:
             for i in list(active):
                 try:
-                    seen[i].append(next(iters[i]))
+                    seen[i].extend(next(iters[i]))
                 except StopIteration:
                     active.remove(i)
     else:
         for i, it in enumerate(iters):
-            seen[i].extend(it)
-    return seen, [walk.finish()[0] for walk in walks]
+            seen[i].extend(poles for (poles,) in it)
+    return seen, [walk.finish()[0][0] for walk in walks]
 
 
 class TestWalkBuffers:
@@ -1137,8 +1188,9 @@ class TestWalkBuffers:
         other = sample_model(wideband_model(), 1e6, 40e9, n=2000, log=True)
 
         def walks():
-            return [_PoleWalk(one, FitConfig(order=n)), _PoleWalk(other, FitConfig(order=n)),
-                    _PoleWalk(other, FitConfig(order=n + 2))]
+            return [_PoleWalk((one,), FitConfig(order=n)),
+                    _PoleWalk((other,), FitConfig(order=n)),
+                    _PoleWalk((other,), FitConfig(order=n + 2))]
 
         steps_apart, models_apart = walk_poles(walks(), interleaved=False)
         steps_mixed, models_mixed = walk_poles(walks(), interleaved=True)
@@ -1146,6 +1198,164 @@ class TestWalkBuffers:
             assert len(apart) == len(mixed) >= 2
             assert all(same_bits(a, b) for a, b in zip(apart, mixed))
         assert models_apart == models_mixed
+
+
+# flat_response's grid, which every member of a batch shares
+BATCH_GRID = FrequencyGrid(np.linspace(1e8, 1e9, 200))
+
+
+def on_batch_grid(poles, residues, noise=0.0, seed=0):
+    """One port of sum r / (s - p) + 1 on BATCH_GRID, with poles and
+    residues in units of 2 pi GHz, times 1 + ``noise`` complex Gaussian."""
+    scale = 2 * np.pi * 1e9
+    model = PartialFractionModel(np.asarray(poles) * scale, np.asarray([residues]) * scale,
+                                 [1.0])
+    h = evaluate_model(model, BATCH_GRID, 0)
+    rng = np.random.default_rng(seed)
+    h = h * (1.0 + noise * (rng.standard_normal(h.size) + 1j * rng.standard_normal(h.size)))
+    return single_port(BATCH_GRID.freqs_hz, h)
+
+
+def stop_members():
+    """Response sets on BATCH_GRID whose order-4 fits end on every stop a
+    relocation walk can take, and hold 0 or 2 real poles on its first step."""
+    tanks = ([-0.02 + 0.3j, -0.02 - 0.3j, 0.01 + 0.7j, 0.01 - 0.7j],
+             [0.05 + 0.01j, 0.05 - 0.01j, 0.02, 0.02])
+    tank = ([-0.03 + 0.4j, -0.03 - 0.4j], [0.05, 0.05])
+    return {"two tanks": on_batch_grid(*tanks),
+            "tank and two reals": on_batch_grid([-0.2, -0.6, -0.02 + 0.5j, -0.02 - 0.5j],
+                                                [0.1, 0.3, 0.05, 0.05]),
+            "one tank": on_batch_grid(*tank),
+            "settling tanks": on_batch_grid(*tanks, noise=1e-8, seed=3),
+            "noisy tank": on_batch_grid(*tank, noise=1e-3),
+            "flat": flat_response(noise=1e-4)}
+
+
+def walk_batch(batch, cfg):
+    """One walk of the whole batch: the walk, each member's pole sets step
+    by step, and each member's outcome."""
+    walk = _PoleWalk(batch, cfg)
+    steps = [[] for _ in walk.batch]
+    for stepped in walk:
+        for seen, poles in zip(steps, stepped):
+            if poles is not None:
+                seen.append(poles)
+    return walk, steps, walk.finish()
+
+
+def walk_alone(resps, cfg):
+    """A walk of one member: its pole sets and its outcome."""
+    walk = _PoleWalk((resps,), cfg)
+    return [poles for (poles,) in walk], walk.finish()[0]
+
+
+def assert_same_fit(steps, outcome, ref_steps, ref_outcome):
+    """The same pole sets at every step, and the same model and report, bit
+    for bit."""
+    assert len(steps) == len(ref_steps) >= 1
+    assert all(same_bits(a, b) for a, b in zip(steps, ref_steps))
+    (model, report), (ref_model, ref_report) = outcome, ref_outcome
+    assert model == ref_model and report == ref_report
+    assert all(same_bits(getattr(model, name), getattr(ref_model, name))
+               for name in ("poles", "residues", "direct"))
+
+
+class TestBatchedWalk:
+    # a batch shares one relocation walk, and each member's fit equals its
+    # fit alone, bit for bit
+    def test_members_end_on_every_stop(self):
+        members = stop_members()
+        cfg = FitConfig(order=4)
+        walk, steps, outcomes = walk_batch(members.values(), cfg)
+        assert dict(zip(members, walk.stop)) == {
+            "two tanks": "pole-move", "tank and two reals": "pole-move",
+            "one tank": "rank-deficient", "settling tanks": "sigma-settled",
+            "noisy tank": "iteration-cap", "flat": "iteration-cap"}
+        assert {_n_real(poles[0]) for poles in steps} == {0, 2}
+        for resps, seen, outcome in zip(members.values(), steps, outcomes):
+            assert_same_fit(seen, outcome, *walk_alone(resps, cfg))
+            assert outcome == fit_common_denominator(resps, cfg)
+
+    def test_odd_order_beside_even_layouts(self):
+        # at order 5 the members hold 1 or 3 real poles, and the flat
+        # response's walk moves between the two
+        members = stop_members()
+        cfg = FitConfig(order=5)
+        _, steps, outcomes = walk_batch(members.values(), cfg)
+        assert {_n_real(poles[0]) for poles in steps} == {1, 3}
+        for resps, seen, outcome in zip(members.values(), steps, outcomes):
+            assert_same_fit(seen, outcome, *walk_alone(resps, cfg))
+
+    def test_three_port_members(self):
+        # four 3-port sets on one grid, two with a real pole in their data
+        _, _, _, w = normalized_samples(301, 3, False)
+        grid = FrequencyGrid(w * 1e9 / (2 * np.pi))
+        ports = tuple(PortLabel(f"p{i}") for i in range(3))
+        members = [FrequencyResponseSet(grid, ports, normalized_samples(seed, 3, real)[2])
+                   for seed, real in ((300, False), (301, True), (303, False), (305, True))]
+        for cfg in (FitConfig(order=6), FitConfig(order=7, iters=4)):
+            _, steps, outcomes = walk_batch(members, cfg)
+            for resps, seen, outcome in zip(members, steps, outcomes):
+                assert_same_fit(seen, outcome, *walk_alone(resps, cfg))
+
+    def test_a_member_that_fails_at_once_leaves_the_batch(self):
+        members = list(stop_members().values())
+        huge = single_port(BATCH_GRID.freqs_hz, np.full(200, 1e200 + 0j))
+        batch = members[:2] + [huge] + members[2:]
+        cfg = FitConfig(order=4)
+        walk, steps, outcomes = walk_batch(batch, cfg)
+        assert isinstance(outcomes[2], NumericError) and outcomes[2] is walk.failures[2]
+        assert "overflows the column scaling" in str(outcomes[2]) and steps[2] == []
+        with pytest.raises(NumericError, match="overflows the column scaling"):
+            fit_common_denominator(huge, cfg)
+        for resps, seen, outcome in zip(members, steps[:2] + steps[3:],
+                                        outcomes[:2] + outcomes[3:]):
+            assert_same_fit(seen, outcome, *walk_alone(resps, cfg))
+
+    def test_a_member_that_fails_partway_leaves_the_batch(self, monkeypatch):
+        # every member takes a second step; the eigenproblem of the third
+        # member's second step fails
+        members = list(stop_members().values())
+        cfg = FitConfig(order=4)
+        alone = [walk_alone(resps, cfg) for resps in members]
+        calls = []
+        dgeev = lapack.dgeev
+
+        def third_fails_second(*args, **kwargs):
+            calls.append(len(calls))
+            if len(calls) == len(members) + 3:
+                return None, None, None, None, 1
+            return dgeev(*args, **kwargs)
+
+        monkeypatch.setattr("pzid.ratfit.lapack.dgeev", third_fails_second)
+        walk, steps, outcomes = walk_batch(members, cfg)
+        assert str(outcomes[2]) == ("defective relocation eigenproblem: "
+                                    "Eigenvalues did not converge")
+        assert walk.stop[2] is None and walk.iters_used[2] == 1
+        assert len(steps[2]) == 1 and same_bits(steps[2][0], alone[2][0][0])
+        for j, (seen, outcome) in enumerate(zip(steps, outcomes)):
+            if j != 2:
+                assert_same_fit(seen, outcome, *alone[j])
+
+    def test_batches_of_every_size_fit_alike(self, monkeypatch):
+        members = list(stop_members().values())
+        cfg = FitConfig(order=4)
+        whole = ratfit._fit_batch(members, cfg)
+        monkeypatch.setattr(ratfit, "_BATCH_MEMBERS", 4)
+        assert ratfit._fit_batch(members, cfg) == whole
+        assert whole == [fit_common_denominator(resps, cfg) for resps in members]
+        assert ratfit._fit_batch([], cfg) == []
+
+    def test_members_share_one_grid(self):
+        other = flat_response()
+        other = single_port(other.grid.freqs_hz * 2.0, other.values[0])
+        with pytest.raises(ValueError, match="one frequency grid"):
+            _PoleWalk((flat_response(), other), FitConfig(order=2))
+
+    def test_order_above_the_budget_is_refused_before_any_step(self):
+        with pytest.raises(UsageError, match="point budget"):
+            ratfit._fit_batch([flat_response(), flat_response(noise=1e-4)],
+                              FitConfig(order=200))
 
 
 def failing(info, *out):
@@ -1182,8 +1392,8 @@ class TestLapackFailures:
     def test_non_finite_eigenproblem_is_refused_before_lapack(self, monkeypatch):
         realization = ratfit._real_realization
 
-        def with_inf(poles, residues=None):
-            amat, bvec, cvec = realization(poles, residues)
+        def with_inf(*args, **kwargs):
+            amat, bvec, cvec = realization(*args, **kwargs)
             amat[0, 0] = np.inf
             return amat, bvec, cvec
 

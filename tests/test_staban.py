@@ -258,9 +258,9 @@ def record_walks(monkeypatch, resp):
     walks = []
 
     class RecordingWalk(ratfit._PoleWalk):
-        def __init__(self, resps, cfg):
-            super().__init__(resps, cfg)
-            if resps is resp:
+        def __init__(self, batch, cfg):
+            super().__init__(batch, cfg)
+            if len(self.batch) == 1 and self.batch[0] is resp:
                 walks.append(self)
 
     monkeypatch.setattr(ratfit, "_PoleWalk", RecordingWalk)
@@ -345,7 +345,7 @@ class TestOrderScanRecord:
         assert crit.size == 2
         assert max(np.min(np.abs(crit - p)) / abs(p) for p in unstable) <= 1e-6
         (walk6,) = [w for w in walks if w.poles.size == 6]
-        assert walk6.stop == "rank-deficient" and walk6.iters_used <= 4
+        assert walk6.stop == ["rank-deficient"] and walk6.iters_used[0] <= 4
 
     def test_noise_misses_the_rms_target(self):
         v = auto_identify(flat_response(noise=1e-4), range(2, 9))
@@ -381,10 +381,10 @@ class TestPersistenceWalk:
         v = auto_identify(resp, range(16, 25))
         assert v.scan.converged and v.scan.model.order == 20
         (walk,) = [w for w in walks if w.poles.size == 22]
-        assert walk.iters_used == 2
+        assert walk.iters_used == [2]
         if source == "net":
             _, full = fit_common_denominator(resp, FitConfig(order=22))
-            assert walk.stop is None and full.iters_used > 2
+            assert walk.stop == [None] and full.iters_used > 2
         persistence_from_full_fits(monkeypatch)
         ref = auto_identify(resp, range(16, 25))
         assert v.scan == ref.scan

@@ -232,7 +232,7 @@ class TestLoadedSweeps:
                                     DOUBLE_RESONATOR_GRID, "rneg", -1000.0, 1000.0, 1e-6, CFG)
 
     def test_a_short_has_no_value_to_sweep(self, monkeypatch):
-        monkeypatch.setattr(pzid.sweeps, "_fit_poles", None)  # no fit may run
+        no_fits(monkeypatch)
         net = ground_node(double_resonator("B"), "A")
         with pytest.raises(UsageError, match="'__gnd_A' is a SHORT and has no value"):
             trace_pole_locus(net, current_probe("B"), DOUBLE_RESONATOR_GRID, "__gnd_A",
@@ -303,7 +303,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("sigma", [1.0, 1.5, -0.01, float("nan"), {"C": 1.0}])
     def test_sigma_outside_unit_interval_rejected_up_front(self, sigma, monkeypatch):
-        monkeypatch.setattr(pzid.sweeps, "_fit_poles", None)  # no trial may run
+        no_fits(monkeypatch)
         with pytest.raises(UsageError, match=r"outside \[0, 1\)"):
             monte_carlo_cloud(parallel_rlc(50.0), current_probe("n1"), self.GRID,
                               sigma, 5, seed=1, cfg=SweepConfig(order=2))
@@ -455,15 +455,23 @@ class TestProvisoScan:
 
 
 def fail_fits_where(monkeypatch, pick):
-    """Make every sweep fit of a response that ``pick`` selects raise NumericError."""
-    fit = pzid.sweeps._fit_poles
+    """Make the batched sweep fit of every response that ``pick`` selects
+    fail with NumericError, as a member whose walk raised it does; the
+    other responses are fitted as one batch."""
+    fit_batch = pzid.sweeps._fit_batch
 
-    def patched(resp, cfg):
-        if pick(resp):
-            raise NumericError("injected fit failure")
-        return fit(resp, cfg)
+    def patched(batch, cfg):
+        picked = [pick(resp) for resp in batch]
+        fits = iter(fit_batch([resp for resp, p in zip(batch, picked) if not p], cfg))
+        return [NumericError("injected fit failure") if p else next(fits) for p in picked]
 
-    monkeypatch.setattr(pzid.sweeps, "_fit_poles", patched)
+    monkeypatch.setattr(pzid.sweeps, "_fit_batch", patched)
+
+
+def no_fits(monkeypatch):
+    """Make any sweep fit, batched or alone, fail the test."""
+    monkeypatch.setattr(pzid.sweeps, "_fit_poles", None)
+    monkeypatch.setattr(pzid.sweeps, "_fit_pole_sets", None)
 
 
 def fail_loads_where(monkeypatch, pick):
@@ -527,16 +535,82 @@ class TestFailedFits:
         assert rep.findings == tuple(f for f in clean.findings if f.label != "short-like")
 
 
+def fit_each_alone(monkeypatch):
+    """Make the sweeps fit each response on its own instead of as one batch."""
+    def alone(resps, cfg):
+        pole_sets = []
+        for resp in resps:
+            try:
+                pole_sets.append(pzid.sweeps._fit_poles(resp, cfg))
+            except NumericError:
+                pole_sets.append(None)
+        return pole_sets
+
+    monkeypatch.setattr(pzid.sweeps, "_fit_pole_sets", alone)
+
+
+class TestBatchedFits:
+    """A locus's values and a cloud's trials are fitted as one batch; the
+    result is the one fitting each alone gives, bit for bit."""
+
+    @pytest.mark.parametrize("net, probe, grid, param, values, cfg", [
+        (double_resonator("B"), current_probe("B"), DOUBLE_RESONATOR_GRID, "rstab",
+         np.geomspace(10.0, 1e6, 13), CFG),
+        (double_resonator("B"), current_probe("A"), DOUBLE_RESONATOR_GRID, "rneg",
+         np.linspace(-8000.0, -3000.0, 8), SweepConfig(order=5)),
+        # the sample at gm = -0.5 is singular: that value fails alone
+        (dc_singular_net(), current_probe("x"), DC_SINGULAR_GRID, "gx",
+         [-0.52, -0.5, -0.47, -0.45], SweepConfig(order=3, iters=15)),
+    ])
+    def test_locus_matches_fits_alone(self, monkeypatch, net, probe, grid, param, values, cfg):
+        batched = trace_pole_locus(net, probe, grid, param, values, cfg)
+        fit_each_alone(monkeypatch)
+        alone = trace_pole_locus(net, probe, grid, param, values, cfg)
+        assert np.array_equal(batched.tracks, alone.tracks, equal_nan=True)
+        assert batched.crossing_events == alone.crossing_events
+
+    @pytest.mark.parametrize("sigma, trials", [(0.05, 12), (0.3, 7)])
+    def test_monte_carlo_matches_fits_alone(self, monkeypatch, sigma, trials):
+        args = (double_resonator("B", 300.0), current_probe("B"), DOUBLE_RESONATOR_GRID,
+                sigma, trials)
+        batched = monte_carlo_cloud(*args, seed=5, cfg=CFG)
+        fit_each_alone(monkeypatch)
+        alone = monte_carlo_cloud(*args, seed=5, cfg=CFG)
+        assert batched.points == alone.points and batched.n_failed == alone.n_failed
+        assert batched.margin_stats == alone.margin_stats
+
+    def test_failed_fits_leave_the_others_unchanged(self, monkeypatch):
+        args = (double_resonator("B", 300.0), current_probe("B"), DOUBLE_RESONATOR_GRID,
+                0.05, 6)
+        clean = monte_carlo_cloud(*args, seed=5, cfg=CFG)
+        calls = iter(range(6))
+        fail_fits_where(monkeypatch, lambda resp: next(calls) in (0, 4))
+        cloud = monte_carlo_cloud(*args, seed=5, cfg=CFG)
+        assert (clean.n_failed, cloud.n_failed) == (0, 2)
+        assert cloud.points == tuple((t, p) for t, p in clean.points if t not in (0, 4))
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("tol", [0.0, -1e-4])
     def test_threshold_tolerance_must_be_positive(self, monkeypatch, tol):
-        monkeypatch.setattr(pzid.sweeps, "_fit_poles", None)  # no fit may run
+        no_fits(monkeypatch)
         with pytest.raises(UsageError, match="^tol_rel must be positive$"):
             stabilization_threshold(double_resonator("B"), current_probe("B"),
                                     DOUBLE_RESONATOR_GRID, "rstab", 50.0, 1000.0, tol, CFG)
 
+    @pytest.mark.parametrize("name", ["lo", "hi", "tol_rel"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_threshold_arguments_must_be_finite(self, monkeypatch, name, value):
+        no_fits(monkeypatch)
+        monkeypatch.setattr(pzid.sweeps, "element_loader", None)  # no solve may run
+        monkeypatch.setattr(pzid.sweeps, "frequency_response", None)
+        args = {"lo": 50.0, "hi": 1000.0, "tol_rel": 1e-2, name: value}
+        with pytest.raises(UsageError, match=rf"^{name} must be finite, got {value!r}$"):
+            stabilization_threshold(double_resonator("B"), current_probe("B"),
+                                    DOUBLE_RESONATOR_GRID, "rstab", cfg=CFG, **args)
+
     def test_monte_carlo_needs_a_trial(self, monkeypatch):
-        monkeypatch.setattr(pzid.sweeps, "_fit_poles", None)
+        no_fits(monkeypatch)
         with pytest.raises(UsageError, match="^trials must be >= 1$"):
             monte_carlo_cloud(parallel_rlc(50.0), current_probe("n1"), TestMonteCarlo.GRID,
                               0.05, 0, seed=1, cfg=SweepConfig(order=2))
