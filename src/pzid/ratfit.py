@@ -859,11 +859,13 @@ class _PoleWalk:
     ``stop[k]`` and ``iters_used[k]`` then say how member k ended
     (``stop[k]`` is None while it walks or once it failed) and
     ``failures[k]`` holds the ``NumericError`` of a failed step.
-    ``finish()`` solves each member's residues and direct terms against
-    the poles it reached and returns, per member, (model, report) or the
+    ``leave(k)``, called between steps, takes member k out of the walk: it
+    steps no more, and ``finish()`` gives it None.  ``finish()`` solves
+    each other member's residues and direct terms against the poles it
+    reached and returns, per member, (model, report) or the
     ``NumericError`` that failed it.  A walk is iterated once.  Each
     member's steps, model and report equal, bit for bit, those of a walk of
-    that member alone.
+    that member alone, whichever members leave.
     """
 
     def __init__(self, batch, cfg):
@@ -883,6 +885,7 @@ class _PoleWalk:
         self.iters_used = [0] * size
         self.failures = [None] * size
         self.n_real = [n % 2] * size
+        self.left = [False] * size
         self._relocation = _Relocation(self.s, np.array([r.values for r in self.batch]), n)
         if n == 0:
             self.poles = np.zeros((size, 0), dtype=complex)
@@ -925,11 +928,17 @@ class _PoleWalk:
                 stepped[k] = scaled[j]
             if len(failed) < len(walking):
                 yield stepped
-            walking = [k for k in walking if self.stop[k] is None and self.failures[k] is None]
+            walking = [k for k in walking if self.stop[k] is None
+                       and self.failures[k] is None and not self.left[k]]
+
+    def leave(self, k):
+        self.left[k] = True
 
     def finish(self):
-        outcomes = list(self.failures)
-        done = [k for k, failure in enumerate(outcomes) if failure is None]
+        outcomes = [None if left else failure
+                    for left, failure in zip(self.left, self.failures)]
+        done = [k for k, failure in enumerate(self.failures)
+                if failure is None and not self.left[k]]
         if not done:
             return outcomes
         rows = slice(None) if len(done) == len(self.batch) else done
@@ -982,13 +991,6 @@ def _fit_batch(batch, cfg):
     return outcomes
 
 
-def _fitted(outcome):
-    """The (model, report) of one member's fit, or raise its NumericError."""
-    if isinstance(outcome, NumericError):
-        raise outcome
-    return outcome
-
-
 def fit_common_denominator(resps, cfg):
     """Vector-fit all ports of a response set against one shared pole set.
 
@@ -1011,11 +1013,14 @@ def fit_common_denominator(resps, cfg):
     values and a Monte Carlo cloud's trials as one batch (``_fit_batch``),
     whose every member gets, bit for bit, the model and report this
     function gives it, and whose failed member fails alone.  The order
-    scan's persistence test walks the same steps and may leave off earlier
-    (``staban._scan_orders``).
+    scan fits a proviso sweep's cases in such batches too, and its
+    persistence test walks the same steps, where a member may leave off
+    earlier (``staban._scan_orders``).
     """
     (outcome,) = _fit_batch((resps,), cfg)
-    return _fitted(outcome)
+    if isinstance(outcome, NumericError):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .errors import UsageError
+from .errors import NumericError, PzidError, UsageError
 from .freqresp import _fields_equal, _readonly, slice_band
-from .ratfit import (FitConfig, FitReport, PartialFractionModel, PolePair, _c2pair,
-                     _fitted, _json_text, _PoleWalk, _aaa_degree, fit_common_denominator,
-                     poles_and_zeros)
+from .ratfit import (_BATCH_MEMBERS, FitConfig, FitReport, PartialFractionModel, PolePair,
+                     _aaa_degree, _c2pair, _fit_batch, _json_text, _PoleWalk,
+                     fit_common_denominator, poles_and_zeros)
 
 __all__ = [
     "ClassifiedPole",
@@ -281,60 +281,157 @@ def _poles_persist(poles_a, poles_b, floor):
     return None
 
 
-def _persistence_walk(resps, poles, floor, fits):
-    """First of ``poles`` without a mate at order+2, or None when all persist.
+def _persistence_walks(batch, pole_sets, floor, fits):
+    """Per member of ``batch``, fitted at one order n with poles
+    ``pole_sets[k]``: the first of its poles without a mate at order n+2,
+    None when all persist, or the ``NumericError`` that failed its walk.
 
-    Walks the order+2 relocation from its own start poles and decides
-    "persisted" once every pole has a mate on ``_PERSIST_AGREEMENT``
-    consecutive steps.  "Drifted" is read only where the walk stops; the
-    walk, a batch of one, is then finished into the order+2 fit and cached
-    in ``fits``.
+    The members walk the order+2 relocation together from its own start
+    poles, up to ``_BATCH_MEMBERS`` per walk.  A member "persisted" once
+    every pole has had a mate on ``_PERSIST_AGREEMENT`` consecutive steps,
+    and leaves the walk then.  "Drifted" is read only where a member's walk
+    stops; its walk is then finished into its order+2 fit, which is cached
+    in ``fits[k]``.
     """
-    n = poles.size + 2
-    walk = _PoleWalk((resps,), FitConfig(order=n))
-    agreed = 0
-    for (walked,) in walk:
-        drifted = _poles_persist(poles, walked, floor)
-        agreed = agreed + 1 if drifted is None else 0
-        if agreed == _PERSIST_AGREEMENT:
-            return None
-    fits[n] = _fitted(walk.finish()[0])  # raises the NumericError of a failed walk
-    return drifted
+    n = pole_sets[0].size + 2
+    out = []
+    for start in range(0, len(batch), _BATCH_MEMBERS):
+        chunk = slice(start, start + _BATCH_MEMBERS)
+        poles = pole_sets[chunk]
+        walk = _PoleWalk(batch[chunk], FitConfig(order=n))
+        drifted = [None] * len(poles)
+        agreed = [0] * len(poles)
+        for walked in walk:
+            for k, member_poles in enumerate(walked):
+                if member_poles is None:
+                    continue
+                drifted[k] = _poles_persist(poles[k], member_poles, floor)
+                agreed[k] = agreed[k] + 1 if drifted[k] is None else 0
+                if agreed[k] == _PERSIST_AGREEMENT:
+                    walk.leave(k)
+        for cache, left, fit, drift in zip(fits[chunk], walk.left, walk.finish(), drifted):
+            if isinstance(fit, NumericError):
+                out.append(fit)
+                continue
+            if not left:
+                cache[n] = fit
+            out.append(drift)
+    return out
 
 
-def _scan_orders(resps, orders, cfg):
-    """Fit ascending orders from the one the AAA probe reveals; select the
-    smallest meeting the rms target whose poles persist at order+2, else
-    the lowest-rms scanned order.
-
-    Persistence is decided on the order+2 relocation walk: "persisted" as
-    soon as every pole has had a mate on two consecutive steps, "drifted"
-    only at the walk's stop, whose finished order+2 fit a later scanned
-    order reuses."""
+def _check_orders(orders):
+    """``orders`` as a list of ints; UsageError unless nonempty and ascending."""
     orders = [int(n) for n in orders]
     if not orders or any(b <= a for a, b in zip(orders, orders[1:])):
         raise UsageError("orders must be a nonempty ascending sequence")
-    revealed = _aaa_degree(resps, cfg.rms_target, orders[-1])
-    if revealed is not None:  # start at the largest order not above it
-        orders = orders[max(sum(n <= revealed for n in orders) - 1, 0):]
-    floor = _omega_floor(resps.grid)
-    fits = {}
+    return orders
 
-    steps = []
-    for n in orders:
-        if n not in fits:
-            fits[n] = fit_common_denominator(resps, FitConfig(order=n))
-        model, report = fits[n]
-        persisted = drifted = None
+
+class _MemberScan:
+    """One response set's order scan, as far as :func:`_scan_orders` took it."""
+
+    def __init__(self, resps, orders, cfg):
+        self.resps = resps
+        self.revealed = _aaa_degree(resps, cfg.rms_target, orders[-1])
+        if self.revealed is not None:  # start at the largest order not above it
+            orders = orders[max(sum(n <= self.revealed for n in orders) - 1, 0):]
+        self.orders = orders
+        self.fits = {}
+        self.steps = []
+        self.outcome = None  # the OrderScan, or the error that failed the scan
+
+    @property
+    def order(self):
+        """The order the scan is at."""
+        return self.orders[len(self.steps)]
+
+
+def _by_order(scans):
+    """``scans`` grouped by the order each is at, in ascending order."""
+    groups = {}
+    for scan in scans:
+        groups.setdefault(scan.order, []).append(scan)
+    return sorted(groups.items())
+
+
+def _fit_group(batch, n):
+    """Each member's order-n fit, or the error that failed it.  A lone
+    member is fitted by ``fit_common_denominator``, a group as one batch,
+    whose walk refuses every member alike when the order is too high."""
+    cfg = FitConfig(order=n)
+    try:
+        if len(batch) == 1:
+            return [fit_common_denominator(batch[0], cfg)]
+        return _fit_batch(batch, cfg)
+    except (NumericError, UsageError) as exc:
+        return [exc] * len(batch)
+
+
+def _scan_orders(batch, orders, cfg):
+    """Order scans of the response sets in ``batch``, which share a grid and
+    port count, run in lockstep.  Returns per set its ``OrderScan``, or the
+    ``NumericError`` or ``UsageError`` that failed it.
+
+    Each set fits ascending orders from the one its AAA probe reveals, and
+    selects the smallest meeting the rms target whose poles persist at
+    order+2, else its lowest-rms scanned order.  Persistence is decided on
+    the order+2 relocation walk: "persisted" as soon as every pole has had
+    a mate on two consecutive steps, "drifted" only at the walk's stop,
+    whose finished order+2 fit a later scanned order reuses.  Each round,
+    the sets that need a fit at one order are fitted as one batch, and the
+    sets whose fit meets the rms target at one order are tested on one
+    walk (:func:`_persistence_walks`).  Every set's scan, and its failure,
+    equals, bit for bit, the scan of that set alone.  An empty or
+    non-ascending ``orders`` raises ``UsageError``.
+    """
+    orders = _check_orders(orders)
+    scans = [_MemberScan(resps, orders, cfg) for resps in batch]
+    if not scans:
+        return []
+    grid = batch[0].grid
+    floor = _omega_floor(grid)
+    scanning = scans
+    while scanning:
+        for n, group in _by_order(scan for scan in scanning if scan.order not in scan.fits):
+            for scan, fit in zip(group, _fit_group([scan.resps for scan in group], n)):
+                if isinstance(fit, PzidError):
+                    scan.outcome = fit
+                else:
+                    scan.fits[n] = fit
+        scanning = [scan for scan in scanning if scan.outcome is None]
         # the order+2 fit needs n + 3 samples
-        if report.rms_rel_error <= cfg.rms_target and n + 3 <= len(resps.grid):
-            drifted = _persistence_walk(resps, model.poles, floor, fits)
-            persisted = drifted is None
-        steps.append(ScanStep(n, report, persisted, drifted))
-        if persisted:
-            return OrderScan(tuple(steps), True, model, revealed)
-    best = min(steps, key=lambda step: step.report.rms_rel_error)
-    return OrderScan(tuple(steps), False, fits[best.order][0], revealed)
+        tested = [scan for scan in scanning if scan.order + 3 <= len(grid)
+                  and scan.fits[scan.order][1].rms_rel_error <= cfg.rms_target]
+        drifts = {}
+        for n, group in _by_order(tested):
+            drifts.update(zip(group, _persistence_walks(
+                [scan.resps for scan in group], [scan.fits[n][0].poles for scan in group],
+                floor, [scan.fits for scan in group])))
+        for scan in scanning:
+            n = scan.order
+            model, report = scan.fits[n]
+            drifted = drifts.get(scan)
+            if isinstance(drifted, PzidError):
+                scan.outcome = drifted
+                continue
+            persisted = None if scan not in drifts else drifted is None
+            scan.steps.append(ScanStep(n, report, persisted, drifted))
+            if persisted:
+                scan.outcome = OrderScan(tuple(scan.steps), True, model, scan.revealed)
+            elif len(scan.steps) == len(scan.orders):
+                best = min(scan.steps, key=lambda step: step.report.rms_rel_error)
+                scan.outcome = OrderScan(tuple(scan.steps), False,
+                                         scan.fits[best.order][0], scan.revealed)
+        scanning = [scan for scan in scanning if scan.outcome is None]
+    return [scan.outcome for scan in scans]
+
+
+def _scan_one(resps, orders, cfg):
+    """The order scan of one response set; raises the error that failed it."""
+    (scan,) = _scan_orders((resps,), orders, cfg)
+    if isinstance(scan, PzidError):
+        raise scan
+    return scan
 
 
 def subband_consistency_check(resps, suspect, widths_hz, orders, cfg=StabilityConfig()):
@@ -363,21 +460,25 @@ def subband_consistency_check(resps, suspect, widths_hz, orders, cfg=StabilityCo
         usable = [n for n in orders if len(sub.grid) >= n + 1]
         if not usable:
             raise UsageError(f"sub-band of width {width} Hz is too narrow for any fit")
-        sub_poles = _scan_orders(sub, usable, cfg).model.poles
+        sub_poles = _scan_one(sub, usable, cfg).model.poles
         if _poles_persist([suspect], sub_poles, floor) is not None:
             return "numerical"
     return "physical"
 
 
-def auto_identify(resps, orders, cfg=StabilityConfig()):
+def auto_identify(resps, orders, cfg=StabilityConfig(), *, scan=None):
     """Full pipeline: order scan, rho analysis, over-modeling pruning, verdict.
 
     RHP pairs whose best rho over all ports falls below the floor are
     routed to sub-band consistency checking; artifacts classified numerical
     are pruned before the stability verdict is read off the pole map.
+    ``scan`` is the order scan of ``resps`` over ``orders`` under ``cfg``
+    when the caller already has it (a proviso sweep scans its cases as one
+    batch); without it, ``resps`` is scanned as a batch of one.
     """
     orders = list(orders)
-    scan = _scan_orders(resps, orders, cfg)
+    if scan is None:
+        scan = _scan_one(resps, orders, cfg)
     model = scan.model
     margin_tol = _MARGIN_TOL_REL * float(np.max(resps.grid.omega))
     rho = rho_matrix(model)

@@ -15,11 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.optimize
 
-from .errors import NumericError, UsageError
+from .errors import NumericError, PzidError, UsageError
 from .netsim import (Netlist, analytic_poles, element_loader, frequency_response,
                      set_element_value, termination_loader, with_termination)
 from .ratfit import FitConfig, _fit_batch, fit_common_denominator
-from .staban import StabilityConfig, auto_identify
+from .staban import StabilityConfig, _check_orders, _scan_orders, auto_identify
 
 __all__ = [
     "PoleTrajectory",
@@ -398,10 +398,17 @@ def proviso_scan(net, port, probe, spiral, grid, orders, cfg=StabilityConfig()):
     the identification pipeline at an internal probe each time.  The circuit
     is solved once, terminated in z0, and every termination is loaded onto
     that solve as a rank-one update (:func:`termination_loader`), realized
-    as :func:`with_termination` would realize it.  A reference circuit that
-    cannot be solved fails every case with the same error.
+    as :func:`with_termination` would realize it.  The loaded cases are
+    order-scanned as one batch, whose every case gets the scan it would get
+    alone, and each case's verdict is then read off its own scan by
+    :func:`auto_identify`.  A case whose load, scan or verdict fails is
+    recorded as a failure, in case order, and the others are unchanged; a
+    reference circuit that cannot be solved fails every case with the same
+    error.  An empty or non-ascending ``orders`` is refused with
+    :class:`UsageError` before any solve.
     """
     orders = list(orders)
+    _check_orders(orders)
     net.port(port)
     f_ref = math.sqrt(grid.f_lo * grid.f_hi) if grid.f_lo > 0 else grid.f_hi / 2.0
     cases = [("open-like", complex(spiral.r_max), None),
@@ -414,11 +421,24 @@ def proviso_scan(net, port, probe, spiral, grid, orders, cfg=StabilityConfig()):
         # a reference circuit that cannot be solved fails every case alike
         return ProvisoReport((), tuple(f"{label}: {exc}" for label, _, _ in cases),
                              len(cases))
+    loaded = []  # per case its response, or the error that failed its load
+    for _, gamma, _ in cases:
+        try:
+            loaded.append(load(gamma, f_ref))
+        except (NumericError, UsageError) as exc:
+            loaded.append(exc)
+    scans = iter(_scan_orders([resp for resp in loaded if not isinstance(resp, PzidError)],
+                              orders, cfg))
     findings = []
     failures = []
-    for label, gamma, h in cases:
+    for (label, gamma, h), resp in zip(cases, loaded):
         try:
-            verdict = auto_identify(load(gamma, f_ref), orders, cfg)
+            if isinstance(resp, PzidError):
+                raise resp
+            scan = next(scans)
+            if isinstance(scan, PzidError):
+                raise scan
+            verdict = auto_identify(resp, orders, cfg, scan=scan)
         except (NumericError, UsageError) as exc:
             failures.append(f"{label}: {exc}")
             continue

@@ -325,3 +325,12 @@ def oracle_grid(poles, n=500):
     f_lo = mags.min() / (2 * np.pi) / 3.0
     f_hi = mags.max() / (2 * np.pi) * 1.5
     return FrequencyGrid(np.linspace(f_lo, f_hi, n))
+
+
+def same_bits(got, ref):
+    """Bit-for-bit equality of two float or complex arrays, signed zeros
+    included."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    return (got.dtype == ref.dtype and got.shape == ref.shape
+            and np.array_equal(np.ascontiguousarray(got).view(np.uint64),
+                               np.ascontiguousarray(ref).view(np.uint64)))

@@ -10,7 +10,7 @@ from scipy.linalg import lapack
 from scipy.optimize import linear_sum_assignment
 
 from fixtures import (flat_response, oracle_grid, overmodel_response, random_oracle_net,
-                      random_pf_model, sample_model, wideband_model)
+                      random_pf_model, same_bits, sample_model, wideband_model)
 from pzid import ratfit
 from pzid.errors import NumericError, UsageError
 from pzid.freqresp import FrequencyGrid, FrequencyResponseSet, PortLabel
@@ -1084,15 +1084,6 @@ def probe_inputs():
                    overmodel_response(3), flat_response(noise=1e-6), flat_response()]
 
 
-def same_bits(got, ref):
-    """Bit-for-bit equality of two float or complex arrays, signed zeros
-    included."""
-    got, ref = np.asarray(got), np.asarray(ref)
-    return (got.dtype == ref.dtype and got.shape == ref.shape
-            and np.array_equal(np.ascontiguousarray(got).view(np.uint64),
-                               np.ascontiguousarray(ref).view(np.uint64)))
-
-
 def relocation_inputs():
     """(label, order, s, f_mat, start poles) in the fitter's units: random
     models with 1 and 3 ports and even and odd orders, the wideband model on
@@ -1335,6 +1326,26 @@ class TestBatchedWalk:
         assert len(steps[2]) == 1 and same_bits(steps[2][0], alone[2][0][0])
         for j, (seen, outcome) in enumerate(zip(steps, outcomes)):
             if j != 2:
+                assert_same_fit(seen, outcome, *alone[j])
+
+    def test_a_member_that_leaves_changes_no_other_member(self):
+        members = list(stop_members().values())
+        cfg = FitConfig(order=4)
+        alone = [walk_alone(resps, cfg) for resps in members]
+        assert len(alone[1][0]) > 1  # alone, it walks on after its first step
+        walk = _PoleWalk(members, cfg)
+        steps = [[] for _ in members]
+        for stepped in walk:
+            for seen, poles in zip(steps, stepped):
+                if poles is not None:
+                    seen.append(poles)
+            walk.leave(1)
+        outcomes = walk.finish()
+        assert walk.left == [False, True, False, False, False, False]
+        assert outcomes[1] is None and walk.stop[1] is None and walk.iters_used[1] == 1
+        assert len(steps[1]) == 1 and same_bits(steps[1][0], alone[1][0][0])
+        for j, (seen, outcome) in enumerate(zip(steps, outcomes)):
+            if j != 1:
                 assert_same_fit(seen, outcome, *alone[j])
 
     def test_batches_of_every_size_fit_alike(self, monkeypatch):

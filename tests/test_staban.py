@@ -5,14 +5,14 @@ import pytest
 
 from fixtures import (COMBINER_GRID, DOUBLE_RESONATOR_GRID, TWO_STAGE_GRID, combiner,
                       double_resonator, flat_response, overmodel_response,
-                      random_pf_model, sample_model, two_stage, wideband_model,
+                      random_pf_model, same_bits, sample_model, two_stage, wideband_model,
                       wideband_net)
 from pzid import ratfit, staban
-from pzid.errors import UsageError
+from pzid.errors import NumericError, UsageError
 from pzid.freqresp import FrequencyGrid, FrequencyResponseSet, PortLabel
 from pzid.netsim import (analytic_poles, current_probe, frequency_response,
                          frequency_responses, modal_probe)
-from pzid.ratfit import FitConfig, PartialFractionModel, fit_common_denominator
+from pzid.ratfit import FitConfig, PartialFractionModel, evaluate_model, fit_common_denominator
 from pzid.staban import (_RHO_GUARD, OrderScan, StabilityConfig, auto_identify,
                          classify_poles, detect_quasi_cancellations, rank_ports,
                          rho_factor, rho_matrix, serialize_verdict,
@@ -269,12 +269,13 @@ def record_walks(monkeypatch, resp):
 
 
 def persistence_from_full_fits(monkeypatch):
-    """Make the scan read persistence off a full order+2 fit instead."""
-    def full_fit(resps, poles, floor, fits):
-        model, _ = fit_common_denominator(resps, FitConfig(order=poles.size + 2))
-        return staban._poles_persist(poles, model.poles, floor)
+    """Make the scan read persistence off full order+2 fits instead."""
+    def full_fits(batch, pole_sets, floor, fits):
+        return [staban._poles_persist(poles, fit_common_denominator(
+                    resps, FitConfig(order=poles.size + 2))[0].poles, floor)
+                for resps, poles in zip(batch, pole_sets)]
 
-    monkeypatch.setattr(staban, "_persistence_walk", full_fit)
+    monkeypatch.setattr(staban, "_persistence_walks", full_fits)
 
 
 class TestOrderScanRecord:
@@ -430,6 +431,137 @@ class TestPersistenceWalk:
             assert step.report == fit_common_denominator(resp, FitConfig(order=step.order))[1]
         persistence_from_full_fits(monkeypatch)
         assert v.scan == auto_identify(resp, range(2, 7)).scan
+
+
+def tanks(pairs, noise=0.0, seed=0, n=200):
+    """One port of 1 + r / (s - p) + conj(r) / (s - conj(p)) summed over
+    (p, r) in ``pairs``, in units of 2 pi GHz, on n points over 0.1-1 GHz,
+    times 1 + ``noise`` complex Gaussian."""
+    scale = 2 * np.pi * 1e9
+    poles = [q for p, _ in pairs for q in (p, np.conj(p))]
+    residues = [q for _, r in pairs for q in (r, np.conj(r))]
+    grid = FrequencyGrid(np.linspace(1e8, 1e9, n))
+    model = PartialFractionModel(np.array(poles) * scale, np.array([residues]) * scale, [1.0])
+    h = evaluate_model(model, grid, 0)
+    rng = np.random.default_rng(seed)
+    h = h * (1.0 + noise * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    return FrequencyResponseSet(grid, (PortLabel("p1"),), (h,))
+
+
+def assert_scanned_alone(resps, scan, orders, cfg=StabilityConfig()):
+    """``scan``, from a batch, is the scan of ``resps`` alone, bit for bit,
+    and gives the same verdict report; or it is the error that fails the
+    scan alone."""
+    if isinstance(scan, (NumericError, UsageError)):
+        with pytest.raises(type(scan)) as alone:
+            auto_identify(resps, orders, cfg)
+        assert str(alone.value) == str(scan)
+        return
+    verdict = auto_identify(resps, orders, cfg)
+    assert scan == verdict.scan
+    for step, ref in zip(scan.steps, verdict.scan.steps):
+        assert same_bits(step.report.rms_rel_error, ref.report.rms_rel_error)
+    for name in ("poles", "residues", "direct"):
+        assert same_bits(getattr(scan.model, name), getattr(verdict.scan.model, name))
+    assert serialize_verdict(auto_identify(resps, orders, cfg, scan=scan)) == \
+        serialize_verdict(verdict)
+
+
+class TestBatchedScan:
+    """Response sets on one grid scanned as one batch: each member's scan,
+    or the error that fails it, is its scan alone."""
+
+    ORDERS = range(2, 9)
+
+    @staticmethod
+    def members():
+        two = tanks([(-0.02 + 0.3j, 0.05), (0.01 + 0.7j, 0.02)])
+        return {
+            "one tank": tanks([(-0.03 + 0.4j, 0.05)]),
+            "two tanks": two,
+            "close tanks": tanks([(-0.19 + 1.33j, 0.29 + 0.07j), (-0.23 + 1.34j, 0.22)],
+                                 noise=1e-7, seed=116),
+            "three tanks": tanks([(-0.02 + 0.2j, 0.05), (0.01 + 0.5j, 0.02),
+                                  (-0.03 + 0.85j, 0.04)]),
+            "noisy tanks": tanks([(-0.35 + 0.83j, 0.03), (-0.11 + 0.26j, 0.15 + 0.06j)],
+                                 noise=1e-6, seed=17),
+            "flat": flat_response(),
+            # the AAA probe of two tanks, but a fit that overflows
+            "huge": FrequencyResponseSet(two.grid, two.ports, (two.values[0] * 1e200,)),
+        }
+
+    def test_members_scan_as_they_would_alone(self, monkeypatch):
+        members = self.members()
+        names = {id(resps): name for name, resps in members.items()}
+        leaves = []  # (walk, member, step on which it left)
+
+        class RecordingWalk(ratfit._PoleWalk):
+            def leave(self, k):
+                leaves.append((self, names[id(self.batch[k])], self.iters_used[k]))
+                super().leave(k)
+
+        monkeypatch.setattr(staban, "_PoleWalk", RecordingWalk)
+        scans = staban._scan_orders(list(members.values()), self.ORDERS, StabilityConfig())
+        monkeypatch.undo()
+        got = {name: scan if isinstance(scan, NumericError) else
+               (scan.revealed, [step.order for step in scan.steps], scan.converged)
+               for name, scan in zip(members, scans)}
+        huge = got.pop("huge")
+        assert str(huge) == ("relocation least squares failed: "
+                             "response magnitude overflows the column scaling")
+        assert got == {"one tank": (2, [2], True), "two tanks": (4, [4], True),
+                       "close tanks": (4, [4], True), "three tanks": (6, [6], True),
+                       "noisy tanks": (None, [2, 3, 4], True),
+                       "flat": (0, list(range(2, 9)), False)}
+        # two tanks and close tanks share one order-6 walk and leave it on
+        # different steps; noisy tanks reaches order 4 later, in a walk of its own
+        walks = {name: walk for walk, name, _ in leaves}
+        assert sorted((name, step) for walk, name, step in leaves
+                      if walk is walks["two tanks"]) == [("close tanks", 3), ("two tanks", 2)]
+        assert walks["noisy tanks"] is not walks["two tanks"]
+        for resps, scan in zip(members.values(), scans):
+            assert_scanned_alone(resps, scan, self.ORDERS)
+
+    def test_walks_of_at_most_batch_members(self, monkeypatch):
+        # one member per walk: the same scans from the same fits, as each
+        # member that drifted still reuses its own finished order+2 walk
+        members = list(self.members().values())
+        fit_group = staban._fit_group
+        fitted = []
+
+        def recording(batch, n):
+            fitted.extend((n, id(resps)) for resps in batch)
+            return fit_group(batch, n)
+
+        monkeypatch.setattr(staban, "_fit_group", recording)
+        whole = staban._scan_orders(members, self.ORDERS, StabilityConfig())
+        whole_fitted = sorted(fitted)
+        fitted.clear()
+        monkeypatch.setattr(staban, "_BATCH_MEMBERS", 1)
+        monkeypatch.setattr(ratfit, "_BATCH_MEMBERS", 1)
+        chunked = staban._scan_orders(members, self.ORDERS, StabilityConfig())
+        assert chunked[:-1] == whole[:-1] and str(chunked[-1]) == str(whole[-1])
+        assert sorted(fitted) == whole_fitted
+
+    def test_an_order_above_the_budget_fails_only_its_group(self):
+        # on 12 samples a fit of order 12 is refused: the two noisy flat
+        # responses reach it together, the tank converges at order 2
+        tank = tanks([(-0.03 + 0.4j, 0.05)], n=12)
+        members = [tank] + [
+            FrequencyResponseSet(tank.grid, tank.ports,
+                                 (flat_response(noise=1e-4, seed=seed).values[0][:12],))
+            for seed in (0, 1)]
+        orders = range(2, 13)
+        scans = staban._scan_orders(members, orders, StabilityConfig())
+        assert scans[0].converged and scans[0].model.order == 2
+        assert all(isinstance(scan, UsageError) and
+                   str(scan) == "order 12 exceeds the point budget of 12 samples"
+                   for scan in scans[1:])
+        for resps, scan in zip(members, scans):
+            assert_scanned_alone(resps, scan, orders)
+
+    def test_no_members(self):
+        assert staban._scan_orders([], self.ORDERS, StabilityConfig()) == []
 
 
 class TestRankPorts:

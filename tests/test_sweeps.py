@@ -516,23 +516,33 @@ class TestFailedFits:
 
     @pytest.mark.parametrize("error", [NumericError, UsageError])
     def test_proviso_records_a_failed_case_and_goes_on(self, monkeypatch, error):
+        # the short-like case's batched order scan fails, and then its verdict
         args = (masked_loop(), "out", current_probe("I"), spiral_path(11, 4), PROVISO_GRID,
                 range(2, 7))
         clean = proviso_scan(*args)
+        scan_orders = pzid.sweeps._scan_orders
         identify = pzid.sweeps.auto_identify
-        calls = iter(range(clean.n_scanned))
 
-        def failing(resp, orders, cfg):
-            if next(calls) == 1:  # the short-like case
+        def failing_scan(batch, orders, cfg):
+            scans = scan_orders(batch, orders, cfg)
+            scans[1] = error("injected")
+            return scans
+
+        def failing_verdict(resp, orders, cfg, *, scan):
+            if next(calls) == 1:
                 raise error("injected")
-            return identify(resp, orders, cfg)
+            return identify(resp, orders, cfg, scan=scan)
 
-        monkeypatch.setattr(pzid.sweeps, "auto_identify", failing)
-        rep = proviso_scan(*args)
-        assert "short-like" in {f.label for f in clean.findings} and clean.failures == ()
-        assert rep.failures == ("short-like: injected",)
-        assert rep.n_scanned == clean.n_scanned == 6
-        assert rep.findings == tuple(f for f in clean.findings if f.label != "short-like")
+        for name, failing in (("_scan_orders", failing_scan),
+                              ("auto_identify", failing_verdict)):
+            calls = iter(range(clean.n_scanned))
+            with monkeypatch.context() as m:
+                m.setattr(pzid.sweeps, name, failing)
+                rep = proviso_scan(*args)
+            assert "short-like" in {f.label for f in clean.findings} and clean.failures == ()
+            assert rep.failures == ("short-like: injected",)
+            assert rep.n_scanned == clean.n_scanned == 6
+            assert rep.findings == tuple(f for f in clean.findings if f.label != "short-like")
 
 
 def fit_each_alone(monkeypatch):
@@ -614,6 +624,13 @@ class TestUsageErrors:
         with pytest.raises(UsageError, match="^trials must be >= 1$"):
             monte_carlo_cloud(parallel_rlc(50.0), current_probe("n1"), TestMonteCarlo.GRID,
                               0.05, 0, seed=1, cfg=SweepConfig(order=2))
+
+    @pytest.mark.parametrize("orders", [[], [4, 2], [2, 2, 3]])
+    def test_proviso_orders_must_be_nonempty_and_ascending(self, monkeypatch, orders):
+        monkeypatch.setattr(pzid.sweeps, "termination_loader", None)  # no solve may run
+        with pytest.raises(UsageError, match="^orders must be a nonempty ascending sequence$"):
+            proviso_scan(masked_loop(), "out", current_probe("I"), spiral_path(11, 4),
+                         PROVISO_GRID, orders)
 
     def test_spiral_turns_must_be_nonnegative(self):
         with pytest.raises(UsageError, match="^turns must be >= 0$"):
