@@ -284,9 +284,15 @@ _VALUE_STAMP = {
 }
 
 
-def _assemble(net, probe=None):
+def _assemble(net, probe=None, values=None):
     """Real MNA matrices G, C with the probe's drive b and readout c, and
     the stamp vectors of every element that has a value.
+
+    ``values`` is an optional (rows, elements) array of value sets, one
+    column per element of ``net.elements`` in order (a SHORT's column is
+    not read).  G and C are then (rows, dim, dim) stacks whose row r equals,
+    bit for bit, the matrices of the netlist with row r's values; without
+    it they are the matrices of the netlist's own values.
 
     A voltage probe splices its element onto a fresh ``__probe`` node (a
     name the netlist does not use) and appends an ordinary SHORT from there
@@ -303,6 +309,9 @@ def _assemble(net, probe=None):
     probe's splice gives it, each vector as its ``(row, sign)`` entries
     (:func:`_vector` makes it dense).
     """
+    stacked = values is not None
+    if not stacked:
+        values = np.array([[e.value for e in net.elements]], dtype=float)
     nodes = list(net.nodes)
     elements = list(net.elements)
     if probe is not None and probe.kind == "vbranch":
@@ -320,8 +329,8 @@ def _assemble(net, probe=None):
     branches = [i for i, e in enumerate(elements) if e.kind in ("L", "SHORT")]
     branch_idx = {i: nn + k for k, i in enumerate(branches)}
     dim = nn + len(branches)
-    G = np.zeros((dim, dim))
-    C = np.zeros((dim, dim))
+    G = np.zeros((len(values), dim, dim))
+    C = np.zeros((len(values), dim, dim))
 
     def incidence(plus, minus):
         entries = []
@@ -339,8 +348,8 @@ def _assemble(net, probe=None):
             bi = branch_idx[i]
             kcl = 1.0 if e.kind == "L" else -1.0
             for row, sign in incidence(*e.nodes):
-                G[row, bi] += sign * kcl
-                G[bi, row] += sign
+                G[:, row, bi] += sign * kcl
+                G[:, bi, row] += sign
             if e.kind == "SHORT":
                 continue
             u = v = [(bi, 1.0)]
@@ -349,10 +358,10 @@ def _assemble(net, probe=None):
         else:
             u = v = incidence(*e.nodes)
         reactive, y = _VALUE_STAMP[e.kind]
-        M, w = (C if reactive else G), y(e.value)
+        M, w = (C if reactive else G), y(values[:, i])
         for row, su in u:
             for col, sv in v:
-                M[row, col] += su * sv * w
+                M[:, row, col] += su * sv * w
         stamps[i] = (u, v)
 
     b_vec = np.zeros(dim, dtype=complex)
@@ -367,6 +376,8 @@ def _assemble(net, probe=None):
                 raise UsageError(f"probe references unknown node {n!r}")
             b_vec[node_idx[n]] += cmath.exp(1j * math.radians(ph))
         c_vec[node_idx[drives[0][0]]] = 1.0
+    if not stacked:
+        G, C = G[0], C[0]
     return G, C, b_vec, c_vec, stamps
 
 
@@ -384,44 +395,114 @@ def _vector(entries, dim):
 def frequency_response(net, probe, grid, port_name=None):
     """Closed-loop response seen by a probe, solved block by block.
 
-    Each block of grid points stacks its matrices G + j*omega*C into one
-    tensor and solves them with a single batched ``np.linalg.solve``; every
-    matrix still goes through the same LAPACK factorization as a lone
-    solve, so results do not depend on the blocking.  Block length is set
-    so the stacked tensor stays within ``_BLOCK_BYTES``, which bounds memory
-    on large netlists while small ones solve their whole grid in one call.
+    This is the one-row case of :func:`_responses`, which stamps a stack of
+    value sets and solves it with :func:`_solve_blocks`: each block of grid
+    points stacks its matrices G + j*omega*C into one tensor and solves
+    them with a single batched ``np.linalg.solve``.  Every matrix still goes
+    through the same LAPACK factorization as a lone solve, and the readout
+    picks one unknown, so results do not depend on the blocking or on the
+    other rows of a stack.  A singular grid point raises
+    :class:`SingularSystemError` naming the first one.
 
     Current probe at a node (a unit drive there) returns the impedance seen
     by the probe; voltage probe in a branch (a SHORT spliced in series, see
     :func:`_pencil`) returns the admittance presented to it; modal probe
     (phased unit drives) returns the voltage at its first listed node.
     """
-    G, C, b, c = _pencil(net, probe)
-    out = np.empty(len(grid), dtype=complex)
-    for block, x in _solve_blocks(G, C, b[:, None], grid):
-        out[block] = x[..., 0] @ c
-    return FrequencyResponseSet(grid, (_response_label(probe, port_name),), (out,))
+    (resp,) = _responses(net, probe, grid, port_name=port_name)
+    if isinstance(resp, NumericError):
+        raise resp
+    return resp
+
+
+def _responses(net, probe, grid, values=None, port_name=None):
+    """Per row of ``values``, the response set :func:`frequency_response`
+    gives on the netlist with that row's element values, or the
+    :class:`SingularSystemError` that failed the row.
+
+    ``values`` is as in :func:`_assemble`; without it the netlist's own
+    values make the one row.  A value that :class:`Element` refuses raises
+    its ``ValueError`` before any solve, the first such value in row order.
+    All rows are stamped as one stack and solved in blocks of (row,
+    frequency) pairs (:func:`_solve_blocks`), so a row that is singular at
+    some grid point fails alone and the other rows are unchanged.
+    """
+    if values is not None:
+        _check_values(net, values)
+    G, C, b, c, _ = _assemble(net, probe, values)
+    if values is None:
+        G, C = G[None], C[None]
+    out = np.empty((len(G), len(grid)), dtype=complex)
+    failed = {}
+    for row, points, x in _solve_blocks(G, C, b[:, None], grid):
+        if isinstance(x, NumericError):
+            failed.setdefault(row, x)  # a row's first failing block names its first singular point
+        elif row not in failed:
+            out[row, points] = x[..., 0] @ c
+    label = _response_label(probe, port_name)
+    return [failed[row] if row in failed else FrequencyResponseSet(grid, (label,), (h,))
+            for row, h in enumerate(out)]
+
+
+def _check_values(net, values):
+    """Raise the ``ValueError`` :class:`Element` raises for the first value,
+    in row order, that it refuses as the value of its column's element."""
+    suspect = ~np.isfinite(values) | (values <= 0.0)  # of which a negative R or G passes
+    for row, col in zip(*np.nonzero(suspect)):
+        replace(net.elements[col], value=float(values[row, col]))
 
 
 def _solve_blocks(G, C, rhs, grid):
-    """Yield ``(slice, x)`` per block of grid points, x solving
-    (G + j*omega*C) x = rhs at each point of the slice.
+    """Solve a stack of pencils, (G[r] + j*omega*C[r]) x = rhs at every grid
+    point of every row r, in blocks over the (row, frequency) pairs.
 
-    ``rhs`` is (dim, k); x is (points, dim, k).  A right-hand side with as
-    many dimensions as the stack is read as a matrix by both NumPy 1.x and
-    2.x; a 1-D one is rejected by NumPy 1.x.
+    ``G`` and ``C`` are (rows, dim, dim) and ``rhs`` is (dim, k).  Pairs run
+    row by row, and a block holds as many as keep its stacked complex
+    matrices within ``_BLOCK_BYTES``.  Yields ``(row, points, x)`` for each
+    row's share of each block, in order: ``points`` is a slice of the grid
+    and x is (points, dim, k).  Where a block's stacked solve finds a
+    singular matrix, each of its rows is solved alone, and a row that is
+    singular yields, in place of x, the :class:`SingularSystemError` naming
+    its first singular point in the block.  A right-hand side with as many
+    dimensions as the stack is read as a matrix by both NumPy 1.x and 2.x;
+    a 1-D one is rejected by NumPy 1.x.
     """
-    omega = grid.omega
-    dim = G.shape[0]
+    jw = (1j * grid.omega)[:, None, None]
+    rows, dim = G.shape[:2]
+    points = len(grid)
     step = max(1, _BLOCK_BYTES // (16 * dim * dim))
-    for lo in range(0, len(grid), step):
-        A = G + (1j * omega[lo:lo + step])[:, None, None] * C
+    for lo in range(0, rows * points, step):
+        hi = min(lo + step, rows * points)
+        shares = []  # (row, points of the row, pairs of the block)
+        for row in range(lo // points, (hi - 1) // points + 1):
+            first, last = max(lo, row * points), min(hi, (row + 1) * points)
+            shares.append((row, slice(first - row * points, last - row * points),
+                           slice(first - lo, last - lo)))
+        A = np.empty((hi - lo, dim, dim), dtype=complex)
+        for row, pts, pairs in shares:
+            A[pairs] = G[row] + jw[pts] * C[row]
         try:
             x = np.linalg.solve(A, rhs[None])
         except np.linalg.LinAlgError:
-            _raise_first_singular(A, rhs, grid.freqs_hz[lo:lo + step])
-            raise
-        yield slice(lo, lo + step), x
+            for row, pts, pairs in shares:
+                yield row, pts, _solve_alone(A[pairs], rhs, grid.freqs_hz[pts])
+            continue
+        for row, pts, pairs in shares:
+            yield row, pts, x[pairs]
+
+
+def _solve_alone(A, rhs, freqs_hz):
+    """x solving the stack ``A`` against rhs, or the
+    :class:`SingularSystemError` naming its first singular point."""
+    try:
+        return np.linalg.solve(A, rhs[None])
+    except np.linalg.LinAlgError:
+        for a, f in zip(A, freqs_hz):
+            try:
+                np.linalg.solve(a, rhs)
+            except np.linalg.LinAlgError:
+                return SingularSystemError(_singular_at(f))
+        raise
 
 
 def _response_label(probe, port_name):
@@ -429,15 +510,6 @@ def _response_label(probe, port_name):
     # that it can head a CSV column
     name = port_name or probe.descriptor().replace(",", ";")
     return PortLabel(name, probe.descriptor(), probe.response_kind)
-
-
-def _raise_first_singular(A, rhs, freqs_hz):
-    """Name the first grid point whose MNA matrix LAPACK finds singular."""
-    for a, f in zip(A, freqs_hz):
-        try:
-            np.linalg.solve(a, rhs)
-        except np.linalg.LinAlgError:
-            raise SingularSystemError(_singular_at(f)) from None
 
 
 def _singular_at(f):
@@ -588,8 +660,10 @@ def _rank_one(G, C, b, c, u, v, grid, label):
     """
     readout = np.stack([c, v])
     t = np.empty((len(grid), 2, 2), dtype=complex)
-    for block, x in _solve_blocks(G, C, np.stack([b, u], axis=1), grid):
-        t[block] = readout @ x
+    for _, points, x in _solve_blocks(G[None], C[None], np.stack([b, u], axis=1), grid):
+        if isinstance(x, NumericError):
+            raise x
+        t[points] = readout @ x
     h0, t_out, t_in, z = t[:, 0, 0], t[:, 0, 1], t[:, 1, 0], t[:, 1, 1]
     t_out_in = t_out * t_in
 

@@ -860,12 +860,15 @@ class _PoleWalk:
     (``stop[k]`` is None while it walks or once it failed) and
     ``failures[k]`` holds the ``NumericError`` of a failed step.
     ``leave(k)``, called between steps, takes member k out of the walk: it
-    steps no more, and ``finish()`` gives it None.  ``finish()`` solves
+    steps no more, and either ending gives it None.  ``finish()`` solves
     each other member's residues and direct terms against the poles it
     reached and returns, per member, (model, report) or the
-    ``NumericError`` that failed it.  A walk is iterated once.  Each
-    member's steps, model and report equal, bit for bit, those of a walk of
-    that member alone, whichever members leave.
+    ``NumericError`` that failed it.  ``relocated()`` ends at the poles:
+    per member, the poles it reached in rad/s, in the canonical order its
+    model would store them, or the ``NumericError`` of its failed step.  A
+    walk is iterated once.  Each member's steps, model, report and poles
+    equal, bit for bit, those of a walk of that member alone, whichever
+    members leave.
     """
 
     def __init__(self, batch, cfg):
@@ -934,6 +937,12 @@ class _PoleWalk:
     def leave(self, k):
         self.left[k] = True
 
+    def relocated(self):
+        # a step stores each set in canonical order, and scaling by w_scale > 0
+        # keeps it canonical: these are the poles PartialFractionModel stores
+        return [None if left else failure if failure is not None else poles * self.w_scale
+                for poles, left, failure in zip(self.poles, self.left, self.failures)]
+
     def finish(self):
         outcomes = [None if left else failure
                     for left, failure in zip(self.left, self.failures)]
@@ -975,20 +984,36 @@ class _PoleWalk:
 _BATCH_MEMBERS = 32
 
 
-def _fit_batch(batch, cfg):
-    """Fit each response set in ``batch`` as :func:`fit_common_denominator`
-    would fit it alone, stepping up to ``_BATCH_MEMBERS`` of them as one
-    walk.  The sets share one grid and port count.  Returns per set its
-    (model, report) or the ``NumericError`` its fit raised; a member that
-    fails leaves its walk, and the others carry on unchanged."""
+def _walk_batch(batch, cfg, end):
+    """``end(walk)`` of the walks that step ``batch`` up to
+    ``_BATCH_MEMBERS`` response sets at a time, joined in member order."""
     batch = list(batch)
     outcomes = []
     for start in range(0, len(batch), _BATCH_MEMBERS):
         walk = _PoleWalk(batch[start:start + _BATCH_MEMBERS], cfg)
         for _ in walk:
             pass
-        outcomes += walk.finish()
+        outcomes += end(walk)
     return outcomes
+
+
+def _fit_batch(batch, cfg):
+    """Fit each response set in ``batch`` as :func:`fit_common_denominator`
+    would fit it alone, stepping up to ``_BATCH_MEMBERS`` of them as one
+    walk.  The sets share one grid and port count.  Returns per set its
+    (model, report) or the ``NumericError`` its fit raised; a member that
+    fails leaves its walk, and the others carry on unchanged."""
+    return _walk_batch(batch, cfg, _PoleWalk.finish)
+
+
+def _batch_poles(batch, cfg):
+    """The poles :func:`fit_common_denominator` would give each response
+    set in ``batch``, walked as :func:`_fit_batch` walks them, or the
+    ``NumericError`` its relocation step raised.  The walks end at their
+    poles (``_PoleWalk.relocated``): no residues are solved and no model
+    is built or evaluated, so a member whose residue solve or evaluation at
+    a pole frequency would fail its fit still gets its poles."""
+    return _walk_batch(batch, cfg, _PoleWalk.relocated)
 
 
 def fit_common_denominator(resps, cfg):
@@ -1009,13 +1034,14 @@ def fit_common_denominator(resps, cfg):
     Final residues and one real direct term per port are solved against the
     fixed relocated poles.  Unstable poles are preserved at every stage.
 
-    This is a relocation walk of one member.  The sweeps fit a locus's
-    values and a Monte Carlo cloud's trials as one batch (``_fit_batch``),
-    whose every member gets, bit for bit, the model and report this
-    function gives it, and whose failed member fails alone.  The order
-    scan fits a proviso sweep's cases in such batches too, and its
-    persistence test walks the same steps, where a member may leave off
-    earlier (``staban._scan_orders``).
+    This is a relocation walk of one member.  The sweeps walk a locus's
+    values and a Monte Carlo cloud's trials as one batch that ends at its
+    poles (``_batch_poles``), whose every member gets, bit for bit, the
+    poles of the model this function gives it, and whose failed member
+    fails alone.  The order scan fits a proviso sweep's cases in batches
+    that end in models (``_fit_batch``), and its persistence test walks
+    the same steps, where a member may leave off earlier
+    (``staban._scan_orders``).
     """
     (outcome,) = _fit_batch((resps,), cfg)
     if isinstance(outcome, NumericError):

@@ -319,12 +319,27 @@ def _persistence_walks(batch, pole_sets, floor, fits):
     return out
 
 
+def _integer(x):
+    """``x`` as an int when it is integral, else None."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return n if n == x else None
+
+
 def _check_orders(orders):
-    """``orders`` as a list of ints; UsageError unless nonempty and ascending."""
-    orders = [int(n) for n in orders]
-    if not orders or any(b <= a for a, b in zip(orders, orders[1:])):
+    """``orders`` as a list of ints; UsageError unless each is a nonnegative
+    integer and they are nonempty and ascending."""
+    checked = []
+    for n in orders:
+        order = _integer(n)
+        if order is None or order < 0:
+            raise UsageError(f"orders must be nonnegative integers, got {n!r}")
+        checked.append(order)
+    if not checked or any(b <= a for a, b in zip(checked, checked[1:])):
         raise UsageError("orders must be a nonempty ascending sequence")
-    return orders
+    return checked
 
 
 class _MemberScan:
@@ -441,7 +456,7 @@ def subband_consistency_check(resps, suspect, widths_hz, orders, cfg=StabilityCo
     over-modeling artifacts drift.  Returns 'physical' only if the suspect
     persists (within the location tolerance) in every sub-band.
     """
-    orders = list(orders)
+    orders = _check_orders(orders)
     suspect = complex(suspect)
     f_r = abs(suspect.imag) / (2.0 * np.pi)
     g = resps.grid
@@ -474,9 +489,11 @@ def auto_identify(resps, orders, cfg=StabilityConfig(), *, scan=None):
     are pruned before the stability verdict is read off the pole map.
     ``scan`` is the order scan of ``resps`` over ``orders`` under ``cfg``
     when the caller already has it (a proviso sweep scans its cases as one
-    batch); without it, ``resps`` is scanned as a batch of one.
+    batch); without it, ``resps`` is scanned as a batch of one.  Orders
+    that are empty, not ascending, negative or non-integral are refused
+    with :class:`UsageError` (``_check_orders``).
     """
-    orders = list(orders)
+    orders = _check_orders(orders)
     if scan is None:
         scan = _scan_one(resps, orders, cfg)
     model = scan.model

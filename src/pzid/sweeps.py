@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
 
 from .errors import NumericError, PzidError, UsageError
-from .netsim import (Netlist, analytic_poles, element_loader, frequency_response,
+from .netsim import (_responses, analytic_poles, element_loader, frequency_response,
                      set_element_value, termination_loader, with_termination)
-from .ratfit import FitConfig, _fit_batch, fit_common_denominator
-from .staban import StabilityConfig, _check_orders, _scan_orders, auto_identify
+from .ratfit import FitConfig, _batch_poles, fit_common_denominator
+from .staban import StabilityConfig, _check_orders, _integer, _scan_orders, auto_identify
 
 __all__ = [
     "PoleTrajectory",
@@ -77,27 +77,30 @@ class SpiralPath:
     gamma: np.ndarray
 
 
-def _in_band(model, grid):
-    """The model's poles within 3x the band's top angular frequency.
+def _in_band(poles, grid):
+    """The poles within 3x the band's top angular frequency.
 
     Fitted poles far outside the swept band are extrapolation artifacts of
     the over-specified order, not circuit dynamics; they are dropped so
     sweep decisions (crossings, thresholds, margins) stay meaningful.
     """
-    return model.poles[np.abs(model.poles) <= 3.0 * float(np.max(grid.omega))]
+    return poles[np.abs(poles) <= 3.0 * float(np.max(grid.omega))]
 
 
 def _fit_poles(resp, cfg):
     """Poles fitted to one response, restricted to the analyzed band."""
     model, _ = fit_common_denominator(resp, cfg)
-    return _in_band(model, resp.grid)
+    return _in_band(model.poles, resp.grid)
 
 
 def _fit_pole_sets(resps, cfg):
-    """:func:`_fit_poles` of each response, all fitted as one batch, with
-    None for a response whose fit failed."""
-    return [None if isinstance(fit, NumericError) else _in_band(fit[0], resp.grid)
-            for resp, fit in zip(resps, _fit_batch(resps, cfg))]
+    """:func:`_fit_poles` of each response, all walked as one batch that
+    ends at its poles (``ratfit._batch_poles``), with None for a response
+    whose relocation failed.  No residues are solved, so a response whose
+    fit would fail only in its residue solve or its model's evaluation
+    keeps the poles its relocation reached."""
+    return [None if isinstance(poles, NumericError) else _in_band(poles, resp.grid)
+            for resp, poles in zip(resps, _batch_poles(resps, cfg))]
 
 
 def _value_loader(net, probe, grid, param, ref):
@@ -127,10 +130,12 @@ def trace_pole_locus(net, probe, grid, param, values, cfg):
     The circuit is solved once, with the element at the middle value, and
     each value is loaded onto that solve as a rank-one update
     (:func:`_value_loader`).  The loaded values are then fitted as one
-    batch, whose every value gets the poles its fit alone would give.  A
-    step whose load or fit fails is left NaN, and the other steps are
-    unchanged.  A SHORT has no value to sweep and is refused with
-    :class:`UsageError`.
+    batch that ends at its poles (:func:`_fit_pole_sets`), whose every
+    value gets the poles its fit alone would give.  A step whose load or
+    pole relocation fails is left NaN, and the other steps are unchanged;
+    a step whose fit would fail only in its residue solve or its model's
+    evaluation keeps its poles.  A SHORT has no value to sweep and is
+    refused with :class:`UsageError`.
 
     Matching across consecutive steps uses minimum-total-distance assignment
     in the complex plane scaled by the band's angular width.  Sign changes
@@ -299,15 +304,25 @@ def monte_carlo_cloud(net, probe, grid, sigma, trials, seed, cfg):
     """Pole dispersion under bounded element tolerances.
 
     Per trial every element value is scaled by (1 + sigma*u) with u drawn
-    uniformly from [-1, 1] by a seeded generator; sigma may be one number or
-    a mapping per element kind ({'R': .., 'L': .., 'C': .., 'G': ..}), each
-    in [0, 1) so that no scaled value reaches zero or changes sign.
-    Every trial is solved on its own, and the solved trials are then fitted
-    as one batch, whose every trial gets the poles its fit alone would
-    give.  Trials whose solve or fit fails are skipped and counted; the
-    other trials are unchanged.
+    uniformly from [-1, 1] by a seeded generator, trial by trial and within
+    a trial in element order; sigma may be one number or a mapping per
+    element kind ({'R': .., 'L': .., 'C': .., 'G': ..}), each in [0, 1) so
+    that no scaled value reaches zero or changes sign.  A scaled value that
+    no element takes (one that overflows) raises ``ValueError``.  The
+    trials are stamped as one stack of pencils and solved together, each
+    the response :func:`frequency_response` gives on its patched netlist
+    (``netsim._responses``); they are then fitted as one batch that ends at
+    its poles (:func:`_fit_pole_sets`), whose every trial gets the poles
+    its fit alone would give.  Trials whose solve or pole relocation fails
+    are skipped and counted, and the other trials are unchanged; a trial
+    whose fit would fail only in its residue solve or its model's
+    evaluation keeps its poles.  A non-integral or nonpositive ``trials``
+    is refused with :class:`UsageError` before any draw.
     """
-    if trials < 1:
+    count = _integer(trials)
+    if count is None:
+        raise UsageError(f"trials must be an integer, got {trials!r}")
+    if count < 1:
         raise UsageError("trials must be >= 1")
     kinds = ("R", "L", "C", "G")
     sig = dict(sigma) if isinstance(sigma, dict) else dict.fromkeys(kinds, float(sigma))
@@ -317,18 +332,17 @@ def monte_carlo_cloud(net, probe, grid, sigma, trials, seed, cfg):
         if not 0.0 <= v < 1.0:
             raise UsageError(f"sigma {v!r} for {kind} is outside [0, 1)")
     rng = np.random.default_rng(seed)
-    solved = []  # (trial, response)
-    n_failed = 0
-    for trial in range(trials):
-        # one draw per element in declaration order keeps runs reproducible
-        factors = [1.0 + sig.get(e.kind, 0.0) * rng.uniform(-1.0, 1.0)
-                   for e in net.elements]
-        patched = Netlist(tuple(replace(e, value=e.value * f)
-                                for e, f in zip(net.elements, factors)), net.ports)
-        try:
-            solved.append((trial, frequency_response(patched, probe, grid)))
-        except NumericError:
-            n_failed += 1
+    # one draw per element in declaration order, trial by trial, keeps runs
+    # reproducible: one call of size (trials, elements) draws that sequence
+    draws = rng.uniform(-1.0, 1.0, size=(count, len(net.elements)))
+    spread = np.array([sig.get(e.kind, 0.0) for e in net.elements], dtype=float)
+    nominal = np.array([e.value for e in net.elements], dtype=float)
+    with np.errstate(over="ignore"):  # an overflow is refused as its element refuses it
+        values = nominal * (1.0 + spread * draws)
+    responses = _responses(net, probe, grid, values)
+    solved = [(trial, resp) for trial, resp in enumerate(responses)
+              if not isinstance(resp, NumericError)]
+    n_failed = count - len(solved)
     points = []
     for (trial, _), poles in zip(solved, _fit_pole_sets([resp for _, resp in solved], cfg)):
         if poles is None:
@@ -404,11 +418,11 @@ def proviso_scan(net, port, probe, spiral, grid, orders, cfg=StabilityConfig()):
     :func:`auto_identify`.  A case whose load, scan or verdict fails is
     recorded as a failure, in case order, and the others are unchanged; a
     reference circuit that cannot be solved fails every case with the same
-    error.  An empty or non-ascending ``orders`` is refused with
-    :class:`UsageError` before any solve.
+    error.  An empty or non-ascending ``orders``, or one that holds a
+    negative or non-integral order, is refused with :class:`UsageError`
+    before any solve.
     """
-    orders = list(orders)
-    _check_orders(orders)
+    orders = _check_orders(orders)
     net.port(port)
     f_ref = math.sqrt(grid.f_lo * grid.f_hi) if grid.f_lo > 0 else grid.f_hi / 2.0
     cases = [("open-like", complex(spiral.r_max), None),

@@ -539,6 +539,23 @@ class TestArgumentErrors:
         self.run(capsys, tmp_path, ["stability", "--in", resp_file, "--orders", orders,
                                     "--report", str(tmp_path / "out")], message)
 
+    def test_negative_order(self, tmp_path, capsys, resp_file):
+        self.run(capsys, tmp_path, ["stability", "--in", resp_file, "--orders=-1:2",
+                                    "--report", str(tmp_path / "out")],
+                 "orders must be nonnegative integers, got -1")
+        # without the '=', argparse reads -1:2 as an option and refuses it too
+        assert dispatch(["stability", "--in", resp_file, "--orders", "-1:2",
+                         "--report", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_mc_scaled_value_that_overflows(self, tmp_path, capsys):
+        net = tmp_path / "big.cir"
+        net.write_text("C c1 n1 0 1p\nL l1 n1 0 1n\nR rbig n1 0 1.7e308\n")
+        self.run(capsys, tmp_path, ["mc", "--netlist", str(net), "--probe", "inode:n1",
+                                    "--sigma", "0.5", "--trials", "8", "--seed", "1",
+                                    "--order", "2", "--out", str(tmp_path / "out")],
+                 "element 'rbig' value is not finite")
+
     @pytest.mark.parametrize("values, message", [
         ("1:2", "bad values '1:2', expected LO:HI:N[:log]"),
         ("1:2:3:4:5", "bad values '1:2:3:4:5', expected LO:HI:N[:log]"),

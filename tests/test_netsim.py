@@ -1,10 +1,11 @@
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
 
 from fixtures import (DC_SINGULAR_GRID, dc_singular_net, oracle_grid, parallel_rlc,
-                      random_oracle_net, series_rlc_loop, two_stage)
+                      random_oracle_net, same_bits, series_rlc_loop, two_stage)
 from pzid import netsim
 from pzid.cli import dispatch
 from pzid.errors import ParseError, UsageError
@@ -459,6 +460,85 @@ class TestElementLoader:
         # as termination_loader's does: both fail as _rank_one describes
         with pytest.raises(SingularSystemError, match=r"^singular MNA system at 0\.0 Hz$"):
             element_loader(dc_singular_net(-0.5), "gx", current_probe("x"), DC_SINGULAR_GRID)
+
+
+def with_values(net, row):
+    """The netlist with each element's value replaced by the row's entry."""
+    return Netlist(tuple(dataclasses.replace(e, value=float(v))
+                         for e, v in zip(net.elements, row)), net.ports)
+
+
+def value_rows(net, rows, seed, spread=0.3):
+    """Rows of the netlist's values, each scaled by its own random factors."""
+    rng = np.random.default_rng(seed)
+    nominal = np.array([e.value for e in net.elements])
+    return nominal * (1.0 + spread * rng.uniform(-1.0, 1.0, size=(rows, nominal.size)))
+
+
+class TestValueStacks:
+    """One stack of value sets gives each row the response of its own
+    patched netlist, bit for bit, and a row that fails fails alone."""
+
+    def assert_rows_match(self, net, probe, grid, values):
+        got = netsim._responses(net, probe, grid, values)
+        assert len(got) == len(values)
+        for resp, row in zip(got, values):
+            want = frequency_response(with_values(net, row), probe, grid)
+            assert resp.ports == want.ports
+            assert same_bits(resp.values, want.values)
+
+    # element_net holds a VCCS of each sign, so every probe kind runs on one
+    @pytest.mark.parametrize("probe", TestElementLoader.PROBES)
+    def test_rows_match_each_patched_netlist(self, probe):
+        net = element_net()
+        self.assert_rows_match(net, parse_probe(probe), GRID, value_rows(net, 5, seed=3))
+
+    @pytest.mark.parametrize("probe", ["inode:B", "vbranch:rstab"])
+    @pytest.mark.parametrize("pairs_per_block", [None, 7])
+    def test_a_stack_over_several_blocks(self, monkeypatch, probe, pairs_per_block):
+        # 40 rows of 400 points; at the real budget a block holds 4096
+        # pairs (1820 with the splice), and 7 pairs a block leaves rows a
+        # share of a single pair
+        net = parse_netlist("C c1 B 0 1p\nL l1 B 0 1n\nR rneg B 0 -200\nC c2 A 0 2p\n"
+                            "L l2 A 0 2n\nR r2 A 0 300\nR rc A B 5k\nR rstab B 0 1M\n")
+        probe = parse_probe(probe)
+        grid = FrequencyGrid(np.linspace(0.3e9, 8e9, 400))
+        dim = netsim._pencil(net, probe)[0].shape[0]
+        if pairs_per_block is not None:
+            monkeypatch.setattr(netsim, "_BLOCK_BYTES", pairs_per_block * 16 * dim * dim)
+        step = netsim._BLOCK_BYTES // (16 * dim * dim)
+        values = value_rows(net, 40, seed=8, spread=0.05)
+        assert len(values) * len(grid) > 3 * step
+        self.assert_rows_match(net, probe, grid, values)
+
+    def test_a_singular_row_fails_alone(self):
+        # gm = -0.5 leaves node x no conductance at 0 Hz
+        net = dc_singular_net()
+        values = np.array([[e.value for e in net.elements]] * 4)
+        values[:, -1] = [-0.4, -0.5, -0.45, -0.5]
+        got = netsim._responses(net, current_probe("x"), DC_SINGULAR_GRID, values)
+        for row in (1, 3):
+            assert isinstance(got[row], SingularSystemError)
+            assert str(got[row]) == "singular MNA system at 0.0 Hz"
+        for row in (0, 2):
+            want = frequency_response(with_values(net, values[row]), current_probe("x"),
+                                      DC_SINGULAR_GRID)
+            assert same_bits(got[row].values, want.values)
+
+    @pytest.mark.parametrize("name, value", [
+        ("r1", 0.0), ("c1", 0.0), ("c1", -1e-12), ("l1", -1e-9),
+        ("r1", float("inf")), ("g1", float("nan")), ("rab", 2e308),
+    ])
+    def test_refused_values_raise_as_set_element_value(self, monkeypatch, name, value):
+        net = element_net()
+        values = value_rows(net, 3, seed=1)
+        values[1, [e.name for e in net.elements].index(name)] = value
+        monkeypatch.setattr(netsim, "_solve_blocks", None)  # refused before any solve
+        with pytest.raises(ValueError) as want:
+            set_element_value(net, name, value)
+        with pytest.raises(ValueError) as got:
+            netsim._responses(net, current_probe("a"), GRID, values)
+        assert str(got.value) == str(want.value)
 
 
 class TestZeroOracleIdentity:

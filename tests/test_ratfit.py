@@ -1357,6 +1357,21 @@ class TestBatchedWalk:
         assert whole == [fit_common_denominator(resps, cfg) for resps in members]
         assert ratfit._fit_batch([], cfg) == []
 
+    def test_a_poles_only_batch_ends_at_each_members_model_poles(self, monkeypatch):
+        members = list(stop_members().values())
+        huge = single_port(BATCH_GRID.freqs_hz, np.full(200, 1e200 + 0j))
+        batch = members[:3] + [huge] + members[3:]
+        cfg = FitConfig(order=4)
+        models = [fit_common_denominator(resps, cfg)[0] for resps in members]
+        monkeypatch.setattr(ratfit, "_BATCH_MEMBERS", 4)
+        monkeypatch.setattr(_Relocation, "residues", None)  # no residue solve runs
+        outcomes = ratfit._batch_poles(batch, cfg)
+        assert isinstance(outcomes[3], NumericError)
+        assert "overflows the column scaling" in str(outcomes[3])
+        for poles, model in zip(outcomes[:3] + outcomes[4:], models):
+            assert same_bits(poles, model.poles)
+        assert ratfit._batch_poles([], cfg) == []
+
     def test_members_share_one_grid(self):
         other = flat_response()
         other = single_port(other.grid.freqs_hz * 2.0, other.values[0])

@@ -251,6 +251,17 @@ class TestAutoIdentify:
         with pytest.raises(UsageError):
             auto_identify(resp, [4, 2], StabilityConfig())
 
+    @pytest.mark.parametrize("orders, bad", [([-1, 2], -1), ([2.5, 4], 2.5),
+                                             ([2, float("nan")], float("nan"))])
+    def test_orders_must_be_nonnegative_integers(self, orders, bad):
+        message = rf"^orders must be nonnegative integers, got {bad!r}$"
+        with pytest.raises(UsageError, match=message):
+            auto_identify(flat_response(noise=1e-4), orders)
+        resp = overmodel_response(seed=0)
+        suspect = complex(-1e6, 2 * np.pi * 0.5 * (resp.grid.f_lo + resp.grid.f_hi))
+        with pytest.raises(UsageError, match=message):
+            subband_consistency_check(resp, suspect, [1e9], orders)
+
 
 def record_walks(monkeypatch, resp):
     """Record every pole-relocation walk over ``resp``, fits and persistence

@@ -4,9 +4,9 @@ import pytest
 import pzid.sweeps
 from fixtures import (DC_SINGULAR_GRID, DOUBLE_RESONATOR_GRID, PROVISO_GRID,
                       dc_singular_net, double_resonator, masked_loop, parallel_rlc,
-                      passive_loop)
+                      passive_loop, same_bits)
 from pzid.errors import NumericError, UsageError
-from pzid.freqresp import FrequencyGrid
+from pzid.freqresp import FrequencyGrid, FrequencyResponseSet
 from pzid.netsim import (Netlist, SingularSystemError, TerminationPort, analytic_poles,
                          capacitor, current_probe, frequency_response, ground_node,
                          set_element_value, voltage_probe, with_termination)
@@ -333,6 +333,40 @@ class TestMonteCarlo:
             for p in truth:
                 assert np.min(np.abs(got - p)) / abs(p) < 1e-6
 
+    def test_a_singular_trial_fails_alone(self, monkeypatch):
+        # trial 2 gets rx = 2 ohm against gx = -0.5 S exactly, which leaves
+        # node x no conductance at 0 Hz; the draws of the others are kept
+        args = (dc_singular_net(-0.5), current_probe("x"), DC_SINGULAR_GRID,
+                {"R": 0.2, "C": 0.05}, 5)
+        cfg = SweepConfig(order=3, iters=15)
+        responses = pzid.sweeps._responses
+        stacks = []
+
+        def spy(net, probe, grid, values):
+            stacks.append(values.copy())
+            if len(stacks) == 2:
+                values[2, 0] = 2.0
+            return responses(net, probe, grid, values)
+
+        monkeypatch.setattr(pzid.sweeps, "_responses", spy)
+        clean = monte_carlo_cloud(*args, seed=4, cfg=cfg)
+        cloud = monte_carlo_cloud(*args, seed=4, cfg=cfg)
+        assert np.array_equal(stacks[0], stacks[1])
+        assert (clean.n_failed, cloud.n_failed) == (0, 1)
+        assert {t for t, _ in clean.points} == {0, 1, 2, 3, 4}
+        assert cloud.points == tuple((t, p) for t, p in clean.points if t != 2)
+        with pytest.raises(SingularSystemError, match=r"^singular MNA system at 0\.0 Hz$"):
+            frequency_response(set_element_value(args[0], "rx", 2.0), args[1], args[2])
+
+    def test_a_scaled_value_that_overflows_is_refused(self, monkeypatch):
+        no_fits(monkeypatch)
+        net = Netlist((capacitor("c1", "n1", "0", 1e-12),
+                       pzid.netsim.inductor("l1", "n1", "0", 1e-9),
+                       pzid.netsim.resistor("rbig", "n1", "0", 1.7e308)))
+        with pytest.raises(ValueError, match="^element 'rbig' value is not finite$"):
+            monte_carlo_cloud(net, current_probe("n1"), self.GRID, 0.5, 8, seed=1,
+                              cfg=SweepConfig(order=2))
+
 
 class TestSpiralPath:
     def test_endpoints_and_radius(self):
@@ -457,15 +491,15 @@ class TestProvisoScan:
 def fail_fits_where(monkeypatch, pick):
     """Make the batched sweep fit of every response that ``pick`` selects
     fail with NumericError, as a member whose walk raised it does; the
-    other responses are fitted as one batch."""
-    fit_batch = pzid.sweeps._fit_batch
+    other responses are walked to their poles as one batch."""
+    batch_poles = pzid.sweeps._batch_poles
 
     def patched(batch, cfg):
         picked = [pick(resp) for resp in batch]
-        fits = iter(fit_batch([resp for resp, p in zip(batch, picked) if not p], cfg))
+        fits = iter(batch_poles([resp for resp, p in zip(batch, picked) if not p], cfg))
         return [NumericError("injected fit failure") if p else next(fits) for p in picked]
 
-    monkeypatch.setattr(pzid.sweeps, "_fit_batch", patched)
+    monkeypatch.setattr(pzid.sweeps, "_batch_poles", patched)
 
 
 def no_fits(monkeypatch):
@@ -589,6 +623,28 @@ class TestBatchedFits:
         assert batched.points == alone.points and batched.n_failed == alone.n_failed
         assert batched.margin_stats == alone.margin_stats
 
+    def test_pole_sets_match_fit_poles_alone(self, monkeypatch):
+        # the third response overflows the relocation's column scaling;
+        # the batch never solves residues
+        resps = [frequency_response(set_element_value(double_resonator("B"), "rstab", v),
+                                    current_probe("B"), DOUBLE_RESONATOR_GRID)
+                 for v in (100.0, 200.0, 400.0)]
+        huge = FrequencyResponseSet(DOUBLE_RESONATOR_GRID, resps[0].ports,
+                                    (np.full(len(DOUBLE_RESONATOR_GRID), 1e200 + 0j),))
+        batch = resps[:2] + [huge] + resps[2:]
+        alone = []
+        for resp in batch:
+            try:
+                alone.append(pzid.sweeps._fit_poles(resp, CFG))
+            except NumericError as exc:
+                alone.append(exc)
+        assert "overflows the column scaling" in str(alone[2])
+        monkeypatch.setattr(pzid.ratfit._Relocation, "residues", None)
+        batched = pzid.sweeps._fit_pole_sets(batch, CFG)
+        assert batched[2] is None
+        for got, want in zip(batched[:2] + batched[3:], alone[:2] + alone[3:]):
+            assert want.size == 4 and same_bits(got, want)
+
     def test_failed_fits_leave_the_others_unchanged(self, monkeypatch):
         args = (double_resonator("B", 300.0), current_probe("B"), DOUBLE_RESONATOR_GRID,
                 0.05, 6)
@@ -624,6 +680,23 @@ class TestUsageErrors:
         with pytest.raises(UsageError, match="^trials must be >= 1$"):
             monte_carlo_cloud(parallel_rlc(50.0), current_probe("n1"), TestMonteCarlo.GRID,
                               0.05, 0, seed=1, cfg=SweepConfig(order=2))
+
+    @pytest.mark.parametrize("trials", [2.5, "3", None, float("nan")])
+    def test_monte_carlo_trials_must_be_integral(self, monkeypatch, trials):
+        no_fits(monkeypatch)
+        monkeypatch.setattr(pzid.sweeps.np.random, "default_rng", None)  # no draw may run
+        with pytest.raises(UsageError, match=rf"^trials must be an integer, got {trials!r}$"):
+            monte_carlo_cloud(parallel_rlc(50.0), current_probe("n1"), TestMonteCarlo.GRID,
+                              0.05, trials, seed=1, cfg=SweepConfig(order=2))
+
+    @pytest.mark.parametrize("orders, bad", [([-1, 2], -1), ([2.5, 4], 2.5),
+                                             ([2, float("inf")], float("inf"))])
+    def test_proviso_orders_must_be_nonnegative_integers(self, monkeypatch, orders, bad):
+        monkeypatch.setattr(pzid.sweeps, "termination_loader", None)  # no solve may run
+        with pytest.raises(UsageError, match=rf"^orders must be nonnegative integers, "
+                                             rf"got {bad!r}$"):
+            proviso_scan(masked_loop(), "out", current_probe("I"), spiral_path(11, 4),
+                         PROVISO_GRID, orders)
 
     @pytest.mark.parametrize("orders", [[], [4, 2], [2, 2, 3]])
     def test_proviso_orders_must_be_nonempty_and_ascending(self, monkeypatch, orders):
